@@ -39,6 +39,8 @@ void Run() {
         ds.pair.golden.pairs());
     DiscoveryOptions discovery;
     discovery.max_transformations_per_row = 32768;  // match fig4b's setting
+    // The paper's row-major coverage scan defines the cache hit ratio.
+    discovery.paper_coverage_scan = true;
     const DiscoveryResult result =
         DiscoverTransformations(examples, discovery);
     series.AddPoint(length, {100.0 * result.stats.DuplicateRatio(),

@@ -1,10 +1,13 @@
 #include "core/coverage.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 
@@ -48,14 +51,14 @@ class RowUnitCache {
     return static_cast<State>(packed & 3u);
   }
 
-  /// Evaluates (or recalls) the unit on this row. Returns kOk/kBad and, for
-  /// kOk, sets *out to the unit's output.
-  State Evaluate(const Unit& unit, UnitId id, std::string_view source,
-                 std::string_view target, uint64_t* unit_evals,
-                 std::string_view* out) {
+  /// Evaluates (or recalls) unit `id` on this row. Returns kOk/kBad and, for
+  /// kOk, sets *out to the unit's output. `unit_evals` counts memo misses.
+  State Evaluate(const UnitInterner& interner, UnitId id,
+                 std::string_view source, std::string_view target,
+                 uint64_t* unit_evals, std::string_view* out) {
     if (!use_memo_) {
       ++*unit_evals;
-      const auto produced = unit.Eval(source);
+      const auto produced = interner.Get(id).Eval(source);
       if (!produced.has_value() ||
           (!produced->empty() &&
            target.find(*produced) == std::string_view::npos)) {
@@ -66,7 +69,7 @@ class RowUnitCache {
     }
     if ((packed_[id] >> 2) != current_epoch_) {
       ++*unit_evals;
-      const auto produced = unit.Eval(source);
+      const auto produced = interner.Get(id).Eval(source);
       if (!produced.has_value() ||
           (!produced->empty() &&
            target.find(*produced) == std::string_view::npos)) {
@@ -92,6 +95,16 @@ class RowUnitCache {
 };
 
 using CoveringPair = std::pair<uint32_t, uint32_t>;  // (transformation, row)
+
+/// True iff `out` is `target[offset, offset + |out|)`.
+bool MatchesAt(std::string_view target, size_t offset, std::string_view out) {
+  return out.size() <= target.size() - offset &&
+         target.compare(offset, out.size(), out) == 0;
+}
+
+// ---------------------------------------------------------------------------
+// Paper path: the row-major scan of §4.1.5.
+// ---------------------------------------------------------------------------
 
 /// The store's unit sequences flattened into one CSR block. The row-major
 /// loop below touches every (transformation, row) pair — often only to
@@ -129,7 +142,6 @@ void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
                       RowUnitCache* cache,
                       std::vector<CoveringPair>* covering,
                       DiscoveryStats* stats) {
-  ScopedTimer cpu_timer(&stats->cpu_apply);
   const size_t num_t = flat.offsets.size() - 1;
   const UnitId* all_units = flat.units.data();
   for (size_t row = begin; row < end; ++row) {
@@ -161,16 +173,11 @@ void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
       size_t offset = 0;
       bool covers = true;
       for (size_t i = 0; i < t_size; ++i) {
-        const UnitId id = t_units[i];
         std::string_view out;
-        const auto state = cache->Evaluate(interner.Get(id), id, src, tgt,
-                                           &stats->unit_evals, &out);
-        if (state == RowUnitCache::kBad) {
-          covers = false;
-          break;
-        }
-        if (out.size() > tgt.size() - offset ||
-            tgt.compare(offset, out.size(), out) != 0) {
+        if (cache->Evaluate(interner, t_units[i], src, tgt,
+                            &stats->unit_evals,
+                            &out) == RowUnitCache::kBad ||
+            !MatchesAt(tgt, offset, out)) {
           covers = false;
           break;
         }
@@ -183,6 +190,218 @@ void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Default path: one walk per row over a prefix trie of the unit sequences.
+// ---------------------------------------------------------------------------
+
+/// The store's unit sequences as a prefix trie, nodes in pre-order so a
+/// subtree is the index range [i, end[i]). Node i stands for the prefix
+/// ending in unit[i] at depth[i] (the root's children are depth 1). Four
+/// parallel arrays keep a node at 13 bytes — about the size of the
+/// flattened unit references it replaces, since Cartesian-product
+/// generation makes sequences share prefixes.
+struct UnitTrie {
+  static constexpr uint32_t kNoTerminal = std::numeric_limits<uint32_t>::max();
+  /// Set in a terminal field when several ids end at the node (only with
+  /// enable_dedup off): the low bits index `shared_terminals`.
+  static constexpr uint32_t kShared = 1u << 31;
+  static constexpr size_t kMaxDepth = std::numeric_limits<uint8_t>::max();
+
+  std::vector<UnitId> unit;
+  std::vector<uint8_t> depth;
+  std::vector<uint32_t> end;       // one past the node's last descendant
+  std::vector<uint32_t> terminal;  // id ending here, kNoTerminal, or kShared|k
+  /// Terminal field of the root: empty sequences, reached with nothing
+  /// matched.
+  uint32_t root_terminal = kNoTerminal;
+  /// Runs of [count, id, id, ...] for terminal fields flagged kShared.
+  std::vector<uint32_t> shared_terminals;
+  size_t max_depth = 0;
+
+  /// Calls fn(id) for every id a terminal field holds, ascending.
+  template <typename Fn>
+  void ForEachTerminal(uint32_t term, Fn&& fn) const {
+    if (term == kNoTerminal) return;
+    if ((term & kShared) == 0) {
+      fn(term);
+      return;
+    }
+    const uint32_t* run = shared_terminals.data() + (term & ~kShared);
+    for (uint32_t k = 1; k <= run[0]; ++k) fn(run[k]);
+  }
+};
+
+/// Builds the trie by bucketing ids on their unit at each depth: a counting
+/// sort on the first unit, then a sort of each bucket's packed
+/// (unit + 1) << 32 | id keys one level down, where 0 in the high half marks
+/// a sequence that ends at the bucket's node. Each sequence's heap vector is
+/// read once per level, not once per comparison as a sort over whole
+/// sequences would.
+class TrieBuilder {
+ public:
+  TrieBuilder(const TransformationStore& store, UnitTrie* trie)
+      : store_(store), trie_(trie) {}
+
+  /// False when some sequence is deeper than UnitTrie::kMaxDepth (never
+  /// generated: skeletons have at most 2 * max_placeholders + 1 blocks).
+  bool Build(size_t num_units) {
+    const size_t num_t = store_.size();
+    TJ_CHECK(num_t < UnitTrie::kShared);
+    // bucket[k + 1] counts first-unit key k: 0 for an empty sequence,
+    // unit + 1 otherwise.
+    std::vector<uint32_t> bucket(num_units + 2, 0);
+    {
+      std::vector<uint32_t> first(num_t);
+      for (TransformationId t = 0; t < num_t; ++t) {
+        const std::vector<UnitId>& u = store_.Get(t).units();
+        if (u.size() > UnitTrie::kMaxDepth) return false;
+        trie_->max_depth = std::max(trie_->max_depth, u.size());
+        first[t] = u.empty() ? 0 : u[0] + 1;
+        ++bucket[first[t] + 1];
+      }
+      for (size_t k = 1; k < bucket.size(); ++k) bucket[k] += bucket[k - 1];
+      keys_.resize(num_t);
+      std::vector<uint32_t> cursor(bucket.begin(), bucket.end() - 1);
+      for (TransformationId t = 0; t < num_t; ++t) {
+        keys_[cursor[first[t]]++] = t;
+      }
+    }
+    trie_->root_terminal = Terminals(0, bucket[1]);
+    for (size_t k = 1; k <= num_units; ++k) {
+      if (bucket[k] == bucket[k + 1]) continue;
+      const uint32_t node = AddNode(static_cast<UnitId>(k - 1), 1);
+      Expand(node, bucket[k], bucket[k + 1], 1);
+      trie_->end[node] = static_cast<uint32_t>(trie_->unit.size());
+    }
+    return true;
+  }
+
+ private:
+  uint32_t AddNode(UnitId u, size_t depth) {
+    const auto node = static_cast<uint32_t>(trie_->unit.size());
+    trie_->unit.push_back(u);
+    trie_->depth.push_back(static_cast<uint8_t>(depth));
+    trie_->end.push_back(0);
+    trie_->terminal.push_back(UnitTrie::kNoTerminal);
+    return node;
+  }
+
+  static TransformationId IdOf(uint64_t key) {
+    return static_cast<TransformationId>(key);
+  }
+
+  /// The terminal field for the ids in keys_[lo, hi).
+  uint32_t Terminals(size_t lo, size_t hi) {
+    if (hi - lo == 0) return UnitTrie::kNoTerminal;
+    if (hi - lo == 1) return IdOf(keys_[lo]);
+    const auto run = static_cast<uint32_t>(trie_->shared_terminals.size());
+    trie_->shared_terminals.push_back(static_cast<uint32_t>(hi - lo));
+    for (size_t k = lo; k < hi; ++k) {
+      trie_->shared_terminals.push_back(IdOf(keys_[k]));
+    }
+    return UnitTrie::kShared | run;
+  }
+
+  /// keys_[lo, hi) hold the ids whose first `d` units spell node `node`'s
+  /// prefix. Sets the node's terminals and adds its subtrees in pre-order;
+  /// the caller sets end[node].
+  void Expand(uint32_t node, size_t lo, size_t hi, size_t d) {
+    if (hi - lo == 1) {
+      // One sequence left: its remaining units form a chain.
+      const TransformationId id = IdOf(keys_[lo]);
+      const std::vector<UnitId>& u = store_.Get(id).units();
+      uint32_t last = node;
+      for (size_t k = d; k < u.size(); ++k) last = AddNode(u[k], k + 1);
+      trie_->terminal[last] = id;
+      const auto chain_end = static_cast<uint32_t>(trie_->unit.size());
+      for (uint32_t i = node + 1; i < chain_end; ++i) {
+        trie_->end[i] = chain_end;
+      }
+      return;
+    }
+    for (size_t k = lo; k < hi; ++k) {
+      const TransformationId id = IdOf(keys_[k]);
+      const std::vector<UnitId>& u = store_.Get(id).units();
+      const uint64_t next = u.size() == d ? 0 : uint64_t{u[d]} + 1;
+      keys_[k] = (next << 32) | id;
+    }
+    std::sort(keys_.begin() + lo, keys_.begin() + hi);
+    size_t k = lo;
+    while (k < hi && (keys_[k] >> 32) == 0) ++k;
+    trie_->terminal[node] = Terminals(lo, k);
+    while (k < hi) {
+      const uint64_t next = keys_[k] >> 32;
+      size_t run_end = k + 1;
+      while (run_end < hi && (keys_[run_end] >> 32) == next) ++run_end;
+      const uint32_t child = AddNode(static_cast<UnitId>(next - 1), d + 1);
+      Expand(child, k, run_end, d + 1);
+      trie_->end[child] = static_cast<uint32_t>(trie_->unit.size());
+      k = run_end;
+    }
+  }
+
+  const TransformationStore& store_;
+  UnitTrie* trie_;
+  std::vector<uint64_t> keys_;
+};
+
+/// Walks the trie once per row in [begin, end). At node i the unit's memoized
+/// output must continue the target where the parent's prefix stopped;
+/// otherwise every sequence below i fails and the walk jumps to end[i] —
+/// the negative-unit pruning of §4.1.5, applied once per shared prefix
+/// instead of once per transformation. A sequence covers the row iff its
+/// terminal is reached with the whole target matched, so the covering set is
+/// exactly the row-major scan's; only the order within a row differs, which
+/// the counting sort in ComputeCoverage absorbs.
+///
+/// Counters: full_evaluations counts the (transformation, row) pairs whose
+/// terminal was reached, cache_hits the rest (cut off at some prefix), so
+/// the two still sum to transformations x rows. unit_evals counts memo
+/// misses.
+void WalkRowRange(const UnitTrie& trie, size_t num_t,
+                  const UnitInterner& interner,
+                  const std::vector<ExamplePair>& rows, size_t begin,
+                  size_t end, RowUnitCache* cache,
+                  std::vector<CoveringPair>* covering,
+                  DiscoveryStats* stats) {
+  const auto num_nodes = static_cast<uint32_t>(trie.unit.size());
+  // matched[d]: target bytes spelled by the current depth-d prefix.
+  std::vector<size_t> matched(trie.max_depth + 1, 0);
+  uint64_t reached = 0;
+  for (size_t row = begin; row < end; ++row) {
+    const std::string_view src = rows[row].source;
+    const std::string_view tgt = rows[row].target;
+    cache->BeginRow();
+    const auto reach = [&](uint32_t term, size_t offset) {
+      trie.ForEachTerminal(term, [&](TransformationId t) {
+        ++reached;
+        if (offset == tgt.size()) {
+          covering->emplace_back(t, static_cast<uint32_t>(row));
+          ++stats->covering_pairs;
+        }
+      });
+    };
+    reach(trie.root_terminal, 0);
+    uint32_t i = 0;
+    while (i < num_nodes) {
+      const size_t d = trie.depth[i];
+      const size_t base = matched[d - 1];
+      std::string_view out;
+      if (cache->Evaluate(interner, trie.unit[i], src, tgt,
+                          &stats->unit_evals, &out) == RowUnitCache::kBad ||
+          !MatchesAt(tgt, base, out)) {
+        i = trie.end[i];
+        continue;
+      }
+      matched[d] = base + out.size();
+      reach(trie.terminal[i], matched[d]);
+      ++i;
+    }
+  }
+  stats->full_evaluations += reached;
+  stats->cache_hits += num_t * (end - begin) - reached;
 }
 
 }  // namespace
@@ -198,24 +417,49 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
   index.offsets_.assign(num_t + 1, 0);
   if (num_t == 0) return index;
 
-  // Row-major evaluation: the per-row unit cache stays hot, and every unit
-  // is evaluated at most once per row. Covering pairs are collected and
-  // counting-sorted into CSR by transformation afterwards.
+  // The trie needs the memo (it is what the walk reads); without the
+  // negative cache, and whenever the paper's counters are wanted, the
+  // row-major scan runs. Either structure is built once here, serially,
+  // and shared read-only by the row shards below.
+  std::optional<UnitTrie> trie;
+  std::optional<FlatUnits> flat;
+  {
+    ScopedTimer build_timer(&stats->cpu_apply);
+    if (!options.paper_coverage_scan && options.enable_neg_cache) {
+      trie.emplace();
+      if (!TrieBuilder(store, &*trie).Build(interner.size())) trie.reset();
+    }
+    if (!trie) flat.emplace(store);
+  }
+
+  const auto evaluate = [&](size_t begin, size_t end, RowUnitCache* cache,
+                            std::vector<CoveringPair>* covering,
+                            DiscoveryStats* shard_stats) {
+    ScopedTimer cpu_timer(&shard_stats->cpu_apply);
+    if (trie) {
+      WalkRowRange(*trie, num_t, interner, rows, begin, end, cache, covering,
+                   shard_stats);
+    } else {
+      EvaluateRowRange(*flat, interner, rows, begin, end, options, cache,
+                       covering, shard_stats);
+    }
+  };
+
+  // Covering pairs are collected row by row and counting-sorted into CSR by
+  // transformation afterwards.
   std::vector<CoveringPair> covering;
   const int num_threads = options.pool != nullptr
                               ? options.pool->size()
                               : ResolveNumThreads(options.num_threads);
 
-  const FlatUnits flat(store);
   if (num_threads == 1 || rows.size() < 2 || InParallelFor()) {
     RowUnitCache cache(interner.size(), options.enable_neg_cache);
-    EvaluateRowRange(flat, interner, rows, 0, rows.size(), options, &cache,
-                     &covering, stats);
+    evaluate(0, rows.size(), &cache, &covering, stats);
   } else {
     // Sharded evaluation. Chunks are contiguous row ranges merged in chunk
-    // order, so the covering list below is in the same row-major order as
-    // the serial path and the CSR index comes out bit-identical. The unit
-    // cache is worker-scoped (it is large) and reset per row, so dynamic
+    // order, so the covering list below has rows in the same order as the
+    // serial path and the CSR index comes out bit-identical. The unit cache
+    // is worker-scoped (it is large) and reset per row, so dynamic
     // chunk-to-worker assignment cannot change any result or counter.
     // When no shared pool is supplied, never spawn more workers (threads +
     // per-worker caches) than rows.
@@ -236,10 +480,8 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
 
     pool.ParallelFor(rows.size(), num_chunks,
                      [&](int worker, size_t chunk, size_t begin, size_t end) {
-                       EvaluateRowRange(flat, interner, rows, begin, end,
-                                        options, caches[worker].get(),
-                                        &chunk_covering[chunk],
-                                        &worker_stats[worker]);
+                       evaluate(begin, end, caches[worker].get(),
+                                &chunk_covering[chunk], &worker_stats[worker]);
                      });
 
     size_t total_pairs = 0;
@@ -248,15 +490,17 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
     for (auto& chunk : chunk_covering) {
       covering.insert(covering.end(), chunk.begin(), chunk.end());
     }
-    // Full element-wise merge so counters added to EvaluateRowRange later
-    // keep aggregating in parallel runs too. Worker wall-time fields are
-    // zero (the phase is wall-timed once by the enclosing ScopedTimer);
-    // cpu_apply sums each worker's seconds inside EvaluateRowRange.
+    // Full element-wise merge so counters added to the range evaluators
+    // later keep aggregating in parallel runs too. Worker wall-time fields
+    // are zero (the phase is wall-timed once by the enclosing ScopedTimer);
+    // cpu_apply adds each worker's seconds to the build's.
     for (const DiscoveryStats& ws : worker_stats) *stats += ws;
   }
 
-  // Counting sort into CSR (rows ascending within each transformation
-  // because the evaluation order is row-major).
+  // Counting sort into CSR. Rows ascend within each transformation because
+  // rows are evaluated in ascending order; the order of transformations
+  // within a row (id order on the scan, trie order on the walk) is lost
+  // here, so both paths produce the same bytes.
   for (const auto& [t, row] : covering) ++index.offsets_[t + 1];
   for (size_t t = 1; t <= num_t; ++t) {
     index.offsets_[t] += index.offsets_[t - 1];

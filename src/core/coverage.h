@@ -1,6 +1,7 @@
-// Coverage computation (paper §4.1.5): apply every unique transformation to
-// every input row, guarded by the per-row negative-unit cache. The result is
-// a CSR index from transformation id to the rows it covers.
+// Coverage computation (paper §4.1.5): which input rows each unique
+// transformation covers, as a CSR index from transformation id to rows.
+// Units are evaluated at most once per row through a per-row memo whose
+// failed entries are the paper's negative-unit cache.
 
 #ifndef TJ_CORE_COVERAGE_H_
 #define TJ_CORE_COVERAGE_H_
@@ -39,6 +40,8 @@ class CoverageIndex {
   /// Total covering (transformation, row) pairs.
   size_t TotalPairs() const { return rows_.size(); }
 
+  bool operator==(const CoverageIndex&) const = default;
+
  private:
   friend CoverageIndex ComputeCoverage(const TransformationStore&,
                                        const UnitInterner&,
@@ -50,10 +53,18 @@ class CoverageIndex {
   std::vector<uint32_t> rows_;     // concatenated covered-row lists
 };
 
-/// Evaluates every transformation in `store` against every row. With
-/// options.enable_neg_cache, a hash set per row of units known not to cover
-/// that row short-circuits the evaluation in O(units) id lookups (the
-/// paper's second pruning strategy).
+/// Evaluates every transformation in `store` against every row. The memo is
+/// a per-unit array of (row epoch, state) words, reset in O(1) per row.
+///
+/// By default the store's unit sequences are arranged in a prefix trie,
+/// built once per call, and each row walks it: a unit that fails, or whose
+/// output does not continue the target, prunes every transformation sharing
+/// that prefix at once. With options.paper_coverage_scan, or without
+/// options.enable_neg_cache, the paper's row-major scan runs instead: every
+/// transformation on every row, skipped when one of its units is already
+/// known bad (the paper's second pruning strategy). Both produce the same
+/// index at every thread count; DiscoveryStats documents how their
+/// counters differ.
 CoverageIndex ComputeCoverage(const TransformationStore& store,
                               const UnitInterner& interner,
                               const std::vector<ExamplePair>& rows,

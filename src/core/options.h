@@ -35,6 +35,15 @@ struct DiscoveryOptions {
   /// Per-row negative-unit cache (pruning strategy 2). Ablation toggle.
   bool enable_neg_cache = true;
 
+  /// Coverage runs the paper's row-major scan (§4.1.5: every transformation
+  /// on every row, skipped when one of its units is known bad) instead of
+  /// the default prefix-trie walk, which prunes once per shared unit prefix.
+  /// Both yield the same CoverageIndex; they differ in speed and in what
+  /// the cache_hits/full_evaluations/unit_evals counters mean (see
+  /// DiscoveryStats), so the paper-reproduction benches set this to print
+  /// the paper's counters. Without enable_neg_cache the scan always runs.
+  bool paper_coverage_scan = false;
+
   /// Occurrence anchors kept per placeholder (paper §5.1 observes nearly all
   /// placeholders have a single source match).
   int max_matches_per_placeholder = 2;

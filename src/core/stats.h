@@ -24,14 +24,25 @@ struct DiscoveryStats {
   uint64_t rows_capped = 0;
 
   // --- Coverage / negative-unit cache (pruning strategy 2) ---
-  /// (transformation, row) applications skipped because a unit was already
-  /// known not to cover the row.
+  // The coverage path decides what the first three counters mean. The
+  // paper's row-major scan (DiscoveryOptions::paper_coverage_scan, or
+  // enable_neg_cache off) defines the values Table 4, Figure 3 and the
+  // ablation bench print. The default prefix-trie walk reports its own
+  // values: the same CoverageIndex and covering_pairs, different counts.
+  /// Scan: (transformation, row) pairs skipped because one of the
+  /// transformation's units was already known not to cover the row.
+  /// Walk: pairs cut off at some prefix (a unit failed or did not continue
+  /// the target). On both paths cache_hits + full_evaluations equals
+  /// transformations x rows when the cache is on.
   uint64_t cache_hits = 0;
-  /// (transformation, row) pairs fully evaluated.
+  /// Scan: (transformation, row) pairs evaluated unit by unit. Walk: pairs
+  /// whose whole unit sequence matched a prefix of the target.
   uint64_t full_evaluations = 0;
-  /// Individual unit evaluations performed.
+  /// Unit evaluations performed (memo misses). The walk evaluates a
+  /// prefix's units before seeing a later known-bad unit, so it runs a few
+  /// percent above the scan.
   uint64_t unit_evals = 0;
-  /// (transformation, row) pairs that covered.
+  /// (transformation, row) pairs that covered. Exact on both paths.
   uint64_t covering_pairs = 0;
 
   // --- Phase wall times (seconds), the Figure 4 breakdown ---

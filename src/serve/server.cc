@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -250,6 +251,7 @@ void CorpusServer::AcceptLoop() {
       ::close(fd);
       continue;
     }
+    ReapFinishedHandlers();
     std::lock_guard<std::mutex> lock(handlers_mu_);
     if (stopping_.load(std::memory_order_relaxed)) {
       ::close(fd);
@@ -257,6 +259,26 @@ void CorpusServer::AcceptLoop() {
     }
     handler_threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
+}
+
+void CorpusServer::ReapFinishedHandlers() {
+  std::vector<std::thread> finished;
+  {
+    std::lock_guard<std::mutex> lock(handlers_mu_);
+    for (const std::thread::id id : finished_handlers_) {
+      const auto it = std::find_if(
+          handler_threads_.begin(), handler_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == handler_threads_.end()) continue;
+      finished.push_back(std::move(*it));
+      *it = std::move(handler_threads_.back());
+      handler_threads_.pop_back();
+    }
+    finished_handlers_.clear();
+  }
+  // Each of these has already run its last statement; the join only
+  // waits for the thread to unwind and releases its stack.
+  for (std::thread& t : finished) t.join();
 }
 
 void CorpusServer::HandleConnection(int fd) {
@@ -278,6 +300,8 @@ void CorpusServer::HandleConnection(int fd) {
     if (!WriteFrame(fd, response).ok()) break;
   }
   ::close(fd);
+  std::lock_guard<std::mutex> lock(handlers_mu_);
+  finished_handlers_.push_back(std::this_thread::get_id());
 }
 
 std::string CorpusServer::HandleRequest(std::string_view payload) {

@@ -177,6 +177,10 @@ class CorpusServer {
 
   void AcceptLoop();
   void HandleConnection(int fd);
+  /// Joins the handlers whose connections have closed. An exited thread
+  /// keeps its stack mapped until joined, so AcceptLoop reaps before every
+  /// spawn and a long-lived daemon holds only its live connections' stacks.
+  void ReapFinishedHandlers();
   void MutationLoop();
   void WatchLoop();
 
@@ -234,6 +238,9 @@ class CorpusServer {
   std::thread watch_thread_;
   std::mutex handlers_mu_;
   std::vector<std::thread> handler_threads_;
+  /// Handlers that have returned and await their join (guarded by
+  /// handlers_mu_).
+  std::vector<std::thread::id> finished_handlers_;
 
   std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> mutations_applied_{0};

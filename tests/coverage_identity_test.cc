@@ -1,0 +1,252 @@
+// Identity suite for the coverage engine's two paths: the default prefix-trie
+// walk must reproduce the paper's row-major scan (the oracle) bit for bit —
+// same CoverageIndex CSR, same covering_pairs — at 1/2/4/8 threads, on
+// generated stores and on hand-built stores that hit the trie's corner
+// cases (root terminals, terminals on inner nodes, duplicate ids, empty unit
+// outputs, one unit matching at different offsets, literal-only sequences,
+// sequences too deep for the trie).
+// Run with `ctest -L coverage`, in plain and ASan+UBSan builds.
+
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "core/coverage.h"
+#include "core/generator.h"
+#include "datagen/synth.h"
+
+namespace tj {
+namespace {
+
+/// Computes coverage with the scan (1 thread) and with the trie walk at
+/// 1/2/4/8 threads; every walk must equal the scan's index. Returns the
+/// scan's index for spot checks.
+CoverageIndex ExpectPathsAgree(const TransformationStore& store,
+                               const UnitInterner& units,
+                               const std::vector<ExamplePair>& rows) {
+  DiscoveryOptions scan;
+  scan.paper_coverage_scan = true;
+  DiscoveryStats scan_stats;
+  const CoverageIndex oracle =
+      ComputeCoverage(store, units, rows, scan, &scan_stats);
+
+  DiscoveryStats walk_serial;
+  for (int threads : {1, 2, 4, 8}) {
+    DiscoveryOptions walk;
+    walk.num_threads = threads;
+    DiscoveryStats stats;
+    const CoverageIndex index =
+        ComputeCoverage(store, units, rows, walk, &stats);
+    EXPECT_TRUE(index == oracle) << threads << " threads";
+    EXPECT_EQ(stats.covering_pairs, scan_stats.covering_pairs) << threads;
+    EXPECT_EQ(stats.covering_pairs, oracle.TotalPairs()) << threads;
+    EXPECT_EQ(stats.cache_hits + stats.full_evaluations,
+              store.size() * rows.size())
+        << threads;
+    if (threads == 1) {
+      walk_serial = stats;
+    } else {
+      EXPECT_EQ(stats.cache_hits, walk_serial.cache_hits) << threads;
+      EXPECT_EQ(stats.full_evaluations, walk_serial.full_evaluations)
+          << threads;
+      EXPECT_EQ(stats.unit_evals, walk_serial.unit_evals) << threads;
+    }
+  }
+  return oracle;
+}
+
+// ---- Generated stores -----------------------------------------------------
+
+struct SynthCase {
+  const char* name;
+  bool long_rows;  // Synth-NL (40-70 chars) instead of Synth-N (20-35)
+  size_t rows;
+  bool dedup;
+};
+
+// Keeps ctest's test names (which embed the printed parameter) stable.
+void PrintTo(const SynthCase& c, std::ostream* os) { *os << c.name; }
+
+class TrieIdentityTest : public ::testing::TestWithParam<SynthCase> {};
+
+TEST_P(TrieIdentityTest, WalkMatchesScanAtEveryThreadCount) {
+  const SynthCase& c = GetParam();
+  const SynthDataset ds = GenerateSynth(c.long_rows ? SynthNL(c.rows, 31)
+                                                    : SynthN(c.rows, 31));
+  const std::vector<ExamplePair> rows =
+      MakeExamplePairs(ds.pair.SourceColumn(), ds.pair.TargetColumn(),
+                       ds.pair.golden.pairs());
+  DiscoveryOptions options;
+  options.enable_dedup = c.dedup;
+  UnitInterner units;
+  TransformationStore store;
+  DiscoveryStats stats;
+  for (const ExamplePair& row : rows) {
+    GenerateTransformationsForRow(row.source, row.target, options, &units,
+                                  &store, &stats);
+  }
+  ASSERT_GT(store.size(), 0u);
+  const CoverageIndex oracle = ExpectPathsAgree(store, units, rows);
+  EXPECT_GT(oracle.TotalPairs(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Synth, TrieIdentityTest,
+    ::testing::Values(SynthCase{"N40", false, 40, true},
+                      SynthCase{"N40_nodedup", false, 40, false},
+                      SynthCase{"N200", false, 200, true},
+                      SynthCase{"N200_nodedup", false, 200, false},
+                      SynthCase{"NL40", true, 40, true},
+                      SynthCase{"NL40_nodedup", true, 40, false},
+                      SynthCase{"NL200", true, 200, true},
+                      SynthCase{"NL200_nodedup", true, 200, false}),
+    [](const ::testing::TestParamInfo<SynthCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// ---- Hand-built stores ----------------------------------------------------
+
+class TrieCornerCaseTest : public ::testing::Test {
+ protected:
+  TransformationId Add(const std::vector<Unit>& units, bool dedup = true) {
+    std::vector<UnitId> ids;
+    for (const Unit& u : units) ids.push_back(units_.Intern(u));
+    return store_.Intern(Transformation(std::move(ids)), dedup).first;
+  }
+
+  std::vector<uint32_t> Rows(const CoverageIndex& index,
+                             TransformationId t) const {
+    const auto rows = index.RowsOf(t);
+    return std::vector<uint32_t>(rows.begin(), rows.end());
+  }
+
+  UnitInterner units_;
+  TransformationStore store_;
+};
+
+TEST_F(TrieCornerCaseTest, EmptyTransformationIsARootTerminal) {
+  const TransformationId empty = Add({});
+  const TransformationId split = Add({Unit::MakeSplit(',', 0)});
+  const std::vector<ExamplePair> rows = {
+      {"a,b", ""}, {"a,b", "a"}, {",b", ""}, {"x", ""}, {"x", "x"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, empty), (std::vector<uint32_t>{0, 2, 3}));
+  EXPECT_EQ(Rows(index, split), (std::vector<uint32_t>{1, 2, 4}));
+}
+
+TEST_F(TrieCornerCaseTest, StrictPrefixEndsOnAnInnerNode) {
+  const TransformationId head = Add({Unit::MakeSplit(',', 0)});
+  const TransformationId longer =
+      Add({Unit::MakeSplit(',', 0), Unit::MakeLiteral("!")});
+  const TransformationId longest = Add({Unit::MakeSplit(',', 0),
+                                        Unit::MakeLiteral("!"),
+                                        Unit::MakeSplit(',', 1)});
+  const std::vector<ExamplePair> rows = {
+      {"ab,cd", "ab"}, {"ab,cd", "ab!"}, {"ab,cd", "ab!cd"}, {"q,r", "q"},
+      {"q,r", "q!"},   {"q,r", "zz"},    {"ab,cd", "ab!c"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, head), (std::vector<uint32_t>{0, 3}));
+  EXPECT_EQ(Rows(index, longer), (std::vector<uint32_t>{1, 4}));
+  EXPECT_EQ(Rows(index, longest), (std::vector<uint32_t>{2}));
+}
+
+TEST_F(TrieCornerCaseTest, DuplicateIdsWithoutDedupAllEndAtOneNode) {
+  const std::vector<Unit> seq = {Unit::MakeSplit('-', 1),
+                                 Unit::MakeLiteral("@")};
+  const TransformationId a = Add(seq, false);
+  const TransformationId prefix = Add({Unit::MakeSplit('-', 1)}, false);
+  const TransformationId b = Add(seq, false);
+  const TransformationId prefix2 = Add({Unit::MakeSplit('-', 1)}, false);
+  const TransformationId c = Add(seq, false);
+  const TransformationId none = Add({}, false);
+  const TransformationId none2 = Add({}, false);
+  ASSERT_EQ(store_.size(), 7u);
+  const std::vector<ExamplePair> rows = {
+      {"x-y", "y@"}, {"x-y", "y"}, {"p-q", "q@"}, {"p-q", ""}, {"k", "k@"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  for (const TransformationId t : {a, b, c}) {
+    EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{0, 2})) << t;
+  }
+  for (const TransformationId t : {prefix, prefix2}) {
+    EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{1})) << t;
+  }
+  for (const TransformationId t : {none, none2}) {
+    EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{3})) << t;
+  }
+}
+
+TEST_F(TrieCornerCaseTest, EmptyUnitOutputsAtSeveralDepths) {
+  // Split(',', 1) yields "" on "a,,b" and Substr(1, 1) always yields "".
+  const Unit empty_piece = Unit::MakeSplit(',', 1);
+  const Unit nothing = Unit::MakeSubstr(1, 1);
+  const Unit head = Unit::MakeSplit(',', 0);
+  const Unit tail = Unit::MakeSplit(',', 2);
+  const TransformationId t0 = Add({empty_piece, head});
+  const TransformationId t1 = Add({head, empty_piece});
+  const TransformationId t2 = Add({head, nothing, tail});
+  const TransformationId t3 = Add({nothing, nothing, head, tail});
+  const TransformationId t4 = Add({nothing});
+  const TransformationId t5 = Add({head, empty_piece, nothing});
+  const std::vector<ExamplePair> rows = {
+      {"a,,b", "a"}, {"a,,b", "ab"}, {"a,,b", ""},
+      {"a,x,b", "a"}, {"a,x,b", "ab"}, {"ab,,cd", "abcd"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, t0), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, t1), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, t2), (std::vector<uint32_t>{1, 4, 5}));
+  EXPECT_EQ(Rows(index, t3), (std::vector<uint32_t>{1, 4, 5}));
+  EXPECT_EQ(Rows(index, t4), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, t5), (std::vector<uint32_t>{0}));
+}
+
+TEST_F(TrieCornerCaseTest, OneUnitMatchesAtDifferentOffsetsOnTwoBranches) {
+  // Split('-', 1) is memoized once per row, then checked at offset 1 below
+  // Literal("a") and at offset 2 below Literal("ac").
+  const Unit u = Unit::MakeSplit('-', 1);
+  const TransformationId short_branch = Add({Unit::MakeLiteral("a"), u, u});
+  const TransformationId long_branch = Add({Unit::MakeLiteral("ac"), u});
+  const TransformationId too_long = Add({Unit::MakeLiteral("acc"), u});
+  const TransformationId u_first = Add({u, Unit::MakeLiteral("cc")});
+  const std::vector<ExamplePair> rows = {
+      {"x-c", "acc"}, {"x-d", "acc"}, {"x-c", "ccc"}, {"y-c", "ac"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, short_branch), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, long_branch), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, too_long), (std::vector<uint32_t>{}));
+  EXPECT_EQ(Rows(index, u_first), (std::vector<uint32_t>{2}));
+}
+
+TEST_F(TrieCornerCaseTest, LiteralOnlyTransformations) {
+  const TransformationId whole = Add({Unit::MakeLiteral("abc")});
+  const TransformationId split =
+      Add({Unit::MakeLiteral("a"), Unit::MakeLiteral("bc")});
+  const TransformationId prefix = Add({Unit::MakeLiteral("ab")});
+  const TransformationId three = Add({Unit::MakeLiteral("a"),
+                                      Unit::MakeLiteral("b"),
+                                      Unit::MakeLiteral("c")});
+  const std::vector<ExamplePair> rows = {
+      {"1", "abc"}, {"2", "ab"}, {"3", "abcd"}, {"4", "abc"}, {"5", ""}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  for (const TransformationId t : {whole, split, three}) {
+    EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{0, 3})) << t;
+  }
+  EXPECT_EQ(Rows(index, prefix), (std::vector<uint32_t>{1}));
+}
+
+TEST_F(TrieCornerCaseTest, SequencesDeeperThanTheTrieFallBackToTheScan) {
+  // Node depth is one byte; a longer sequence (never generated) sends the
+  // whole call to the scan, with the scan's counters.
+  const std::vector<Unit> deep(300, Unit::MakeLiteral("a"));
+  const TransformationId t = Add(deep);
+  const TransformationId shallow = Add({Unit::MakeLiteral("a")});
+  const std::string target(300, 'a');  // rows hold views into it
+  const std::vector<ExamplePair> rows = {{"1", target}, {"2", "a"}, {"3", "b"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, shallow), (std::vector<uint32_t>{1}));
+}
+
+}  // namespace
+}  // namespace tj

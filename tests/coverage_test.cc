@@ -19,9 +19,10 @@ class CoverageTest : public ::testing::Test {
   }
 
   CoverageIndex Compute(const std::vector<ExamplePair>& rows,
-                        bool neg_cache = true) {
+                        bool neg_cache = true, bool paper_scan = false) {
     DiscoveryOptions options;
     options.enable_neg_cache = neg_cache;
+    options.paper_coverage_scan = paper_scan;
     stats_ = DiscoveryStats();
     return ComputeCoverage(store_, units_, rows, options, &stats_);
   }
@@ -76,15 +77,29 @@ TEST_F(CoverageTest, CacheOnAndOffAgree) {
 }
 
 TEST_F(CoverageTest, CacheHitsSkipKnownBadUnits) {
-  // Two transformations sharing a failing unit: the second try must be a
-  // cache hit.
+  // Two transformations sharing a failing unit: on the paper's row-major
+  // scan (which defines these counters) the second try must be a cache hit.
+  const UnitId bad = units_.Intern(Unit::MakeSplit('#', 5));
+  store_.Intern(Transformation({bad}));
+  store_.Intern(Transformation({bad, units_.Intern(Unit::MakeLiteral("x"))}));
+  const std::vector<ExamplePair> rows = {{"abc", "abc"}};
+  Compute(rows, /*neg_cache=*/true, /*paper_scan=*/true);
+  EXPECT_EQ(stats_.cache_hits, 1u);
+  EXPECT_EQ(stats_.full_evaluations, 1u);
+}
+
+TEST_F(CoverageTest, TrieWalkPrunesSharedFailingPrefixOnce) {
+  // The same store on the default trie walk: both transformations hang
+  // below the failing unit's node, so one evaluation cuts off both and
+  // neither terminal is reached.
   const UnitId bad = units_.Intern(Unit::MakeSplit('#', 5));
   store_.Intern(Transformation({bad}));
   store_.Intern(Transformation({bad, units_.Intern(Unit::MakeLiteral("x"))}));
   const std::vector<ExamplePair> rows = {{"abc", "abc"}};
   Compute(rows);
-  EXPECT_EQ(stats_.cache_hits, 1u);
-  EXPECT_EQ(stats_.full_evaluations, 1u);
+  EXPECT_EQ(stats_.cache_hits, 2u);
+  EXPECT_EQ(stats_.full_evaluations, 0u);
+  EXPECT_EQ(stats_.unit_evals, 1u);
 }
 
 TEST_F(CoverageTest, UnitOutputMustMatchAtOffsetNotJustAnywhere) {

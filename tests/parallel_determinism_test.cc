@@ -73,17 +73,29 @@ TEST(ParallelCoverage, BitIdenticalCsrAcrossThreadCounts) {
   const DiscoveryResult base = DiscoverTransformations(rows, serial);
   ASSERT_GT(base.store.size(), 0u);
 
-  for (int threads : {2, 3, 8}) {
-    DiscoveryOptions options;
-    options.num_threads = threads;
-    DiscoveryStats stats;
-    const CoverageIndex index =
-        ComputeCoverage(base.store, base.units, rows, options, &stats);
-    ExpectIdenticalCoverage(base.coverage, index);
-    EXPECT_EQ(stats.cache_hits, base.stats.cache_hits) << threads;
-    EXPECT_EQ(stats.full_evaluations, base.stats.full_evaluations) << threads;
-    EXPECT_EQ(stats.unit_evals, base.stats.unit_evals) << threads;
-    EXPECT_EQ(stats.covering_pairs, base.stats.covering_pairs) << threads;
+  // Both coverage paths: each path's counters are exact at every thread
+  // count (they differ between the paths, the index does not).
+  for (bool paper_scan : {false, true}) {
+    DiscoveryOptions reference = serial;
+    reference.paper_coverage_scan = paper_scan;
+    DiscoveryStats base_stats;
+    const CoverageIndex base_index = ComputeCoverage(
+        base.store, base.units, rows, reference, &base_stats);
+    ExpectIdenticalCoverage(base.coverage, base_index);
+    EXPECT_EQ(base_stats.covering_pairs, base.stats.covering_pairs);
+    for (int threads : {2, 3, 8}) {
+      DiscoveryOptions options = reference;
+      options.num_threads = threads;
+      DiscoveryStats stats;
+      const CoverageIndex index =
+          ComputeCoverage(base.store, base.units, rows, options, &stats);
+      ExpectIdenticalCoverage(base.coverage, index);
+      EXPECT_EQ(stats.cache_hits, base_stats.cache_hits) << threads;
+      EXPECT_EQ(stats.full_evaluations, base_stats.full_evaluations)
+          << threads;
+      EXPECT_EQ(stats.unit_evals, base_stats.unit_evals) << threads;
+      EXPECT_EQ(stats.covering_pairs, base_stats.covering_pairs) << threads;
+    }
   }
 }
 
@@ -95,14 +107,20 @@ TEST(ParallelCoverage, NegCacheAblationAlsoIdentical) {
   serial.enable_neg_cache = false;
   const DiscoveryResult base = DiscoverTransformations(rows, serial);
 
-  DiscoveryOptions parallel = serial;
-  parallel.num_threads = 8;
-  DiscoveryStats stats;
-  const CoverageIndex index =
-      ComputeCoverage(base.store, base.units, rows, parallel, &stats);
-  ExpectIdenticalCoverage(base.coverage, index);
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.unit_evals, base.stats.unit_evals);
+  // Without the cache both settings of paper_coverage_scan run the scan.
+  for (bool paper_scan : {false, true}) {
+    DiscoveryOptions parallel = serial;
+    parallel.num_threads = 8;
+    parallel.paper_coverage_scan = paper_scan;
+    DiscoveryStats stats;
+    const CoverageIndex index =
+        ComputeCoverage(base.store, base.units, rows, parallel, &stats);
+    ExpectIdenticalCoverage(base.coverage, index);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.full_evaluations, base.stats.full_evaluations);
+    EXPECT_EQ(stats.unit_evals, base.stats.unit_evals);
+    EXPECT_EQ(stats.covering_pairs, base.stats.covering_pairs);
+  }
 }
 
 TEST(ParallelDiscovery, EndToEndIdenticalAcrossThreadCounts) {

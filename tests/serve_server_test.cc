@@ -6,7 +6,8 @@
 //    thread counts,
 //  * mutations coalesce, answer with their epoch, and survive bad input,
 //  * graceful shutdown never hangs a waiter or drops an accepted mutation,
-//  * the live-watch loop mirrors directory changes into served state.
+//  * the live-watch loop mirrors directory changes into served state,
+//  * closed connections release their handler threads.
 
 #include <gtest/gtest.h>
 
@@ -428,6 +429,51 @@ TEST_F(ServerTest, WatchMirrorsDirectoryIntoServedState) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_EQ(server_->current_snapshot()->num_tables(), tables0);
+}
+
+/// A "Key:   <number> ..." field of /proc/self/status (Threads, VmSize in
+/// kB); -1 when absent.
+long ProcStatusField(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.compare(0, key.size() + 1, key + ":") == 0) {
+      return std::stol(line.substr(key.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST_F(ServerTest, ClosedConnectionsReleaseTheirHandlerThreads) {
+  // Every connection gets a handler thread; a finished one must be joined,
+  // or its stack stays mapped and a long-lived daemon grows by a stack per
+  // client until thread creation fails.
+  const SynthCorpus corpus = ServerCorpus();
+  LoadCorpus(corpus);
+  StartServer();
+  ASSERT_TRUE(Request("{\"op\":\"stats\"}").ok());
+  const long threads_before = ProcStatusField("Threads");
+  const long vm_kb_before = ProcStatusField("VmSize");
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vm_kb_before, 0);
+
+  for (int i = 0; i < 2000; ++i) {
+    const auto stats = Request("{\"op\":\"stats\"}");
+    ASSERT_TRUE(stats.ok()) << "connection " << i;
+    ASSERT_NE(stats->find("\"ok\":true"), std::string::npos);
+  }
+
+  // The last handler may still be unwinding when the loop ends.
+  long threads_after = ProcStatusField("Threads");
+  for (int i = 0; i < 100 && threads_after > threads_before + 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    threads_after = ProcStatusField("Threads");
+  }
+  EXPECT_LE(threads_after, threads_before + 2);
+  // Unjoined handlers would map ~2000 stacks (gigabytes of address space);
+  // the bound leaves room for the allocator's own caches.
+  const long vm_growth_mb = (ProcStatusField("VmSize") - vm_kb_before) / 1024;
+  EXPECT_LT(vm_growth_mb, 256);
 }
 
 TEST(ServeOptionsTest, ValidateRejectsBadConfigurations) {
