@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -106,52 +107,28 @@ bool MatchesAt(std::string_view target, size_t offset, std::string_view out) {
 // Paper path: the row-major scan of §4.1.5.
 // ---------------------------------------------------------------------------
 
-/// The store's unit sequences flattened into one CSR block. The row-major
-/// loop below touches every (transformation, row) pair — often only to
-/// prune it — so chasing each Transformation's own heap vector is the
-/// dominant memory cost. Flattening once makes the scan two contiguous
-/// streams (offsets, units) instead of a pointer dereference per
-/// transformation per row.
-struct FlatUnits {
-  std::vector<uint32_t> offsets;  // size() + 1
-  std::vector<UnitId> units;
-
-  explicit FlatUnits(const TransformationStore& store) {
-    const size_t num_t = store.size();
-    offsets.resize(num_t + 1);
-    offsets[0] = 0;
-    for (size_t t = 0; t < num_t; ++t) {
-      offsets[t + 1] =
-          offsets[t] + static_cast<uint32_t>(store.Get(t).size());
-    }
-    units.resize(offsets[num_t]);
-    for (size_t t = 0; t < num_t; ++t) {
-      const std::vector<UnitId>& u = store.Get(t).units();
-      std::copy(u.begin(), u.end(), units.begin() + offsets[t]);
-    }
-  }
-};
-
 /// Evaluates every transformation against rows [begin, end), appending
-/// covering pairs in row-major order. Rows are independent (the cache is
+/// covering pairs in row-major order. The store's CSR arena makes the scan
+/// two contiguous streams (offsets, units), with no pointer chased per
+/// transformation per row. Rows are independent (the cache is
 /// reset per row), so the counters accumulated into `stats` are exact
 /// regardless of how the row space is sharded.
-void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
+void EvaluateRowRange(const TransformationStore& store,
+                      const UnitInterner& interner,
                       const std::vector<ExamplePair>& rows, size_t begin,
                       size_t end, const DiscoveryOptions& options,
                       RowUnitCache* cache,
                       std::vector<CoveringPair>* covering,
                       DiscoveryStats* stats) {
-  const size_t num_t = flat.offsets.size() - 1;
-  const UnitId* all_units = flat.units.data();
+  const size_t num_t = store.size();
   for (size_t row = begin; row < end; ++row) {
     const std::string_view src = rows[row].source;
     const std::string_view tgt = rows[row].target;
     cache->BeginRow();
 
     for (TransformationId t = 0; t < num_t; ++t) {
-      const UnitId* t_units = all_units + flat.offsets[t];
-      const size_t t_size = flat.offsets[t + 1] - flat.offsets[t];
+      const std::span<const UnitId> t_units = store.Units(t);
+      const size_t t_size = t_units.size();
 
       if (options.enable_neg_cache) {
         // The paper's pruning: skip the transformation outright if any of
@@ -199,9 +176,9 @@ void EvaluateRowRange(const FlatUnits& flat, const UnitInterner& interner,
 /// The store's unit sequences as a prefix trie, nodes in pre-order so a
 /// subtree is the index range [i, end[i]). Node i stands for the prefix
 /// ending in unit[i] at depth[i] (the root's children are depth 1). Four
-/// parallel arrays keep a node at 13 bytes — about the size of the
-/// flattened unit references it replaces, since Cartesian-product
-/// generation makes sequences share prefixes.
+/// parallel arrays keep a node at 13 bytes — about the size of the arena
+/// unit references it stands for, since Cartesian-product generation makes
+/// sequences share prefixes.
 struct UnitTrie {
   static constexpr uint32_t kNoTerminal = std::numeric_limits<uint32_t>::max();
   /// Set in a terminal field when several ids end at the node (only with
@@ -236,9 +213,9 @@ struct UnitTrie {
 /// Builds the trie by bucketing ids on their unit at each depth: a counting
 /// sort on the first unit, then a sort of each bucket's packed
 /// (unit + 1) << 32 | id keys one level down, where 0 in the high half marks
-/// a sequence that ends at the bucket's node. Each sequence's heap vector is
-/// read once per level, not once per comparison as a sort over whole
-/// sequences would.
+/// a sequence that ends at the bucket's node. Each sequence is read from the
+/// store's arena once per level, not once per comparison as a sort over
+/// whole sequences would.
 class TrieBuilder {
  public:
   TrieBuilder(const TransformationStore& store, UnitTrie* trie)
@@ -255,7 +232,7 @@ class TrieBuilder {
     {
       std::vector<uint32_t> first(num_t);
       for (TransformationId t = 0; t < num_t; ++t) {
-        const std::vector<UnitId>& u = store_.Get(t).units();
+        const std::span<const UnitId> u = store_.Units(t);
         if (u.size() > UnitTrie::kMaxDepth) return false;
         trie_->max_depth = std::max(trie_->max_depth, u.size());
         first[t] = u.empty() ? 0 : u[0] + 1;
@@ -311,7 +288,7 @@ class TrieBuilder {
     if (hi - lo == 1) {
       // One sequence left: its remaining units form a chain.
       const TransformationId id = IdOf(keys_[lo]);
-      const std::vector<UnitId>& u = store_.Get(id).units();
+      const std::span<const UnitId> u = store_.Units(id);
       uint32_t last = node;
       for (size_t k = d; k < u.size(); ++k) last = AddNode(u[k], k + 1);
       trie_->terminal[last] = id;
@@ -323,7 +300,7 @@ class TrieBuilder {
     }
     for (size_t k = lo; k < hi; ++k) {
       const TransformationId id = IdOf(keys_[k]);
-      const std::vector<UnitId>& u = store_.Get(id).units();
+      const std::span<const UnitId> u = store_.Units(id);
       const uint64_t next = u.size() == d ? 0 : uint64_t{u[d]} + 1;
       keys_[k] = (next << 32) | id;
     }
@@ -419,17 +396,13 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
 
   // The trie needs the memo (it is what the walk reads); without the
   // negative cache, and whenever the paper's counters are wanted, the
-  // row-major scan runs. Either structure is built once here, serially,
-  // and shared read-only by the row shards below.
+  // row-major scan runs over the store's arena directly. The trie is built
+  // once here, serially, and shared read-only by the row shards below.
   std::optional<UnitTrie> trie;
-  std::optional<FlatUnits> flat;
-  {
+  if (!options.paper_coverage_scan && options.enable_neg_cache) {
     ScopedTimer build_timer(&stats->cpu_apply);
-    if (!options.paper_coverage_scan && options.enable_neg_cache) {
-      trie.emplace();
-      if (!TrieBuilder(store, &*trie).Build(interner.size())) trie.reset();
-    }
-    if (!trie) flat.emplace(store);
+    trie.emplace();
+    if (!TrieBuilder(store, &*trie).Build(interner.size())) trie.reset();
   }
 
   const auto evaluate = [&](size_t begin, size_t end, RowUnitCache* cache,
@@ -440,7 +413,7 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
       WalkRowRange(*trie, num_t, interner, rows, begin, end, cache, covering,
                    shard_stats);
     } else {
-      EvaluateRowRange(*flat, interner, rows, begin, end, options, cache,
+      EvaluateRowRange(store, interner, rows, begin, end, options, cache,
                        covering, shard_stats);
     }
   };

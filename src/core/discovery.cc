@@ -65,11 +65,9 @@ void GenerateInParallel(const std::vector<ExamplePair>& rows,
     }
     const size_t shard_size = shard.store.size();
     for (TransformationId t = 0; t < shard_size; ++t) {
-      const std::vector<UnitId>& units = shard.store.Get(t).units();
-      mapped.assign(units.begin(), units.end());
-      for (UnitId& id : mapped) id = remap[id];
-      result->store.InternUnits(mapped.data(), mapped.size(),
-                                options.enable_dedup);
+      mapped.clear();
+      for (const UnitId id : shard.store.Units(t)) mapped.push_back(remap[id]);
+      result->store.InternUnits(mapped, options.enable_dedup);
     }
     result->stats += shard.stats;
   }

@@ -1,18 +1,45 @@
 #include "core/generator.h"
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/timer.h"
 #include "core/skeleton.h"
 #include "core/unit_extraction.h"
 #include "text/lcp.h"
 
 namespace tj {
+namespace {
+
+constexpr size_t kNoLiteral = std::numeric_limits<size_t>::max();
+constexpr UnitId kUnfused = std::numeric_limits<UnitId>::max();
+
+/// A placeholder's candidate units and the index of its one literal among
+/// them (kNoLiteral when the per-placeholder cap dropped it).
+struct Candidates {
+  std::vector<UnitId> units;
+  size_t literal = kNoLiteral;
+};
+
+size_t LiteralIndex(const std::vector<UnitId>& units,
+                    const UnitInterner& interner) {
+  size_t found = kNoLiteral;
+  for (size_t k = 0; k < units.size(); ++k) {
+    if (interner.Get(units[k]).kind != UnitKind::kLiteral) continue;
+    TJ_CHECK(found == kNoLiteral);  // fusion assumes one literal per slot
+    found = k;
+  }
+  return found;
+}
+
+}  // namespace
 
 void GenerateTransformationsForRow(std::string_view source,
                                    std::string_view target,
@@ -41,68 +68,98 @@ void GenerateTransformationsForRow(std::string_view source,
       return static_cast<size_t>(Mix64(key));
     }
   };
-  std::unordered_map<uint64_t, std::vector<UnitId>, PackedRangeHash> unit_memo;
-  auto candidates_for = [&](const SkeletonBlock& block)
-      -> const std::vector<UnitId>& {
+  std::unordered_map<uint64_t, Candidates, PackedRangeHash> unit_memo;
+  auto candidates_for = [&](const SkeletonBlock& block) -> const Candidates& {
     const uint64_t key =
         (static_cast<uint64_t>(block.begin) << 32) | block.end;
     auto it = unit_memo.find(key);
     if (it != unit_memo.end()) return it->second;
-    std::vector<UnitId> units;
+    Candidates candidates;
     {
       ScopedTimer timer(&stats->cpu_unit_extraction);
       ExtractUnitsForPlaceholder(source, target, block, options, interner,
-                                 &units);
+                                 &candidates.units);
     }
-    return unit_memo.emplace(key, std::move(units)).first->second;
+    candidates.literal = LiteralIndex(candidates.units, *interner);
+    return unit_memo.emplace(key, std::move(candidates)).first->second;
   };
 
-  // Phase 3: Cartesian product + hash-consing, bounded per row. The tuple
-  // scratch (odometer slots, normalization output, literal-fusion string)
-  // is reused across every tuple of every skeleton: the loop body allocates
-  // only when the store interns a genuinely new transformation.
+  // Phase 3: Cartesian product + hash-consing, bounded per row.
+  //
+  // Literal fusion is resolved per skeleton, not per tuple. Each slot offers
+  // at most one literal (a literal block's unit, or the Literal(text) a
+  // placeholder may list), so a maximal literal run of a tuple is fixed by
+  // its slot range [i, j) alone. Its fused unit is interned the first time
+  // the range occurs and read back from `fused` after that; interning is
+  // idempotent, so the interner grows at the same points, in the same
+  // order, as normalizing every tuple with Transformation::Normalized.
+  // The scratch below is reused by every tuple of every skeleton.
   size_t remaining = options.max_transformations_per_row;
   bool capped = false;
+  std::vector<std::span<const UnitId>> slots;
+  std::vector<size_t> literal;  // per slot: candidate index of its literal
+  std::vector<UnitId> literal_blocks;
+  std::vector<UnitId> fused;  // [i * n + j]: run [i, j), j - i >= 2
+  std::vector<size_t> cursor;
   std::vector<UnitId> normalized;
-  std::string fused;
+  std::string text;
   for (const Skeleton& skeleton : skeletons) {
     if (remaining == 0) {
       capped = true;
       break;
     }
-    // Slot lists: literals contribute a single fixed unit.
-    std::vector<const std::vector<UnitId>*> slots;
-    std::vector<std::vector<UnitId>> literal_slots;
-    literal_slots.reserve(skeleton.blocks.size());
+    slots.clear();
+    literal.clear();
+    // Reserved up front: the slots hold views into it.
+    literal_blocks.clear();
+    literal_blocks.reserve(skeleton.blocks.size());
     bool dead_slot = false;
     for (const SkeletonBlock& block : skeleton.blocks) {
       if (block.is_placeholder) {
-        const auto& units = candidates_for(block);
-        if (units.empty()) {
+        const Candidates& candidates = candidates_for(block);
+        if (candidates.units.empty()) {
           dead_slot = true;
           break;
         }
-        slots.push_back(&units);
+        slots.emplace_back(candidates.units);
+        literal.push_back(candidates.literal);
       } else {
-        const std::string text(
-            target.substr(block.begin, block.end - block.begin));
-        literal_slots.push_back(
-            {interner->Intern(Unit::MakeLiteral(text))});
-        slots.push_back(&literal_slots.back());
+        literal_blocks.push_back(interner->Intern(Unit::MakeLiteral(
+            std::string(target.substr(block.begin, block.end - block.begin)))));
+        slots.emplace_back(&literal_blocks.back(), 1);
+        literal.push_back(0);
       }
     }
     if (dead_slot || slots.empty()) continue;
+    const size_t n = slots.size();
+    fused.assign(n * n, kUnfused);
+    const auto fused_unit = [&](size_t i, size_t j) {
+      UnitId& unit = fused[i * n + j];
+      if (unit == kUnfused) {
+        text.clear();
+        for (size_t k = i; k < j; ++k) {
+          text += interner->Get(slots[k][literal[k]]).literal;
+        }
+        unit = interner->Intern(Unit::MakeLiteral(text));
+      }
+      return unit;
+    };
 
     // Odometer over the Cartesian product.
-    std::vector<size_t> cursor(slots.size(), 0);
-    std::vector<UnitId> units(slots.size());
+    cursor.assign(n, 0);
     ScopedTimer timer(&stats->cpu_duplicate_removal);
     for (;;) {
-      for (size_t i = 0; i < slots.size(); ++i) units[i] = (*slots[i])[cursor[i]];
-      Transformation::NormalizeInto(units.data(), units.size(), interner,
-                                    &normalized, &fused);
-      store->InternUnits(normalized.data(), normalized.size(),
-                         options.enable_dedup);
+      normalized.clear();
+      for (size_t i = 0; i < n;) {
+        size_t j = i + 1;
+        if (cursor[i] == literal[i]) {
+          while (j < n && cursor[j] == literal[j]) ++j;
+        }
+        normalized.push_back(j - i == 1 ? slots[i][cursor[i]]
+                                        : fused_unit(i, j));
+        i = j;
+      }
+      store->InternUnits(normalized, options.enable_dedup);
       ++stats->generated_transformations;
       if (--remaining == 0) {
         capped = true;
@@ -110,11 +167,11 @@ void GenerateTransformationsForRow(std::string_view source,
       }
       // Advance the odometer.
       size_t i = 0;
-      for (; i < slots.size(); ++i) {
-        if (++cursor[i] < slots[i]->size()) break;
+      for (; i < n; ++i) {
+        if (++cursor[i] < slots[i].size()) break;
         cursor[i] = 0;
       }
-      if (i == slots.size()) break;
+      if (i == n) break;
     }
     if (remaining == 0) break;
   }

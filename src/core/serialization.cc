@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -82,12 +83,18 @@ class Cursor {
           out.push_back('\\');
           break;
         case 'x': {
-          if (pos_ + 2 > text_.size()) {
-            return Status::InvalidArgument("truncated \\x escape");
+          // Exactly two hex digits: from_chars takes no sign or prefix.
+          unsigned value = 0;
+          const char* digits = text_.data() + pos_;
+          if (text_.size() - pos_ < 2 ||
+              std::from_chars(digits, digits + 2, value, 16).ptr !=
+                  digits + 2) {
+            return Status::InvalidArgument(
+                "\\x escape needs two hex digits at offset " +
+                std::to_string(pos_));
           }
-          const std::string hex(text_.substr(pos_, 2));
           pos_ += 2;
-          out.push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
+          out.push_back(static_cast<char>(value));
           break;
         }
         default:

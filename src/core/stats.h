@@ -53,7 +53,10 @@ struct DiscoveryStats {
   // measured generation wall time).
   double time_placeholder_gen = 0;   // LCP build + skeleton enumeration
   double time_unit_extraction = 0;   // candidate units per placeholder
-  double time_duplicate_removal = 0; // Cartesian product + hash-consing
+  // Cartesian product, literal fusion (once per skeleton and slot range)
+  // and hash-consing into the store's arena; in parallel runs also the
+  // merge of the shard stores.
+  double time_duplicate_removal = 0;
   double time_apply = 0;             // coverage computation
   double time_solution = 0;          // top-k + greedy set cover
   double time_total = 0;

@@ -6,44 +6,25 @@ namespace tj {
 
 Transformation Transformation::Normalized(const std::vector<UnitId>& units,
                                           UnitInterner* interner) {
-  std::vector<UnitId> out;
-  std::string fused;
-  NormalizeInto(units.data(), units.size(), interner, &out, &fused);
-  return Transformation(std::move(out));
-}
-
-void Transformation::NormalizeInto(const UnitId* units, size_t n,
-                                   UnitInterner* interner,
-                                   std::vector<UnitId>* out,
-                                   std::string* fused) {
-  out->clear();
-  // Literal runs are tracked as [run_begin, i) over the input so the common
-  // single-literal run keeps its id with no string work at all.
-  size_t run_begin = 0;
-  size_t run_len = 0;
-  auto flush = [&](size_t end) {
-    if (run_len == 0) return;
-    if (run_len == 1) {
-      out->push_back(units[run_begin]);
-    } else {
-      fused->clear();
-      for (size_t j = run_begin; j < end; ++j) {
-        *fused += interner->Get(units[j]).literal;
-      }
-      out->push_back(interner->Intern(Unit::MakeLiteral(*fused)));
-    }
-    run_len = 0;
+  const auto is_literal = [&](UnitId id) {
+    return interner->Get(id).kind == UnitKind::kLiteral;
   };
-  for (size_t i = 0; i < n; ++i) {
-    if (interner->Get(units[i]).kind == UnitKind::kLiteral) {
-      if (run_len == 0) run_begin = i;
-      ++run_len;
-    } else {
-      flush(i);
-      out->push_back(units[i]);
+  std::vector<UnitId> out;
+  for (size_t i = 0; i < units.size();) {
+    size_t j = i + 1;
+    if (is_literal(units[i])) {
+      while (j < units.size() && is_literal(units[j])) ++j;
     }
+    if (j - i == 1) {
+      out.push_back(units[i]);
+    } else {
+      std::string fused;
+      for (size_t k = i; k < j; ++k) fused += interner->Get(units[k]).literal;
+      out.push_back(interner->Intern(Unit::MakeLiteral(std::move(fused))));
+    }
+    i = j;
   }
-  flush(n);
+  return Transformation(std::move(out));
 }
 
 std::optional<std::string> Transformation::Apply(

@@ -24,19 +24,10 @@ class Transformation {
       : units_(std::move(units)) {}
 
   /// Builds a transformation with adjacent Literal units fused into one
-  /// (<L'.', L' '> becomes <L'. '>), interning any fused literal.
+  /// (<L'.', L' '> becomes <L'. '>). Runs of two or more literals intern
+  /// their fused text, left to right; a lone literal keeps its id.
   static Transformation Normalized(const std::vector<UnitId>& units,
                                    UnitInterner* interner);
-
-  /// Allocation-free normalization into caller-owned scratch: `out` receives
-  /// the normalized sequence, `fused` is string scratch for literal runs.
-  /// A run of a single literal keeps its id without re-interning (the fused
-  /// text IS that unit's text, so interning could only return the same id);
-  /// only genuine multi-literal fusions intern, in the same order Normalized
-  /// would — identical ids, identical interner growth.
-  static void NormalizeInto(const UnitId* units, size_t n,
-                            UnitInterner* interner, std::vector<UnitId>* out,
-                            std::string* fused);
 
   const std::vector<UnitId>& units() const { return units_; }
   size_t size() const { return units_.size(); }

@@ -1,83 +1,55 @@
 #include "core/transformation_store.h"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 
 namespace tj {
+namespace {
 
-size_t TransformationStore::FindSlot(uint64_t h, const UnitId* units,
-                                     size_t n) const {
-  const size_t mask = slots_.size() - 1;
-  size_t pos = static_cast<size_t>(h) & mask;
-  while (slots_[pos] != 0) {
-    const TransformationId id = slots_[pos] - 1;
-    if (hashes_[id] == h) {
-      const std::vector<UnitId>& existing = items_[id].units();
-      if (existing.size() == n &&
-          std::equal(existing.begin(), existing.end(), units)) {
-        return pos;
-      }
-    }
-    pos = (pos + 1) & mask;
-  }
-  return pos;
+/// Slot count (a power of two, at least 64) that holds `n` items under the
+/// 2/3 load cap.
+size_t SlotsFor(size_t n) {
+  size_t slots = 64;
+  while (n * 3 > slots * 2) slots *= 2;
+  return slots;
 }
 
-void TransformationStore::GrowSlots() {
-  const size_t new_size = slots_.empty() ? 64 : slots_.size() * 2;
-  slots_.assign(new_size, 0);
+}  // namespace
+
+void TransformationStore::Rehash(size_t new_size) {
+  const std::vector<Slot> old = std::move(slots_);
+  slots_.assign(new_size, Slot{});
   const size_t mask = new_size - 1;
-  // Re-inserting in id order preserves probe-path insertion order for
-  // same-hash entries, so FindSlot keeps bucket-chain lookup semantics.
-  for (TransformationId id = 0; id < items_.size(); ++id) {
-    size_t pos = static_cast<size_t>(hashes_[id]) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
-    slots_[pos] = id + 1;
+  for (const Slot slot : old) {
+    if (slot.id_plus_one == 0) continue;
+    size_t pos = slot.tag & mask;
+    while (slots_[pos].id_plus_one != 0) pos = (pos + 1) & mask;
+    slots_[pos] = slot;
   }
 }
 
 std::pair<TransformationId, bool> TransformationStore::InternUnits(
-    const UnitId* units, size_t n, bool dedup) {
+    std::span<const UnitId> units, bool dedup) {
   ++insert_attempts_;
+  if (offsets_.empty()) offsets_.push_back(0);
+  const size_t count = offsets_.size() - 1;
   // Grow at 2/3 load before probing so the found slot stays valid.
-  if ((items_.size() + 1) * 3 > slots_.size() * 2) GrowSlots();
-  const uint64_t h = Transformation::HashUnits(units, n);
-  size_t pos;
-  if (dedup) {
-    pos = FindSlot(h, units, n);
-    if (slots_[pos] != 0) return {slots_[pos] - 1, false};
-  } else {
-    const size_t mask = slots_.size() - 1;
-    pos = static_cast<size_t>(h) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
+  if ((count + 1) * 3 > slots_.size() * 2) Rehash(SlotsFor(count + 1));
+  const auto tag = static_cast<uint32_t>(
+      Transformation::HashUnits(units.data(), units.size()));
+  const size_t mask = slots_.size() - 1;
+  size_t pos = tag & mask;
+  for (; slots_[pos].id_plus_one != 0; pos = (pos + 1) & mask) {
+    if (!dedup || slots_[pos].tag != tag) continue;
+    const TransformationId id = slots_[pos].id_plus_one - 1;
+    if (std::ranges::equal(Units(id), units)) return {id, false};
   }
-  const auto id = static_cast<TransformationId>(items_.size());
-  items_.emplace_back(std::vector<UnitId>(units, units + n));
-  hashes_.push_back(h);
-  slots_[pos] = id + 1;
-  return {id, true};
-}
-
-std::pair<TransformationId, bool> TransformationStore::Intern(Transformation t,
-                                                              bool dedup) {
-  ++insert_attempts_;
-  if ((items_.size() + 1) * 3 > slots_.size() * 2) GrowSlots();
-  const uint64_t h = t.Hash();
-  const UnitId* units = t.units().data();
-  const size_t n = t.units().size();
-  size_t pos;
-  if (dedup) {
-    pos = FindSlot(h, units, n);
-    if (slots_[pos] != 0) return {slots_[pos] - 1, false};
-  } else {
-    const size_t mask = slots_.size() - 1;
-    pos = static_cast<size_t>(h) & mask;
-    while (slots_[pos] != 0) pos = (pos + 1) & mask;
-  }
-  const auto id = static_cast<TransformationId>(items_.size());
-  items_.push_back(std::move(t));
-  hashes_.push_back(h);
-  slots_[pos] = id + 1;
+  TJ_CHECK(units_.size() + units.size() <=
+           std::numeric_limits<uint32_t>::max());
+  const auto id = static_cast<TransformationId>(count);
+  units_.insert(units_.end(), units.begin(), units.end());
+  offsets_.push_back(static_cast<uint32_t>(units_.size()));
+  slots_[pos] = Slot{id + 1, tag};
   return {id, true};
 }
 

@@ -115,11 +115,14 @@ std::vector<RowPair> ApplyAndEquiJoin(
   for (uint32_t row = 0; row < target.size(); ++row) {
     target_rows[std::string(target.Get(row))].push_back(row);
   }
+  std::vector<Transformation> applied;
+  applied.reserve(ids.size());
+  for (TransformationId id : ids) applied.push_back(store.Get(id));
   PairSet joined;
   for (uint32_t row = 0; row < source.size(); ++row) {
     const std::string_view value = source.Get(row);
-    for (TransformationId id : ids) {
-      const auto transformed = store.Get(id).Apply(value, units);
+    for (const Transformation& t : applied) {
+      const auto transformed = t.Apply(value, units);
       if (!transformed.has_value()) continue;
       auto it = target_rows.find(*transformed);
       if (it == target_rows.end()) continue;

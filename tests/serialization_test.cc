@@ -45,6 +45,23 @@ TEST(ParseUnit, RejectsMalformedInput) {
   EXPECT_FALSE(ParseUnit("Split('ab',1)").ok());  // multi-char delimiter
 }
 
+TEST(ParseUnit, HexEscapeNeedsExactlyTwoHexDigits) {
+  const auto a = ParseUnit("Literal('\\x41')");
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(*a, Unit::MakeLiteral("A"));
+  const auto again = ParseUnit(a->ToString());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *a);
+
+  for (const char* text : {"Literal('\\xZZ')", "Literal('\\x4Z')",
+                           "Literal('\\x-1')", "Literal('\\x4')",
+                           "Literal('\\x4"}) {
+    const auto parsed = ParseUnit(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 TEST(ParseTransformation, RoundTripsPrettyForm) {
   UnitInterner interner;
   const std::string text =
@@ -110,6 +127,17 @@ TEST(TransformationSet, ReportsLineNumberOnError) {
       ParseTransformationSet("<Split(',',0)>\n<Bogus(1)>\n");
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
+}
+
+TEST(TransformationSet, MalformedHexEscapeIsAnError) {
+  for (const char* line : {"<Literal('\\xZZ')>", "<Literal('\\x4Z')>",
+                           "<Literal('\\x4')>"}) {
+    const auto parsed =
+        ParseTransformationSet(std::string("<Split(',',0)>\n") + line + "\n");
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos);
+  }
 }
 
 TEST(TransformationSet, FileRoundTrip) {
