@@ -20,9 +20,10 @@
 // repeated runs over a mutating repository stay incremental.
 //
 // --add/--remove/--update apply catalog maintenance on top of the loaded
-// directory through the incremental pruner: each op rescores only the
-// touched table's column pairs (O(N) in catalog size) instead of rebuilding
-// the whole shortlist, and prints the per-op scoring cost.
+// directory through the incremental pruner: each op probes the banded LSH
+// index with the touched table's sketches and scores only the colliding
+// column pairs instead of rebuilding the whole shortlist, and prints the
+// per-op scoring cost.
 //
 // --serve turns the tool into tjd, a long-lived daemon answering joinable /
 // transform-join / add / update / remove / stats requests over a
@@ -37,6 +38,7 @@
 // prints each failing check by name, and exits with the number of failed
 // checks (used as a ctest smoke test).
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -69,7 +71,7 @@ int Usage(const char* argv0) {
       "          [--signatures cache.tj] [--out results.csv]\n"
       "          [--spill-dir DIR] [--memory-budget BYTES]\n"
       "          [--index-cache-budget BYTES]\n"
-      "          [--lsh] [--lsh-bands N] [--lsh-rows N]\n"
+      "          [--lsh-bands N] [--lsh-rows N]\n"
       "          [--failpoints SPEC]\n"
       "          [--add FILE]... [--remove NAME]... [--update FILE]...\n"
       "       %s <csv-dir> --serve SOCKET [--watch DIR] [options]\n"
@@ -94,13 +96,13 @@ int Usage(const char* argv0) {
       "      256m, 0 = unlimited); in serve mode, each snapshot's\n"
       "      per-epoch cache budget\n"
       "  --add F / --remove NAME / --update F: incremental catalog\n"
-      "      maintenance; only the touched table's pairs are rescored\n"
-      "  --lsh: band the MinHash sketches into bucket keys so incremental\n"
-      "      adds exact-score only bucket-colliding columns instead of the\n"
-      "      whole catalog (default banding 128x1 is lossless at any\n"
-      "      positive --min-containment floor)\n"
-      "  --lsh-bands N / --lsh-rows N: banding geometry (bands x rows per\n"
-      "      band; coarser settings trade recall for fewer probes)\n"
+      "      maintenance; only the touched table's pairs whose sketches\n"
+      "      share an LSH bucket are rescored (every pair at floor 0)\n"
+      "  --lsh-bands N / --lsh-rows N: LSH banding geometry that --add,\n"
+      "      --update and --serve probe (bands x rows per band, rows at\n"
+      "      most 128; the default 128x1 is lossless at any positive\n"
+      "      --min-containment; coarser settings trade recall for fewer\n"
+      "      probes)\n"
       "  --failpoints SPEC: arm fault-injection sites, e.g.\n"
       "      'mmap/sync=p:0.5,errno:EIO;mmap/ftruncate=errno:ENOSPC'\n"
       "      (requires a -DTJ_FAILPOINTS=ON build)\n"
@@ -369,6 +371,20 @@ int SelfTest() {
   return 0;
 }
 
+/// Parses all of `arg` as a decimal number. std::from_chars takes no
+/// leading whitespace or '+', and no sign at all for unsigned types.
+template <typename T>
+bool ParseWhole(const char* arg, T* out) {
+  const char* end = arg + std::strlen(arg);
+  const auto [ptr, ec] = std::from_chars(arg, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+int InvalidValue(const char* argv0, const char* flag, const char* value) {
+  std::fprintf(stderr, "invalid %s value '%s'\n", flag, value);
+  return Usage(argv0);
+}
+
 struct MaintenanceOp {
   enum Kind { kAdd, kRemove, kUpdate } kind;
   std::string arg;  // CSV path for add/update, table name for remove
@@ -522,36 +538,37 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--memory-budget") == 0 &&
                i + 1 < argc) {
       if (!ParseByteSize(argv[++i], &storage.memory_budget_bytes)) {
-        std::fprintf(stderr, "invalid --memory-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
+        return InvalidValue(argv[0], "--memory-budget", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--index-cache-budget") == 0 &&
                i + 1 < argc) {
       if (!ParseByteSize(argv[++i], &index_cache_budget)) {
-        std::fprintf(stderr, "invalid --index-cache-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
+        return InvalidValue(argv[0], "--index-cache-budget", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--min-containment") == 0 &&
                i + 1 < argc) {
-      options.pruner.min_containment = std::atof(argv[++i]);
+      if (!ParseWhole(argv[++i], &options.pruner.min_containment)) {
+        return InvalidValue(argv[0], "--min-containment", argv[i]);
+      }
       if (options.pruner.min_containment <= 0.0) {
         options.pruner.require_charset_overlap = false;  // true brute force
       }
     } else if (std::strcmp(argv[i], "--max-candidates") == 0 &&
                i + 1 < argc) {
-      options.pruner.max_candidates =
-          static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--lsh") == 0) {
-      options.pruner.lsh.enabled = true;
+      if (!ParseWhole(argv[++i], &options.pruner.max_candidates)) {
+        return InvalidValue(argv[0], "--max-candidates", argv[i]);
+      }
     } else if (std::strcmp(argv[i], "--lsh-bands") == 0 && i + 1 < argc) {
-      options.pruner.lsh.enabled = true;
-      options.pruner.lsh.bands = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseWhole(argv[++i], &options.pruner.lsh.bands)) {
+        return InvalidValue(argv[0], "--lsh-bands", argv[i]);
+      }
     } else if (std::strcmp(argv[i], "--lsh-rows") == 0 && i + 1 < argc) {
-      options.pruner.lsh.enabled = true;
-      options.pruner.lsh.rows_per_band =
-          static_cast<size_t>(std::atol(argv[++i]));
+      // A band wider than the sketch leaves no band to index, so every
+      // incremental fold-in would find no partner.
+      if (!ParseWhole(argv[++i], &options.pruner.lsh.rows_per_band) ||
+          options.pruner.lsh.rows_per_band > SignatureOptions().num_hashes) {
+        return InvalidValue(argv[0], "--lsh-rows", argv[i]);
+      }
     } else if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
       options.join.min_join_support = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
@@ -600,14 +617,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (options.pruner.lsh.enabled &&
+  // At a zero floor the pruner scores every tracked column, so only a
+  // positive floor makes the banding matter.
+  if (options.pruner.min_containment > 0.0 &&
       !LshIndex::GuaranteesRecall(options.pruner.lsh,
                                   SignatureOptions().num_hashes,
                                   options.pruner.min_containment)) {
     std::fprintf(stderr,
-                 "note: --lsh banding %zux%zu at floor %g is approximate; "
-                 "low-overlap pairs may be missed (128x1 with a positive "
-                 "floor is lossless)\n",
+                 "note: lsh banding %zux%zu at floor %g is approximate; "
+                 "incremental and served shortlists may miss low-overlap "
+                 "pairs (128x1 is lossless)\n",
                  options.pruner.lsh.bands, options.pruner.lsh.rows_per_band,
                  options.pruner.min_containment);
   }

@@ -187,7 +187,7 @@ void EvaluateShortlistOnPool(const CorpusColumnSource& source,
                             pruned.shortlist[i];
                         result->results[i] = EvaluatePair(
                             source, candidate, join_options,
-                            options.use_orientation_hints);
+                            /*use_orientation_hint=*/true);
                         if (pending_pairs != nullptr) {
                           finish_table(candidate.a.table);
                           finish_table(candidate.b.table);

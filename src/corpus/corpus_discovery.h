@@ -47,15 +47,6 @@ struct CorpusDiscoveryOptions {
   /// (forwarded into JoinOptions::min_learning_pairs for each pair).
   size_t min_learning_pairs = 1;
 
-  /// Orient each shortlisted pair from its sketch-based hint
-  /// (ColumnPairCandidate::a_is_source, the shorter-units-toward-longer
-  /// heuristic computed from the signatures' mean lengths) instead of
-  /// rescanning both columns with PickSourceColumn. The hint reproduces
-  /// PickSourceColumn's choice exactly — mean_length equals AverageLength —
-  /// so results are identical either way; this just skips the O(rows)
-  /// rescan per pair. Off = legacy column rescan.
-  bool use_orientation_hints = true;
-
   /// Optional externally-owned cross-pair index cache (index/index_cache.h).
   /// When set, the pair fan-out pre-warms it with every distinct
   /// shortlisted column's inverted index (in shortlist order) and each pair

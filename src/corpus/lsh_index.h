@@ -13,9 +13,11 @@
 // score — is nonzero. Every pair that can clear a positive containment
 // floor is then probed, and the post-probe exact ScoreColumnPair pass makes
 // the shortlist bit-identical to a full ShortlistPairs scan
-// (GuaranteesRecall tells callers when that holds). Coarser bandings
-// (rows_per_band > 1) probe fewer pairs but may miss low-similarity
-// survivors; CountLshMissedPairs (pair_pruner.h) measures exactly that.
+// (GuaranteesRecall tells callers when that holds). Other bandings
+// (rows_per_band > 1, or fewer bands than slots) probe fewer pairs but may
+// miss low-similarity survivors; CountLshMissedPairs (pair_pruner.h)
+// measures exactly that. At a zero floor no banding is lossless, and the
+// pruner scores every tracked column instead of probing.
 
 #ifndef TJ_CORPUS_LSH_INDEX_H_
 #define TJ_CORPUS_LSH_INDEX_H_
@@ -33,11 +35,6 @@
 namespace tj {
 
 struct LshOptions {
-  /// Off by default: the pruner keeps its exhaustive O(N)-per-add scan and
-  /// existing callers see identical behavior (including exact
-  /// last_scored_pairs counts) unless they opt in.
-  bool enabled = false;
-
   /// Number of bands. The default — one band per sketch slot at the
   /// catalog's 128-hash default — makes collision equivalent to "any slot
   /// matches", the lossless setting (see the exactness contract above).
@@ -55,8 +52,7 @@ Status ValidateOptions(const LshOptions& options);
 
 /// The banded bucket index. Not thread-safe for concurrent mutation; the
 /// pruner mutates it only from its (externally serialized) maintenance
-/// calls, and copies are independent — the serving layer's snapshots rely
-/// on that.
+/// calls.
 class LshIndex {
  public:
   explicit LshIndex(LshOptions options = LshOptions())

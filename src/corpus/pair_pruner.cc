@@ -1,6 +1,7 @@
 #include "corpus/pair_pruner.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -127,8 +128,7 @@ PairPrunerResult ShortlistPairs(const TableCatalog& catalog,
 
 void IncrementalPairPruner::Rebuild(const TableCatalog& catalog,
                                     ThreadPool* pool) {
-  groups_.clear();
-  tracked_.clear();
+  survivors_.clear();
   table_columns_.clear();
   tracked_columns_total_ = 0;
   lsh_.Clear();
@@ -146,87 +146,11 @@ void IncrementalPairPruner::OnTableAdded(const TableCatalog& catalog,
                                          uint32_t table_id,
                                          ThreadPool* pool) {
   TJ_CHECK(catalog.IsLive(table_id));
-  TJ_CHECK(tracked_.find(table_id) == tracked_.end());
+  TJ_CHECK(table_columns_.find(table_id) == table_columns_.end());
 
   const auto num_new_columns =
       static_cast<uint32_t>(catalog.table(table_id).num_columns());
 
-  if (options_.lsh.enabled) {
-    AddViaLshProbe(catalog, table_id, num_new_columns, pool);
-  } else {
-    AddViaFullScan(catalog, table_id, num_new_columns, pool);
-  }
-
-  // Both modes account the full cross-pair space the exhaustive scan would
-  // consider, so Snapshot()'s total/pruned counters match ShortlistPairs
-  // regardless of how many pairs the probe actually touched.
-  total_pairs_ += num_new_columns * tracked_columns_total_;
-  tracked_columns_total_ += num_new_columns;
-  table_columns_[table_id] = num_new_columns;
-  tracked_.insert(table_id);
-  cumulative_scored_pairs_ += last_scored_pairs_;
-}
-
-void IncrementalPairPruner::AddViaFullScan(const TableCatalog& catalog,
-                                           uint32_t table_id,
-                                           uint32_t num_new_columns,
-                                           ThreadPool* pool) {
-  const std::vector<uint32_t> partners(tracked_.begin(), tracked_.end());
-
-  // Scores every column of `table_id` against every column of one partner
-  // table, producing that unordered pair's whole group.
-  auto score_partner = [&](uint32_t partner, Group* group) {
-    ColumnPairCandidate candidate;
-    const auto partner_columns =
-        static_cast<uint32_t>(catalog.table(partner).num_columns());
-    // Catalog order within the group: the lower table id owns `a`.
-    for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
-      for (uint32_t cp = 0; cp < partner_columns; ++cp) {
-        ColumnRef a{table_id, cn};
-        ColumnRef b{partner, cp};
-        if (b < a) std::swap(a, b);
-        ++group->considered;
-        if (ScoreColumnPair(catalog, a, b, options_, &candidate)) {
-          group->survivors.push_back(candidate);
-        }
-      }
-    }
-  };
-
-  std::vector<Group> scored(partners.size());
-  if (pool != nullptr && pool->size() > 1 && partners.size() > 1 &&
-      !InParallelFor()) {
-    // One chunk per few partners; each partner writes its own group slot,
-    // so the merged state never depends on scheduling.
-    pool->ParallelFor(partners.size(),
-                      std::min(partners.size(),
-                               static_cast<size_t>(pool->size()) * 4),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          score_partner(partners[i], &scored[i]);
-                        }
-                      });
-  } else {
-    for (size_t i = 0; i < partners.size(); ++i) {
-      score_partner(partners[i], &scored[i]);
-    }
-  }
-
-  size_t scored_pairs = 0;
-  for (size_t i = 0; i < partners.size(); ++i) {
-    scored_pairs += scored[i].considered;
-    const auto key = std::minmax(table_id, partners[i]);
-    groups_.emplace(std::make_pair(key.first, key.second),
-                    std::move(scored[i]));
-  }
-  last_scored_pairs_ = scored_pairs;
-}
-
-void IncrementalPairPruner::AddViaLshProbe(const TableCatalog& catalog,
-                                           uint32_t table_id,
-                                           uint32_t num_new_columns,
-                                           ThreadPool* pool) {
   // Probe before inserting: the index holds only previously tracked
   // columns, so the new table cannot collide with itself and OnTableUpdated
   // (remove + re-add) never sees its own stale entries.
@@ -234,10 +158,21 @@ void IncrementalPairPruner::AddViaLshProbe(const TableCatalog& catalog,
     ColumnRef mine;
     ColumnRef partner;
   };
+  // A zero floor keeps zero-score pairs, which share no bucket under any
+  // banding, so there every tracked column is a candidate.
+  const bool score_all = options_.min_containment <= 0.0;
   std::map<uint32_t, std::vector<Collision>> by_partner;
   for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
     const ColumnRef mine{table_id, cn};
     if (!catalog.HasSignature(mine)) continue;
+    if (score_all) {
+      for (const auto& [partner, columns] : table_columns_) {
+        for (uint32_t cp = 0; cp < columns; ++cp) {
+          by_partner[partner].push_back({mine, ColumnRef{partner, cp}});
+        }
+      }
+      continue;
+    }
     for (const ColumnRef& hit : lsh_.Probe(catalog.signature(mine))) {
       by_partner[hit.table].push_back({mine, hit});
     }
@@ -249,14 +184,10 @@ void IncrementalPairPruner::AddViaLshProbe(const TableCatalog& catalog,
     partners.emplace_back(partner, std::move(collisions));
   }
 
-  // Exact-score only the colliding pairs, one group slot per partner table
-  // (the same merge discipline as the full scan, so results are identical
-  // for every pool size). Groups keep considered == 0: in LSH mode the
-  // totals are maintained arithmetically by OnTableAdded/OnTableRemoved,
-  // and storing the ~N^2/2 empty groups a million-table corpus implies is
-  // exactly what this path exists to avoid.
-  std::vector<Group> scored(partners.size());
-  size_t scored_pairs = 0;
+  // Exact-score only the candidate pairs, one survivor slot per partner
+  // table appended in partner order, so results are identical for every
+  // pool size.
+  std::vector<std::vector<ColumnPairCandidate>> scored(partners.size());
   auto score_partner = [&](size_t i) {
     ColumnPairCandidate candidate;
     for (const Collision& c : partners[i].second) {
@@ -264,7 +195,7 @@ void IncrementalPairPruner::AddViaLshProbe(const TableCatalog& catalog,
       ColumnRef b = c.partner;
       if (b < a) std::swap(a, b);
       if (ScoreColumnPair(catalog, a, b, options_, &candidate)) {
-        scored[i].survivors.push_back(candidate);
+        scored[i].push_back(candidate);
       }
     }
   };
@@ -281,44 +212,39 @@ void IncrementalPairPruner::AddViaLshProbe(const TableCatalog& catalog,
     for (size_t i = 0; i < partners.size(); ++i) score_partner(i);
   }
 
+  last_scored_pairs_ = 0;
   for (size_t i = 0; i < partners.size(); ++i) {
-    scored_pairs += partners[i].second.size();
-    if (scored[i].survivors.empty()) continue;
-    const auto key = std::minmax(table_id, partners[i].first);
-    groups_.emplace(std::make_pair(key.first, key.second),
-                    std::move(scored[i]));
+    last_scored_pairs_ += partners[i].second.size();
+    survivors_.insert(survivors_.end(), scored[i].begin(), scored[i].end());
   }
-  last_scored_pairs_ = scored_pairs;
 
   for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
     const ColumnRef mine{table_id, cn};
     if (!catalog.HasSignature(mine)) continue;
     lsh_.Insert(mine, catalog.signature(mine));
   }
+
+  // The totals account the full cross-pair space the exhaustive scan would
+  // consider, so Snapshot()'s total/pruned counters match ShortlistPairs
+  // however few pairs the probe touched.
+  total_pairs_ += num_new_columns * tracked_columns_total_;
+  tracked_columns_total_ += num_new_columns;
+  table_columns_[table_id] = num_new_columns;
+  cumulative_scored_pairs_ += last_scored_pairs_;
 }
 
 void IncrementalPairPruner::OnTableRemoved(uint32_t table_id) {
-  TJ_CHECK(tracked_.erase(table_id) == 1);
   const auto cols = table_columns_.find(table_id);
   TJ_CHECK(cols != table_columns_.end());
   tracked_columns_total_ -= cols->second;
-  if (options_.lsh.enabled) {
-    // LSH-mode groups carry considered == 0; subtract the removed table's
-    // share of the pair space arithmetically (its columns against every
-    // still-tracked column).
-    total_pairs_ -= static_cast<size_t>(cols->second) *
-                    tracked_columns_total_;
-    lsh_.RemoveTable(table_id);
-  }
+  // The removed table's share of the pair space: its columns against every
+  // still-tracked column.
+  total_pairs_ -= static_cast<size_t>(cols->second) * tracked_columns_total_;
   table_columns_.erase(cols);
-  for (auto it = groups_.begin(); it != groups_.end();) {
-    if (it->first.first == table_id || it->first.second == table_id) {
-      total_pairs_ -= it->second.considered;
-      it = groups_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  lsh_.RemoveTable(table_id);
+  std::erase_if(survivors_, [table_id](const ColumnPairCandidate& c) {
+    return c.a.table == table_id || c.b.table == table_id;
+  });
 }
 
 void IncrementalPairPruner::OnTableUpdated(const TableCatalog& catalog,
@@ -329,17 +255,7 @@ void IncrementalPairPruner::OnTableUpdated(const TableCatalog& catalog,
 }
 
 PairPrunerResult IncrementalPairPruner::Snapshot() const {
-  std::vector<ColumnPairCandidate> survivors;
-  size_t total_survivors = 0;
-  for (const auto& [key, group] : groups_) {
-    total_survivors += group.survivors.size();
-  }
-  survivors.reserve(total_survivors);
-  for (const auto& [key, group] : groups_) {
-    survivors.insert(survivors.end(), group.survivors.begin(),
-                     group.survivors.end());
-  }
-  return FinalizeShortlist(std::move(survivors), total_pairs_, options_);
+  return FinalizeShortlist(survivors_, total_pairs_, options_);
 }
 
 Status ValidateOptions(const PairPrunerOptions& options) {

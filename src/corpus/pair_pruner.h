@@ -7,20 +7,20 @@
 // runs on pairs that could plausibly produce representative gram matches.
 //
 // Two front ends share one scoring path:
-//  * ShortlistPairs — one-shot scan of the whole catalog.
+//  * ShortlistPairs — one-shot scan of the whole catalog, and the
+//    reference the incremental pruner is tested against.
 //  * IncrementalPairPruner — a live shortlist maintained across catalog
-//    AddTable/RemoveTable/UpdateTable operations. Adding a table scores
-//    only that table's columns against the rest (O(N) new scores instead
-//    of the O(N^2) full rescan), and every snapshot is bit-identical to a
-//    from-scratch ShortlistPairs over the same catalog state.
+//    AddTable/RemoveTable/UpdateTable operations. Adding a table probes a
+//    banded LSH index (lsh_index.h) with the table's sketches and scores
+//    only the colliding columns, and with the lossless default banding
+//    every snapshot is bit-identical to a from-scratch ShortlistPairs over
+//    the same catalog state.
 
 #ifndef TJ_CORPUS_PAIR_PRUNER_H_
 #define TJ_CORPUS_PAIR_PRUNER_H_
 
 #include <cstddef>
 #include <map>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "corpus/catalog.h"
@@ -48,14 +48,14 @@ struct PairPrunerOptions {
   /// Keep at most this many top-ranked candidates (0 = unlimited).
   size_t max_candidates = 0;
 
-  /// Banded-LSH candidate lookup for the IncrementalPairPruner (lsh_index.h).
-  /// When enabled, OnTableAdded probes the band buckets and exact-scores only
-  /// colliding pairs — sublinear per add — instead of scanning every tracked
-  /// column. With the lossless default banding
+  /// Banding of the IncrementalPairPruner's candidate index (lsh_index.h).
+  /// OnTableAdded probes the band buckets and exact-scores only colliding
+  /// pairs. With the lossless default banding
   /// (LshIndex::GuaranteesRecall(lsh, num_hashes, min_containment) true) the
-  /// shortlist stays bit-identical to the exhaustive scan. Ignored by the
-  /// one-shot ShortlistPairs, which is the exhaustive reference by
-  /// definition.
+  /// shortlist stays bit-identical to the exhaustive scan; a coarser one
+  /// keeps only the survivors whose sketches collide. Ignored at a zero
+  /// floor (every tracked column is scored) and by the one-shot
+  /// ShortlistPairs, which is the exhaustive reference by definition.
   LshOptions lsh;
 };
 
@@ -115,8 +115,9 @@ Status ValidateOptions(const PairPrunerOptions& options);
 
 /// Recall diagnostic for a banding choice: the number of pairs the
 /// exhaustive scan keeps at `options`' floor whose sketches do NOT collide
-/// in any band — pairs a probe-driven incremental pruner would silently
-/// miss. Zero whenever LshIndex::GuaranteesRecall holds for the catalog's
+/// in any band — pairs the IncrementalPairPruner's probe misses at a
+/// positive floor (at a zero floor it scores every tracked column instead).
+/// Zero whenever LshIndex::GuaranteesRecall holds for the catalog's
 /// signature width; coarser bandings trade this count for fewer probe
 /// collisions. Counted over the full (untruncated) survivor set, so
 /// max_candidates does not hide misses.
@@ -125,10 +126,12 @@ size_t CountLshMissedPairs(const TableCatalog& catalog,
                            ThreadPool* pool = nullptr);
 
 /// Live shortlist over a mutating catalog. Survivor candidates are held in
-/// mergeable per-table-pair groups, so table-level add/remove/update only
-/// touches the groups involving that table; Snapshot() re-ranks the merged
-/// survivors (cheap — scoring dominates) and returns a result bit-identical
-/// to ShortlistPairs on the catalog's current live state.
+/// one vector that table-level removal filters; Snapshot() re-ranks them
+/// (cheap — scoring dominates) and returns a result bit-identical to
+/// ShortlistPairs on the catalog's current live state whenever
+/// LshIndex::GuaranteesRecall holds or the floor is zero. Under a coarser
+/// banding it returns exactly the ShortlistPairs survivors whose sketches
+/// LshIndex::BandsCollide (CountLshMissedPairs counts the rest).
 ///
 /// The caller drives maintenance: after catalog.AddTable + the catalog's
 /// ComputeSignatures, call OnTableAdded with the new id; after
@@ -141,75 +144,53 @@ class IncrementalPairPruner {
 
   const PairPrunerOptions& options() const { return options_; }
 
-  /// Clears any state and scores every live table of the catalog (same
-  /// total work as ShortlistPairs, organized as one OnTableAdded per
-  /// table). Requires ComputeSignatures() to have run.
+  /// Clears any state and folds in every live table of the catalog, one
+  /// OnTableAdded per table in id order. Requires ComputeSignatures() to
+  /// have run.
   void Rebuild(const TableCatalog& catalog, ThreadPool* pool = nullptr);
 
-  /// Scores only `table_id`'s columns against every table already tracked
-  /// — O(columns(T) * columns(rest)) work, O(N) in catalog size — and
-  /// merges the surviving candidates in. With options.lsh.enabled the scan
-  /// is replaced by a band-bucket probe: only columns colliding with the
-  /// new sketches in >= 1 bucket are exact-scored (sublinear per add), and
-  /// last_scored_pairs() reports the probed count. In parallel over partner
-  /// tables when `pool` is given (per-partner groups are independent, so
-  /// results are identical for every pool size). Requires the table's
-  /// signatures.
+  /// Probes the band-bucket index with each of `table_id`'s sketches,
+  /// exact-scores only the tracked columns colliding in >= 1 bucket, merges
+  /// the survivors in, then indexes the table's sketches. At a zero floor no
+  /// banding is lossless (the floor keeps zero-score pairs that share no
+  /// bucket), so every tracked column is scored instead. In parallel over
+  /// partner tables when `pool` is given (each partner's survivors land in
+  /// their own slot, so results are identical for every pool size).
+  /// Requires the table's signatures.
   void OnTableAdded(const TableCatalog& catalog, uint32_t table_id,
                     ThreadPool* pool = nullptr);
 
-  /// Drops every group involving `table_id`. O(groups), no rescoring.
+  /// Drops every survivor involving `table_id` and its index entries. No
+  /// rescoring.
   void OnTableRemoved(uint32_t table_id);
 
   /// Rescores `table_id` against the rest (remove + add).
   void OnTableUpdated(const TableCatalog& catalog, uint32_t table_id,
                       ThreadPool* pool = nullptr);
 
-  /// Table ids currently folded into the shortlist.
-  const std::set<uint32_t>& tracked_tables() const { return tracked_; }
-
-  /// Cross-table column pairs scored by the most recent Rebuild /
-  /// OnTableAdded / OnTableUpdated (the incremental-cost metric the
-  /// bench_corpus incremental benchmark reports).
+  /// Cross-table column pairs exact-scored by the most recent Rebuild /
+  /// OnTableAdded / OnTableUpdated — the probe collisions (every tracked
+  /// column at a zero floor), the incremental-cost metric bench_corpus
+  /// reports.
   size_t last_scored_pairs() const { return last_scored_pairs_; }
 
   /// Pairs exact-scored across the pruner's whole lifetime (every Rebuild /
-  /// OnTableAdded / OnTableUpdated). With LSH enabled this is the probe
-  /// workload — the sublinear-cost figure the 10k-table bench reports
-  /// against the exhaustive scan's quadratic count.
+  /// OnTableAdded / OnTableUpdated) — the sublinear-cost figure the
+  /// 10k-table bench reports against the exhaustive scan's quadratic count.
   size_t cumulative_scored_pairs() const { return cumulative_scored_pairs_; }
 
-  /// The band-bucket index backing the probe path (empty unless
-  /// options.lsh.enabled). Exposed so the serving layer's snapshots can
-  /// copy it and report bucket statistics.
+  /// The band-bucket index of every tracked column with a non-empty sketch
+  /// (stats surfaces read its bucket and entry counts).
   const LshIndex& lsh_index() const { return lsh_; }
 
-  /// Ranked shortlist + totals, bit-identical to ShortlistPairs(catalog,
-  /// options) over the same live tables.
+  /// Ranked shortlist + totals; see the class comment for how it relates
+  /// to ShortlistPairs(catalog, options) over the same live tables.
   PairPrunerResult Snapshot() const;
 
  private:
-  /// Survivors and considered-pair count for one unordered table pair.
-  struct Group {
-    std::vector<ColumnPairCandidate> survivors;
-    size_t considered = 0;
-  };
-
-  /// Exhaustive per-add scan: new columns against every tracked column.
-  void AddViaFullScan(const TableCatalog& catalog, uint32_t table_id,
-                      uint32_t num_new_columns, ThreadPool* pool);
-  /// Probe path: exact-score only band-bucket collisions.
-  void AddViaLshProbe(const TableCatalog& catalog, uint32_t table_id,
-                      uint32_t num_new_columns, ThreadPool* pool);
-
   PairPrunerOptions options_;
-  /// Keyed by (lo table id, hi table id). Exhaustive mode keeps a group for
-  /// every scored pair — even with no survivors — so `considered` counts
-  /// stay exact. LSH mode keeps only groups with survivors (a million-table
-  /// corpus cannot afford N^2/2 empty map entries) and maintains
-  /// total_pairs_ arithmetically from per-table column counts instead.
-  std::map<std::pair<uint32_t, uint32_t>, Group> groups_;
-  std::set<uint32_t> tracked_;
+  /// Unranked survivors of every tracked table pair.
+  std::vector<ColumnPairCandidate> survivors_;
   /// Column count of each tracked table, recorded at add time — the catalog
   /// has typically tombstoned a table before OnTableRemoved runs, so the
   /// count must not be re-queried then.
@@ -217,6 +198,9 @@ class IncrementalPairPruner {
   /// Sum of table_columns_ values (columns currently folded in).
   size_t tracked_columns_total_ = 0;
   LshIndex lsh_;
+  /// Cross-table column pairs over the tracked tables, kept arithmetically
+  /// from table_columns_ so the totals match ShortlistPairs without storing
+  /// a record per scored pair.
   size_t total_pairs_ = 0;
   size_t last_scored_pairs_ = 0;
   size_t cumulative_scored_pairs_ = 0;

@@ -391,7 +391,7 @@ JsonValue CorpusServer::HandleJoinable(const JsonValue& request) {
       if (!(candidate.a == *ref) && !(candidate.b == *ref)) continue;
       const CorpusPairResult pair = EvaluateCandidate(
           *snapshot, candidate, *options, pool_,
-          options->use_orientation_hints);
+          /*use_orientation_hint=*/true);
       results.Append(PairResultToJson(*snapshot, pair));
     }
   }
@@ -513,14 +513,12 @@ JsonValue CorpusServer::HandleStats() {
   response.Set("spilled_bytes",
                JsonValue::Number(
                    static_cast<double>(snapshot->spilled_bytes())));
-  if (snapshot->lsh_index() != nullptr) {
-    response.Set("lsh_buckets",
-                 JsonValue::Number(static_cast<double>(
-                     snapshot->lsh_index()->num_buckets())));
-    response.Set("lsh_entries",
-                 JsonValue::Number(static_cast<double>(
-                     snapshot->lsh_index()->num_entries())));
-  }
+  response.Set("lsh_buckets",
+               JsonValue::Number(
+                   static_cast<double>(snapshot->lsh_buckets())));
+  response.Set("lsh_entries",
+               JsonValue::Number(
+                   static_cast<double>(snapshot->lsh_entries())));
   // This epoch's index-cache counters: how much per-column index work the
   // served queries are sharing instead of rebuilding.
   const IndexCacheStats cache_stats = snapshot->index_cache()->GetStats();

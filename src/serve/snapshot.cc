@@ -26,9 +26,8 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Build(
     snap->slots_[t] = std::move(table);
   }
   snap->shortlist_ = pruner.Snapshot();
-  if (pruner.options().lsh.enabled) {
-    snap->lsh_index_ = std::make_shared<const LshIndex>(pruner.lsh_index());
-  }
+  snap->lsh_buckets_ = pruner.lsh_index().num_buckets();
+  snap->lsh_entries_ = pruner.lsh_index().num_entries();
   return snap;
 }
 

@@ -60,13 +60,10 @@ class CorpusSnapshot : public CorpusColumnSource {
   size_t resident_bytes() const { return resident_bytes_; }
   size_t spilled_bytes() const { return spilled_bytes_; }
 
-  /// The pruner's banded LSH index as of this epoch (null when the probe
-  /// path is disabled). An independent copy, so later catalog mutations —
-  /// which rewrite the live pruner's buckets — never reach a snapshot a
-  /// query is still reading; stats report its bucket/entry counts.
-  const std::shared_ptr<const LshIndex>& lsh_index() const {
-    return lsh_index_;
-  }
+  /// The pruner's LSH index size at build time: occupied buckets and
+  /// indexed columns (metadata for stats; not live).
+  size_t lsh_buckets() const { return lsh_buckets_; }
+  size_t lsh_entries() const { return lsh_entries_; }
 
   /// True when `t` addresses a table this snapshot holds.
   bool IsLive(uint32_t t) const {
@@ -116,12 +113,13 @@ class CorpusSnapshot : public CorpusColumnSource {
   std::vector<uint64_t> fingerprints_;
   std::unordered_map<std::string, uint32_t> by_name_;
   PairPrunerResult shortlist_;
-  std::shared_ptr<const LshIndex> lsh_index_;
   std::shared_ptr<IndexCache> index_cache_;
   size_t num_tables_ = 0;
   size_t num_columns_ = 0;
   size_t resident_bytes_ = 0;
   size_t spilled_bytes_ = 0;
+  size_t lsh_buckets_ = 0;
+  size_t lsh_entries_ = 0;
 };
 
 }  // namespace tj::serve

@@ -1,6 +1,7 @@
 // Property tests for incremental corpus maintenance: random
 // add/remove/update sequences over synthetic corpora, maintained through
-// TableCatalog + IncrementalPairPruner at thread counts 1/2/4/8, must at
+// TableCatalog + IncrementalPairPruner at thread counts 1/2/4/8, at the
+// default floor and with the brute-force options (floor 0), must at
 // every step yield a shortlist bit-identical to a from-scratch
 // ShortlistPairs over the live catalog AND (by name) to a completely fresh
 // catalog built from only the surviving tables — and, at the end of the
@@ -17,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "corpus/catalog.h"
 #include "corpus/corpus_discovery.h"
+#include "corpus/lsh_index.h"
 #include "corpus/pair_pruner.h"
 #include "datagen/corpus.h"
 
@@ -152,7 +154,9 @@ SynthCorpus MakeCorpus(const char* prefix, size_t pairs, size_t noise,
   return GenerateSynthCorpus(options);
 }
 
-TEST(IncrementalPruner, RandomOpSequencesMatchScratchRebuilds) {
+/// Drives one fleet through a seeded random add/remove/update sequence,
+/// checking it against scratch rebuilds after every op.
+void RunRandomOpSequence(const PairPrunerOptions& options) {
   // Initial corpus plus a reservoir of tables to add later.
   const SynthCorpus base = MakeCorpus("synth", 3, 2, 17);
   const SynthCorpus reservoir_a = MakeCorpus("adda", 2, 1, 18);
@@ -168,7 +172,7 @@ TEST(IncrementalPruner, RandomOpSequencesMatchScratchRebuilds) {
   }
   catalog.ComputeSignatures();
 
-  PrunerFleet fleet((PairPrunerOptions()));
+  PrunerFleet fleet(options);
   fleet.Rebuild(catalog);
   fleet.CheckAgainstScratch(catalog, "initial");
 
@@ -213,6 +217,21 @@ TEST(IncrementalPruner, RandomOpSequencesMatchScratchRebuilds) {
     }
     fleet.CheckAgainstScratch(catalog, context);
   }
+}
+
+TEST(IncrementalPruner, RandomOpSequencesMatchScratchRebuilds) {
+  {
+    SCOPED_TRACE("default options");
+    RunRandomOpSequence(PairPrunerOptions());
+  }
+  // Brute force: at a zero floor no banding is lossless, so the pruner
+  // must score every tracked column to keep the zero-score survivors.
+  PairPrunerOptions brute_force;
+  brute_force.min_containment = 0.0;
+  brute_force.require_charset_overlap = false;
+  brute_force.min_rows = 0;
+  SCOPED_TRACE("brute force");
+  RunRandomOpSequence(brute_force);
 }
 
 TEST(IncrementalPruner, MaxCandidatesTruncationMatchesScratch) {
@@ -309,22 +328,49 @@ TEST(IncrementalPruner, AddScoresOnlyTheNewTablesPairs) {
 
   IncrementalPairPruner pruner;
   pruner.Rebuild(catalog);
-  // The full build scored the whole cross-table triangle.
-  EXPECT_EQ(pruner.last_scored_pairs(), pruner.Snapshot().total_pairs);
+  // Pairs of `table`'s columns with lower-id tables' columns whose sketches
+  // share a band bucket: exactly what folding `table` in must score.
+  const auto colliding_pairs = [&](uint32_t table) {
+    size_t count = 0;
+    for (const ColumnRef x : catalog.AllColumns()) {
+      if (x.table != table) continue;
+      for (const ColumnRef y : catalog.AllColumns()) {
+        if (y.table < table &&
+            LshIndex::BandsCollide(pruner.options().lsh,
+                                   catalog.signature(x),
+                                   catalog.signature(y))) {
+          ++count;
+        }
+      }
+    }
+    return count;
+  };
+  // The build scored each table's collisions with the tables before it,
+  // not the whole triangle.
+  size_t rebuild_collisions = 0;
+  for (uint32_t t = 0; t < catalog.num_slots(); ++t) {
+    rebuild_collisions += colliding_pairs(t);
+  }
+  EXPECT_EQ(pruner.last_scored_pairs(), rebuild_collisions);
+  EXPECT_LT(pruner.last_scored_pairs(), pruner.Snapshot().total_pairs);
 
-  const SynthCorpus extra = MakeCorpus("inc", 1, 0, 41);
-  auto id = catalog.AddTable(extra.tables[0]);
+  // A copy of a tracked table under a new name: its columns collide with
+  // their originals, so the probe must score a positive number of pairs.
+  Table copy = base.tables[0];
+  copy.set_name("inc-copy");
+  auto id = catalog.AddTable(std::move(copy));
   ASSERT_TRUE(id.ok());
   catalog.ComputeSignatures();
   pruner.OnTableAdded(catalog, *id);
-  // The add scored exactly new-columns x existing-columns pairs — O(N),
-  // not the O(N^2) triangle.
+  // The add scored exactly the new columns' bucket collisions with the
+  // tracked ones.
   const size_t new_columns = catalog.table(*id).num_columns();
-  EXPECT_EQ(pruner.last_scored_pairs(), new_columns * existing_columns);
+  EXPECT_EQ(pruner.last_scored_pairs(), colliding_pairs(*id));
+  EXPECT_GT(pruner.last_scored_pairs(), 0u);
 
   // Removal rescales totals without scoring anything.
   const PairPrunerResult before = pruner.Snapshot();
-  ASSERT_TRUE(catalog.RemoveTable(extra.tables[0].name()).ok());
+  ASSERT_TRUE(catalog.RemoveTable("inc-copy").ok());
   pruner.OnTableRemoved(*id);
   const PairPrunerResult after = pruner.Snapshot();
   EXPECT_EQ(after.total_pairs,

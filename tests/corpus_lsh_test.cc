@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -140,7 +141,6 @@ TEST(LshMissedPairs, ZeroUnderLosslessBandingPositiveOnCoarse) {
   catalog.ComputeSignatures();
 
   PairPrunerOptions options;
-  options.lsh.enabled = true;
   ASSERT_TRUE(LshIndex::GuaranteesRecall(
       options.lsh, catalog.signature_options().num_hashes,
       options.min_containment));
@@ -159,6 +159,41 @@ TEST(LshMissedPairs, ZeroUnderLosslessBandingPositiveOnCoarse) {
   }
   ASSERT_GT(imperfect, 0u);
   EXPECT_GT(CountLshMissedPairs(catalog, coarse), 0u);
+
+  // Under a coarse banding the incremental pruner keeps exactly the
+  // full-scan survivors whose sketches collide, and the missed-pair count
+  // accounts for the rest.
+  size_t geometries_missing_pairs = 0;
+  for (const auto& [bands, rows] :
+       std::vector<std::pair<size_t, size_t>>{{64, 2}, {32, 4}, {1, 128}}) {
+    PairPrunerOptions banded = options;
+    banded.lsh.bands = bands;
+    banded.lsh.rows_per_band = rows;
+    const std::string where = StrPrintf("%zux%zu", bands, rows);
+    IncrementalPairPruner pruner(banded);
+    pruner.Rebuild(catalog);
+    const PairPrunerResult probed = pruner.Snapshot();
+    const PairPrunerResult scan = ShortlistPairs(catalog, banded);
+    std::vector<ColumnPairCandidate> colliding;
+    for (const ColumnPairCandidate& c : scan.shortlist) {
+      if (LshIndex::BandsCollide(banded.lsh, catalog.signature(c.a),
+                                 catalog.signature(c.b))) {
+        colliding.push_back(c);
+      }
+    }
+    EXPECT_EQ(probed.total_pairs, scan.total_pairs) << where;
+    EXPECT_EQ(probed.shortlist.size() + CountLshMissedPairs(catalog, banded),
+              scan.shortlist.size())
+        << where;
+    ASSERT_EQ(probed.shortlist.size(), colliding.size()) << where;
+    for (size_t r = 0; r < colliding.size(); ++r) {
+      EXPECT_TRUE(probed.shortlist[r].a == colliding[r].a) << where << r;
+      EXPECT_TRUE(probed.shortlist[r].b == colliding[r].b) << where << r;
+      EXPECT_EQ(probed.shortlist[r].score, colliding[r].score) << where << r;
+    }
+    if (colliding.size() < scan.shortlist.size()) ++geometries_missing_pairs;
+  }
+  EXPECT_GT(geometries_missing_pairs, 0u);
 }
 
 // Satellite: when mean cell lengths tie exactly, the sketch-derived
@@ -225,7 +260,6 @@ class LshRecallPropertyTest : public ::testing::TestWithParam<bool> {
 
 TEST_P(LshRecallPropertyTest, ProbedShortlistMatchesFullScan) {
   PairPrunerOptions options;
-  options.lsh.enabled = true;
   ASSERT_TRUE(
       LshIndex::GuaranteesRecall(options.lsh, 128, options.min_containment));
 

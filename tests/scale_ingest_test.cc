@@ -109,13 +109,12 @@ TEST_F(ScaleIngestTest, BudgetedLshIngestStaysSublinear) {
   EXPECT_LE(catalog.CachedResidentBytes(), storage.memory_budget_bytes);
 
   PairPrunerOptions options;
-  options.lsh.enabled = true;
   IncrementalPairPruner pruner(options);
   pruner.Rebuild(catalog, &pool);
 
-  // The exhaustive incremental build scores every cross-table pair once:
-  // N*(N-1)/2 with one column per table. The probe path must do a small
-  // fraction of that — the corpus is mostly non-colliding noise.
+  // An exhaustive build scores every cross-table pair once: N*(N-1)/2 with
+  // one column per table. The probe path must do a small fraction of that
+  // — the corpus is mostly non-colliding noise.
   const size_t exhaustive = kTables * (kTables - 1) / 2;
   EXPECT_LT(pruner.cumulative_scored_pairs(), exhaustive / 20)
       << "LSH probe path scored a near-linear-scan number of pairs";

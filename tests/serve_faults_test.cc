@@ -131,7 +131,7 @@ TEST_F(ServeFaultsTest, SweepThenHealServesFaultFreeBytes) {
           *replica_snapshot,
           EvaluateCandidate(*replica_snapshot, candidate, discovery,
                             /*pool=*/nullptr,
-                            discovery.use_orientation_hints)));
+                            /*use_orientation_hint=*/true)));
     }
     JsonValue response = JsonValue::Object();
     response.Set("ok", JsonValue::Bool(true));

@@ -130,7 +130,7 @@ std::string ExpectedJoinableResponse(const std::vector<Table>& tables,
     if (!(candidate.a == *ref) && !(candidate.b == *ref)) continue;
     const CorpusPairResult pair =
         EvaluateCandidate(*snapshot, candidate, options, /*pool=*/nullptr,
-                          options.use_orientation_hints);
+                          /*use_orientation_hint=*/true);
     results.Append(PairResultToJson(*snapshot, pair));
   }
   JsonValue response = JsonValue::Object();
@@ -318,6 +318,14 @@ TEST_F(ServerTest, MutationsAdvanceEpochAndAnswerErrors) {
   EXPECT_EQ(stats_json->Find("tables")->AsNumber(),
             static_cast<double>(corpus.tables.size() + 1));
   EXPECT_GE(stats_json->Find("mutations_applied")->AsNumber(), 2.0);
+  // The pruner's LSH index counts are reported at default options.
+  const JsonValue* lsh_buckets = stats_json->Find("lsh_buckets");
+  const JsonValue* lsh_entries = stats_json->Find("lsh_entries");
+  ASSERT_NE(lsh_buckets, nullptr) << *stats;
+  ASSERT_NE(lsh_entries, nullptr) << *stats;
+  EXPECT_GT(lsh_buckets->AsNumber(), 0.0);
+  EXPECT_GT(lsh_entries->AsNumber(), 0.0);
+  EXPECT_LE(lsh_entries->AsNumber(), stats_json->Find("columns")->AsNumber());
 }
 
 TEST_F(ServerTest, MalformedRequestsGetErrorResponsesAndDaemonSurvives) {

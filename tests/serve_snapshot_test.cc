@@ -197,7 +197,7 @@ TEST(CorpusSnapshotTest, ShortlistEvaluationMatchesLiveCatalog) {
   for (size_t i = 0; i < shortlist.shortlist.size(); ++i) {
     const CorpusPairResult one =
         EvaluateCandidate(*snapshot, shortlist.shortlist[i], options,
-                          /*pool=*/nullptr, options.use_orientation_hints);
+                          /*pool=*/nullptr, /*use_orientation_hint=*/true);
     EXPECT_EQ(one.joined_rows, live.results[i].joined_rows) << "rank " << i;
     EXPECT_EQ(one.transformations, live.results[i].transformations)
         << "rank " << i;
