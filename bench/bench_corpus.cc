@@ -20,6 +20,8 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "benchlib/report.h"
 #include "benchlib/storage_metrics.h"
@@ -437,12 +439,13 @@ LshScaleOutcome RunLshScale(double scale, int num_threads) {
 }
 
 /// The joinability-as-a-service scenario: an in-process CorpusServer on the
-/// heap corpus, queried over its unix socket exactly like a tjd client.
-/// Measures per-query latency (p50/p99 over round-robin 'joinable' queries
-/// against every golden source column), sustained queries/s, and the cost
-/// of one mutation round trip — CSV re-read, signature recompute, pruner
-/// fold-in, and snapshot rebuild, i.e. the freshness price a live corpus
-/// pays per change.
+/// heap corpus, queried over its unix socket exactly like tjd clients.
+/// `num_clients` threads, each on its own connection, send round-robin
+/// 'joinable' queries against every golden source column. Measures
+/// per-query latency (p50/p99 over all clients), sustained queries/s, and
+/// the cost of one mutation round trip — CSV re-read, signature recompute,
+/// pruner fold-in, and snapshot rebuild, i.e. the freshness price a live
+/// corpus pays per change.
 struct ServeOutcome {
   double query_p50_us = 0.0;
   double query_p99_us = 0.0;
@@ -453,7 +456,7 @@ struct ServeOutcome {
 
 ServeOutcome RunServed(const tj::SynthCorpus& corpus,
                        const tj::CorpusDiscoveryOptions& options,
-                       bool index_cache_enabled) {
+                       int num_clients) {
   using namespace tj;
   namespace fs = std::filesystem;
   ServeOutcome outcome;
@@ -478,7 +481,6 @@ ServeOutcome RunServed(const tj::SynthCorpus& corpus,
   serve::ServeOptions serve_options;
   serve_options.socket_path = socket_path;
   serve_options.discovery = options;
-  serve_options.index_cache_enabled = index_cache_enabled;
   serve::CorpusServer server(&catalog, &pool, serve_options);
   const Status started = server.Start();
   if (!started.ok()) {
@@ -493,12 +495,15 @@ ServeOutcome RunServed(const tj::SynthCorpus& corpus,
                       ".value\"}");
   }
 
+  const auto connect = [&](serve::ServeClient* client) {
+    if (!client->Connect(socket_path).ok()) {
+      std::fprintf(stderr, "serve: cannot connect to %s\n",
+                   socket_path.c_str());
+      std::exit(1);
+    }
+  };
   serve::ServeClient client;
-  if (!client.Connect(socket_path).ok()) {
-    std::fprintf(stderr, "serve: cannot connect to %s\n",
-                 socket_path.c_str());
-    std::exit(1);
-  }
+  connect(&client);
   // Warm up once per distinct query (first touch faults columns in).
   for (const std::string& query : queries) {
     if (!client.CallRaw(query).ok()) {
@@ -508,20 +513,34 @@ ServeOutcome RunServed(const tj::SynthCorpus& corpus,
   }
 
   const size_t rounds = std::max<size_t>(1, 200 / queries.size());
-  std::vector<double> latencies_us;
-  latencies_us.reserve(rounds * queries.size());
+  std::vector<std::vector<double>> per_client(
+      static_cast<size_t>(num_clients));
   Stopwatch total;
-  for (size_t round = 0; round < rounds; ++round) {
-    for (const std::string& query : queries) {
-      Stopwatch per_query;
-      if (!client.CallRaw(query).ok()) {
-        std::fprintf(stderr, "serve: query failed mid-benchmark\n");
-        std::exit(1);
+  std::vector<std::thread> clients;
+  for (std::vector<double>& client_latencies : per_client) {
+    clients.emplace_back([&, latencies = &client_latencies] {
+      serve::ServeClient own;
+      connect(&own);
+      latencies->reserve(rounds * queries.size());
+      for (size_t round = 0; round < rounds; ++round) {
+        for (const std::string& query : queries) {
+          Stopwatch per_query;
+          if (!own.CallRaw(query).ok()) {
+            std::fprintf(stderr, "serve: query failed mid-benchmark\n");
+            std::exit(1);
+          }
+          latencies->push_back(per_query.ElapsedSeconds() * 1e6);
+        }
       }
-      latencies_us.push_back(per_query.ElapsedSeconds() * 1e6);
-    }
+    });
   }
+  for (std::thread& t : clients) t.join();
   const double total_seconds = total.ElapsedSeconds();
+  std::vector<double> latencies_us;
+  for (const std::vector<double>& latencies : per_client) {
+    latencies_us.insert(latencies_us.end(), latencies.begin(),
+                        latencies.end());
+  }
   outcome.queries = latencies_us.size();
   outcome.queries_per_second =
       total_seconds > 0 ? static_cast<double>(outcome.queries) / total_seconds
@@ -829,24 +848,24 @@ int main(int argc, char** argv) {
       FormatSeconds(lsh.ingest_seconds).c_str(),
       FormatSeconds(lsh.fullscan_seconds).c_str());
 
-  // Before/after: one daemon with per-pair index rebuilds (the legacy
-  // path), one with the snapshot's per-epoch index cache serving queries.
-  const ServeOutcome served_uncached =
-      RunServed(corpus, pruned_options, /*index_cache_enabled=*/false);
+  // The same daemon with 1 and with 4 concurrent clients: queries evaluate
+  // in parallel on their own connections, so queries/s should scale with
+  // clients up to the core count while p50 holds.
   const PerfSample serve_begin = perf.Read();
-  const ServeOutcome served =
-      RunServed(corpus, pruned_options, /*index_cache_enabled=*/true);
+  const ServeOutcome served = RunServed(corpus, pruned_options, 1);
+  const ServeOutcome served4 = RunServed(corpus, pruned_options, 4);
   const PerfSample serve_perf = perf.Read().Since(serve_begin);
-  std::printf(
-      "\nserved queries (tjd protocol, %zu queries): p50 %.0f us, p99 %.0f "
-      "us, %.0f queries/s; mutation->fresh snapshot %.1f ms; p50 without "
-      "index cache %.0f us (%.2fx)\n",
-      served.queries, served.query_p50_us, served.query_p99_us,
-      served.queries_per_second, served.snapshot_rebuild_ms,
-      served_uncached.query_p50_us,
-      served.query_p50_us > 0
-          ? served_uncached.query_p50_us / served.query_p50_us
-          : 0.0);
+  const auto print_served = [](int clients, const ServeOutcome& outcome) {
+    std::printf("  %d client(s), %zu queries: p50 %.0f us, p99 %.0f us, "
+                "%.0f queries/s\n",
+                clients, outcome.queries, outcome.query_p50_us,
+                outcome.query_p99_us, outcome.queries_per_second);
+  };
+  std::printf("\nserved queries (tjd protocol):\n");
+  print_served(1, served);
+  print_served(4, served4);
+  std::printf("  mutation->fresh snapshot %.1f ms\n",
+              served.snapshot_rebuild_ms);
 
   if (perf.available()) {
     TablePrinter perf_printer(
@@ -950,13 +969,16 @@ int main(int argc, char** argv) {
         spill_identical ? "true" : "false");
     std::fprintf(f,
                  "  \"query_p50_us\": %.3f,\n"
-                 "  \"query_p50_us_uncached\": %.3f,\n"
                  "  \"query_p99_us\": %.3f,\n"
                  "  \"snapshot_rebuild_ms\": %.3f,\n"
-                 "  \"queries_per_second\": %.3f,\n",
-                 served.query_p50_us, served_uncached.query_p50_us,
-                 served.query_p99_us, served.snapshot_rebuild_ms,
-                 served.queries_per_second);
+                 "  \"queries_per_second\": %.3f,\n"
+                 "  \"query_p50_us_4_clients\": %.3f,\n"
+                 "  \"query_p99_us_4_clients\": %.3f,\n"
+                 "  \"queries_per_second_4_clients\": %.3f,\n",
+                 served.query_p50_us, served.query_p99_us,
+                 served.snapshot_rebuild_ms, served.queries_per_second,
+                 served4.query_p50_us, served4.query_p99_us,
+                 served4.queries_per_second);
     std::fprintf(f,
                  "  \"simd_level\": \"%s\",\n"
                  "  \"simd_best_level\": \"%s\",\n"

@@ -39,6 +39,7 @@
 // checks (used as a ctest smoke test).
 
 #include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -81,7 +82,9 @@ int Usage(const char* argv0) {
       "  --simd scalar|avx2|auto: pin the kernel dispatch level (any mode;\n"
       "      'auto' = best the CPU supports; kernels are bit-identical\n"
       "      across levels, so this only changes speed)\n"
-      "  --threads N: pair-level worker threads (0 = all cores, default)\n"
+      "  --threads N: pair-level worker threads (0 = all cores, default);\n"
+      "      with --serve, the startup and mutation pool only (each query\n"
+      "      runs on its own connection's thread)\n"
       "  --min-containment F: sketch containment pruning floor "
       "(default 0.05; 0 = brute force)\n"
       "  --signatures F: load/save the column sketch cache (v2: stale\n"
@@ -93,8 +96,7 @@ int Usage(const char* argv0) {
       "      re-mapped on access. Requires --spill-dir\n"
       "  --index-cache-budget BYTES: byte budget for the per-column\n"
       "      inverted-index cache shared across pair evaluations (default\n"
-      "      256m, 0 = unlimited); in serve mode, each snapshot's\n"
-      "      per-epoch cache budget\n"
+      "      256m, 0 = unlimited); batch and --add/--update runs only\n"
       "  --add F / --remove NAME / --update F: incremental catalog\n"
       "      maintenance; only the touched table's pairs whose sketches\n"
       "      share an LSH bucket are rescored (every pair at floor 0)\n"
@@ -108,7 +110,8 @@ int Usage(const char* argv0) {
       "      (requires a -DTJ_FAILPOINTS=ON build)\n"
       "  --serve SOCKET: run as tjd, answering joinable/transform-join/\n"
       "      add/update/remove/stats requests over the unix socket\n"
-      "      (length-prefixed JSON frames; snapshot-isolated epochs)\n"
+      "      (length-prefixed JSON frames; snapshot-isolated epochs;\n"
+      "      concurrent queries, at most 64 live connections)\n"
       "  --watch DIR: with --serve, mirror DIR's *.csv files into the\n"
       "      live catalog (debounced; add/update/remove by file stem)\n"
       "  --client SOCKET JSON...: send each JSON argument as one request\n"
@@ -435,9 +438,10 @@ void OnStopSignal(int) { g_signal_stop = 1; }
 
 int RunDaemon(tj::TableCatalog* catalog, tj::serve::ServeOptions options,
               int num_threads) {
-  // One pool for the daemon's whole life: signatures, shortlist
-  // maintenance, and every served query's per-pair fan-out (all serialized
-  // by the server's compute gate).
+  // One pool for the daemon's whole life, used by startup and mutation
+  // batches (signatures, shortlist maintenance) under the exclusive side
+  // of the server's compute gate. Served queries run concurrently, each on
+  // its own connection's thread, and never touch it.
   tj::ThreadPool pool(num_threads);
   tj::serve::CorpusServer server(catalog, &pool, std::move(options));
   const tj::Status started = server.Start();
@@ -525,10 +529,18 @@ int main(int argc, char** argv) {
   std::string watch_dir;
   StorageOptions storage;
   size_t index_cache_budget = serve::kDefaultIndexCacheBudgetBytes;
+  bool index_cache_budget_set = false;
   std::vector<MaintenanceOp> ops;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.num_threads = std::atoi(argv[++i]);
+      // Unsigned: from_chars then rejects any sign, so "-2" is an error
+      // rather than a clamp to one thread.
+      unsigned threads = 0;
+      if (!ParseWhole(argv[++i], &threads) ||
+          threads > static_cast<unsigned>(INT_MAX)) {
+        return InvalidValue(argv[0], "--threads", argv[i]);
+      }
+      options.num_threads = static_cast<int>(threads);
     } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
       serve_socket = argv[++i];
     } else if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
@@ -545,6 +557,7 @@ int main(int argc, char** argv) {
       if (!ParseByteSize(argv[++i], &index_cache_budget)) {
         return InvalidValue(argv[0], "--index-cache-budget", argv[i]);
       }
+      index_cache_budget_set = true;
     } else if (std::strcmp(argv[i], "--min-containment") == 0 &&
                i + 1 < argc) {
       if (!ParseWhole(argv[++i], &options.pruner.min_containment)) {
@@ -570,7 +583,9 @@ int main(int argc, char** argv) {
         return InvalidValue(argv[0], "--lsh-rows", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
-      options.join.min_join_support = std::atof(argv[++i]);
+      if (!ParseWhole(argv[++i], &options.join.min_join_support)) {
+        return InvalidValue(argv[0], "--support", argv[i]);
+      }
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
       top = static_cast<size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--signatures") == 0 && i + 1 < argc) {
@@ -634,6 +649,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--watch requires --serve\n");
     return Usage(argv[0]);
   }
+  if (index_cache_budget_set && !serve_socket.empty()) {
+    std::fprintf(stderr,
+                 "--index-cache-budget is batch-only; the daemon caches no "
+                 "indexes\n");
+    return Usage(argv[0]);
+  }
   if (!serve_socket.empty() && !ops.empty()) {
     std::fprintf(stderr,
                  "--add/--remove/--update are client requests in serve "
@@ -687,7 +708,6 @@ int main(int argc, char** argv) {
     serve_options.socket_path = serve_socket;
     serve_options.watch_dir = watch_dir;
     serve_options.discovery = options;
-    serve_options.index_cache_budget_bytes = index_cache_budget;
     return RunDaemon(&catalog, std::move(serve_options),
                      options.num_threads);
   }

@@ -51,9 +51,9 @@ CorpusPairResult EvaluatePair(const CorpusColumnSource& source,
 
   // Cross-pair memoization: with a cache configured, key both sides by
   // (table content fingerprint, column ordinal) so this pair's two index
-  // builds are shared with every other pair and served query touching the
-  // same columns. A source that tracks no fingerprints (returns 0) leaves
-  // the key disengaged and the cache bypassed for that side.
+  // builds are shared with every other pair touching the same columns. A
+  // source that tracks no fingerprints (returns 0) leaves the key
+  // disengaged and the cache bypassed for that side.
   JoinOptions local = join_options;
   if (local.match_options.index_cache != nullptr) {
     local.match_options.source_cache_key.fingerprint =

@@ -1,10 +1,9 @@
 // IndexCache: cross-pair memoization of CSR n-gram inverted indexes — the
 // QJoin observation (PAPERS.md) that repeated discovery over one repository
 // keeps rebuilding the same per-column join artifacts. A shortlisted column
-// typically appears in many pairs, and every served query over an epoch
-// re-evaluates columns the previous query already indexed; this cache makes
-// each (column contents, n-gram window) combination pay for exactly one
-// `NgramInvertedIndex::Build`.
+// typically appears in many pairs; this cache makes each (column contents,
+// n-gram window) combination pay for exactly one
+// `NgramInvertedIndex::Build`. Batch runs use it; the daemon does not.
 //
 // Keying and invalidation: entries are keyed by (table content fingerprint,
 // column ordinal, n0, nmax, lowercase). The fingerprint is the catalog's

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/logging.h"
@@ -441,12 +442,14 @@ Status WriteFrame(int fd, std::string_view payload) {
   const auto write_all = [fd](const char* data, size_t n) -> Status {
     size_t off = 0;
     while (off < n) {
-      const ssize_t wrote = ::write(fd, data + off, n - off);
+      // MSG_NOSIGNAL: a peer that already hung up is an EPIPE error for
+      // this connection, not a SIGPIPE that ends the process.
+      const ssize_t wrote = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
       if (wrote < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
           continue;
         }
-        return Status::IOError(std::string("write: ") +
+        return Status::IOError(std::string("send: ") +
                                std::strerror(errno));
       }
       off += static_cast<size_t>(wrote);

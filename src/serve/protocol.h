@@ -105,7 +105,8 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
-/// Writes one frame (length prefix + payload), retrying short writes.
+/// Writes one frame (length prefix + payload) to a socket, retrying short
+/// writes. A closed peer yields IOError, never SIGPIPE.
 Status WriteFrame(int fd, std::string_view payload);
 
 /// Reads one frame. Distinguished statuses:

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <shared_mutex>
 #include <utility>
 
 #include "common/logging.h"
@@ -120,7 +121,7 @@ Status CorpusServer::Start() {
   TJ_CHECK(!started_);  // Start is once-per-instance
 
   {
-    std::lock_guard<std::mutex> gate(compute_mu_);
+    std::lock_guard<ComputeGate> gate(gate_);
     catalog_->ComputeSignatures(pool_);
     pruner_.Rebuild(*catalog_, pool_);
     PublishSnapshot();
@@ -252,12 +253,29 @@ void CorpusServer::AcceptLoop() {
       continue;
     }
     ReapFinishedHandlers();
-    std::lock_guard<std::mutex> lock(handlers_mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
+    bool at_cap = false;
+    {
+      std::lock_guard<std::mutex> lock(handlers_mu_);
+      if (stopping_.load(std::memory_order_relaxed)) {
+        ::close(fd);
+        break;
+      }
+      at_cap = handler_threads_.size() - finished_handlers_.size() >=
+               kMaxConnections;
+      if (!at_cap) {
+        handler_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+      }
     }
-    handler_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    if (at_cap) {
+      // Best effort: the connection closes either way.
+      (void)WriteFrame(fd, ErrorResponse(Status::ResourceExhausted(
+                                             "connection limit reached (" +
+                                             std::to_string(kMaxConnections) +
+                                             " live)"))
+                               .Serialize());
+      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+      ::close(fd);
+    }
   }
 }
 
@@ -358,6 +376,12 @@ Result<CorpusDiscoveryOptions> CorpusServer::RequestOptions(
     }
     options.join.min_join_support = support->AsNumber();
   }
+  // With no pool, EvaluateCandidate builds one of this size per pair; one
+  // thread spawns no workers and runs every phase inline. Indexes are built
+  // per pair: a shared cache grows with every column concurrent queries
+  // touch in an epoch.
+  options.num_threads = 1;
+  options.index_cache = nullptr;
   TJ_RETURN_IF_ERROR(ValidateOptions(options));
   return options;
 }
@@ -372,11 +396,6 @@ JsonValue CorpusServer::HandleJoinable(const JsonValue& request) {
   if (!options.ok()) return ErrorResponse(options.status());
 
   const std::shared_ptr<const CorpusSnapshot> snapshot = current_snapshot();
-  // This epoch's shared per-column indexes; the snapshot (held for the
-  // whole evaluation) keeps the cache alive.
-  if (options_.index_cache_enabled) {
-    options->index_cache = snapshot->index_cache().get();
-  }
   Result<ColumnRef> ref = snapshot->ResolveColumn(column->AsString());
   if (!ref.ok()) return ErrorResponse(ref.status());
 
@@ -385,12 +404,12 @@ JsonValue CorpusServer::HandleJoinable(const JsonValue& request) {
   // EvaluateShortlist over the same snapshot produces for that candidate.
   JsonValue results = JsonValue::Array();
   {
-    std::lock_guard<std::mutex> gate(compute_mu_);
+    std::shared_lock<ComputeGate> gate(gate_);
     for (const ColumnPairCandidate& candidate :
          snapshot->shortlist().shortlist) {
       if (!(candidate.a == *ref) && !(candidate.b == *ref)) continue;
       const CorpusPairResult pair = EvaluateCandidate(
-          *snapshot, candidate, *options, pool_,
+          *snapshot, candidate, *options, /*pool=*/nullptr,
           /*use_orientation_hint=*/true);
       results.Append(PairResultToJson(*snapshot, pair));
     }
@@ -418,9 +437,6 @@ JsonValue CorpusServer::HandleTransformJoin(const JsonValue& request) {
   if (!options.ok()) return ErrorResponse(options.status());
 
   const std::shared_ptr<const CorpusSnapshot> snapshot = current_snapshot();
-  if (options_.index_cache_enabled) {
-    options->index_cache = snapshot->index_cache().get();
-  }
   Result<ColumnRef> source_ref = snapshot->ResolveColumn(source->AsString());
   if (!source_ref.ok()) return ErrorResponse(source_ref.status());
   Result<ColumnRef> target_ref = snapshot->ResolveColumn(target->AsString());
@@ -438,8 +454,8 @@ JsonValue CorpusServer::HandleTransformJoin(const JsonValue& request) {
   candidate.a_is_source = true;
   CorpusPairResult pair;
   {
-    std::lock_guard<std::mutex> gate(compute_mu_);
-    pair = EvaluateCandidate(*snapshot, candidate, *options, pool_,
+    std::shared_lock<ComputeGate> gate(gate_);
+    pair = EvaluateCandidate(*snapshot, candidate, *options, /*pool=*/nullptr,
                              /*use_orientation_hint=*/true);
   }
   queries_served_.fetch_add(1, std::memory_order_relaxed);
@@ -519,15 +535,6 @@ JsonValue CorpusServer::HandleStats() {
   response.Set("lsh_entries",
                JsonValue::Number(
                    static_cast<double>(snapshot->lsh_entries())));
-  // This epoch's index-cache counters: how much per-column index work the
-  // served queries are sharing instead of rebuilding.
-  const IndexCacheStats cache_stats = snapshot->index_cache()->GetStats();
-  response.Set("index_cache_hits",
-               JsonValue::Number(static_cast<double>(cache_stats.hits)));
-  response.Set("index_cache_misses",
-               JsonValue::Number(static_cast<double>(cache_stats.misses)));
-  response.Set("index_cache_bytes",
-               JsonValue::Number(static_cast<double>(cache_stats.bytes)));
   response.Set("queries_served",
                JsonValue::Number(static_cast<double>(
                    queries_served_.load(std::memory_order_relaxed))));
@@ -585,7 +592,7 @@ void CorpusServer::MutationLoop() {
     // bursty directory sync into a single epoch step per quiet period.
     uint64_t epoch = 0;
     {
-      std::lock_guard<std::mutex> gate(compute_mu_);
+      std::lock_guard<ComputeGate> gate(gate_);
       for (const std::shared_ptr<Mutation>& m : batch) {
         m->status = ApplyMutation(m.get());
         if (m->status.ok()) {
@@ -646,8 +653,8 @@ Status CorpusServer::ApplyMutation(Mutation* m) {
 }
 
 void CorpusServer::PublishSnapshot() {
-  std::shared_ptr<const CorpusSnapshot> snapshot = CorpusSnapshot::Build(
-      *catalog_, pruner_, options_.index_cache_budget_bytes);
+  std::shared_ptr<const CorpusSnapshot> snapshot =
+      CorpusSnapshot::Build(*catalog_, pruner_);
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(snapshot);

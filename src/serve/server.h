@@ -14,15 +14,18 @@
 //    applied and answer with the resulting epoch. Admission control bounds
 //    the queue (ResourceExhausted beyond max_pending_mutations).
 //
-//  * Concurrency model. Connection handling, request parsing, stats, and
-//    name resolution run concurrently; all heavy compute — per-pair
-//    evaluation, signature computation, shortlist maintenance, snapshot
-//    builds, and budget eviction — is serialized by one compute gate. That
-//    gate is what makes this safe on the repo's threading primitives: the
-//    shared ThreadPool's ParallelFor is single-job, and budget eviction
-//    must not race readers. I/O threads here do no parallel compute, so
-//    the one-pool-per-run constraint holds: every ParallelFor in the
-//    daemon runs on the caller-provided pool, under the gate.
+//  * Concurrency model. Every connection has its own handler thread (at
+//    most kMaxConnections live; the next one is answered ResourceExhausted
+//    and closed). A joinable / transform-join request holds the compute
+//    gate (compute_gate.h) shared and evaluates its pairs serially on its
+//    handler thread against the snapshot it pinned, so queries run in
+//    parallel with each other. Startup and each mutation batch (catalog
+//    change, signatures, shortlist maintenance, snapshot build, budget
+//    eviction) hold the gate exclusive and are the only users of the
+//    daemon's ThreadPool, whose ParallelFor is single-job. The gate prefers
+//    writers, so a waiting batch is never starved by overlapping queries,
+//    and eviction never unmaps bytes a query is reading. Stats and name
+//    resolution read only the published snapshot and take no gate.
 //
 // Protocol (length-prefixed JSON frames, protocol.h): requests are objects
 // with an "op" field —
@@ -53,6 +56,7 @@
 #include "corpus/catalog.h"
 #include "corpus/corpus_discovery.h"
 #include "corpus/pair_pruner.h"
+#include "serve/compute_gate.h"
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
 #include "serve/watcher.h"
@@ -62,6 +66,10 @@ class ThreadPool;
 }  // namespace tj
 
 namespace tj::serve {
+
+/// Cap on live connections. Each one may run its own evaluation, so this
+/// also bounds concurrent evaluations and handler stacks.
+inline constexpr size_t kMaxConnections = 64;
 
 struct ServeOptions {
   /// Filesystem path of the unix-domain listening socket. A stale socket
@@ -90,24 +98,17 @@ struct ServeOptions {
   /// Per-frame payload cap for this server.
   size_t max_frame_bytes = kMaxFrameBytes;
 
-  /// Byte budget for each snapshot's per-epoch index cache (0 =
-  /// unlimited): served queries against one epoch share per-column
-  /// inverted indexes instead of rebuilding them per query, and a
-  /// mutation's epoch bump swaps in a fresh cache (stale entries die with
-  /// the old snapshot's last reader). Stats report the live snapshot's
-  /// hit/miss/byte counters.
+  /// Unused by the daemon: served queries build their indexes per pair.
+  /// Kept for callers that still size a separate cache from it; to be
+  /// removed with the batch-side index cache.
   size_t index_cache_budget_bytes = kDefaultIndexCacheBudgetBytes;
-
-  /// Escape hatch (and the bench's before/after switch): false serves
-  /// every query with legacy per-pair index rebuilds. The snapshot still
-  /// carries its (idle) cache, so stats keep reporting the counters.
-  bool index_cache_enabled = true;
 
   /// Discovery configuration served queries run with (per-request
   /// "support" overrides only min_join_support). Also carries the pruner
-  /// options the live shortlist is maintained with. Its index_cache handle
-  /// is ignored — the server substitutes the current snapshot's per-epoch
-  /// cache for every query.
+  /// options the live shortlist is maintained with. Queries always run on
+  /// one thread with no index cache, so num_threads and index_cache are
+  /// ignored here; the pool passed to the constructor sizes startup and
+  /// mutation work.
   CorpusDiscoveryOptions discovery;
 
   /// CSV parsing for add/update/watch ingest.
@@ -127,8 +128,9 @@ class CorpusServer {
  public:
   /// The catalog must stay alive (and unmutated by others) for the
   /// server's lifetime; the server becomes its only writer. The pool is
-  /// the run's shared ThreadPool (one-pool constraint); all ParallelFor
-  /// use happens under the compute gate.
+  /// the run's shared ThreadPool (one-pool constraint). Only startup and
+  /// mutation batches use it, under the exclusive side of the compute
+  /// gate; queries never touch it.
   CorpusServer(TableCatalog* catalog, ThreadPool* pool, ServeOptions options);
   ~CorpusServer();
 
@@ -192,16 +194,18 @@ class CorpusServer {
   JsonValue HandleMutation(const JsonValue& request, Mutation::Kind kind);
   JsonValue HandleStats();
 
-  /// Applies one mutation to catalog + pruner. Compute gate must be held.
+  /// Applies one mutation to catalog + pruner. Compute gate must be held
+  /// exclusive.
   Status ApplyMutation(Mutation* m);
   /// Builds + publishes a snapshot at the catalog's current epoch.
-  /// Compute gate must be held.
+  /// Compute gate must be held exclusive.
   void PublishSnapshot();
 
   /// Enqueues and (for waited mutations) blocks until applied.
   Status EnqueueMutation(std::shared_ptr<Mutation> m);
 
-  /// Resolves the per-request discovery options ("support" override).
+  /// Resolves the per-request discovery options ("support" override) and
+  /// pins them to one thread: a query evaluates inline on its handler.
   Result<CorpusDiscoveryOptions> RequestOptions(const JsonValue& request);
 
   TableCatalog* catalog_;
@@ -215,8 +219,9 @@ class CorpusServer {
   /// after startup is never missed. Only WatchLoop touches it afterwards.
   DirWatcher watcher_;
 
-  /// Serializes all heavy compute (see file comment).
-  std::mutex compute_mu_;
+  /// Shared for queries, exclusive for startup and mutation batches (see
+  /// file comment).
+  ComputeGate gate_;
 
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const CorpusSnapshot> snapshot_;
@@ -239,7 +244,7 @@ class CorpusServer {
   std::mutex handlers_mu_;
   std::vector<std::thread> handler_threads_;
   /// Handlers that have returned and await their join (guarded by
-  /// handlers_mu_).
+  /// handlers_mu_). Live connections are handler_threads_ minus these.
   std::vector<std::thread::id> finished_handlers_;
 
   std::atomic<uint64_t> queries_served_{0};

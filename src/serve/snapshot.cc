@@ -8,10 +8,9 @@ namespace tj::serve {
 
 std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Build(
     const TableCatalog& catalog, const IncrementalPairPruner& pruner,
-    size_t index_cache_budget_bytes) {
+    size_t /*unused*/) {
   auto snap = std::shared_ptr<CorpusSnapshot>(new CorpusSnapshot());
   snap->epoch_ = catalog.mutation_epoch();
-  snap->index_cache_ = std::make_shared<IndexCache>(index_cache_budget_bytes);
   snap->slots_.resize(catalog.num_slots());
   snap->fingerprints_.resize(catalog.num_slots(), 0);
   for (uint32_t t = 0; t < catalog.num_slots(); ++t) {
@@ -80,8 +79,9 @@ Result<const Column*> CorpusSnapshot::ResidentColumn(ColumnRef ref) const {
   }
   // The pinned table may have been evicted by the live catalog's budget
   // enforcement since the snapshot was built; re-map before handing out
-  // cell access (no-op while resident). The serving layer runs this under
-  // the same gate as eviction, so the re-map cannot race an Evict.
+  // cell access (no-op while resident). Racing re-maps from concurrent
+  // queries are safe; the server evicts only while it holds its compute
+  // gate exclusive, so a re-map never races an Evict.
   const Column& column = table.column(ref.column);
   TJ_RETURN_IF_ERROR(column.EnsureResident());
   return &column;

@@ -10,9 +10,11 @@
 //
 // Threading: a snapshot is immutable after Build and safe to share across
 // threads by shared_ptr. Cell-byte access (ResidentColumn during query
-// evaluation) may transparently re-map evicted spilled tables; the serving
-// layer serializes evaluation with budget eviction (both run under the
-// server's compute gate), so re-maps never race an Evict.
+// evaluation) may transparently re-map evicted spilled tables. Concurrent
+// queries may race each other's re-maps, which Column::EnsureResident
+// allows; they must never race an Evict, so the server evaluates under the
+// shared side of its compute gate and evicts only under the exclusive
+// side.
 
 #ifndef TJ_SERVE_SNAPSHOT_H_
 #define TJ_SERVE_SNAPSHOT_H_
@@ -26,13 +28,12 @@
 
 #include "corpus/catalog.h"
 #include "corpus/pair_pruner.h"
-#include "index/index_cache.h"
 
 namespace tj::serve {
 
-/// Default byte budget for a snapshot's per-epoch index cache — generous
-/// enough that a served corpus' whole shortlist usually stays warm, small
-/// enough that a daemon cannot grow without bound on a huge epoch.
+/// Default IndexCache byte budget (the CLI's --index-cache-budget
+/// default). Snapshots and the daemon cache no indexes; it stays here for
+/// its existing users until the batch-side index cache goes.
 inline constexpr size_t kDefaultIndexCacheBudgetBytes = 256ull << 20;
 
 class CorpusSnapshot : public CorpusColumnSource {
@@ -40,11 +41,12 @@ class CorpusSnapshot : public CorpusColumnSource {
   /// Captures the catalog's current live tables (with their content
   /// fingerprints), the pruner's current shortlist, and the mutation
   /// epoch. The pruner must be maintained against exactly this catalog
-  /// state (the usual incremental contract). `index_cache_budget_bytes`
-  /// bounds the snapshot's per-epoch index cache (0 = unlimited).
+  /// state (the usual incremental contract). The third parameter is unused
+  /// (snapshots carry no index cache); it stays for existing callers until
+  /// the batch-side index cache goes.
   static std::shared_ptr<const CorpusSnapshot> Build(
       const TableCatalog& catalog, const IncrementalPairPruner& pruner,
-      size_t index_cache_budget_bytes = kDefaultIndexCacheBudgetBytes);
+      size_t /*unused*/ = kDefaultIndexCacheBudgetBytes);
 
   /// The catalog mutation epoch this snapshot reflects.
   uint64_t epoch() const { return epoch_; }
@@ -82,22 +84,12 @@ class CorpusSnapshot : public CorpusColumnSource {
   /// "table.column" display form of a ref.
   std::string SpecOf(ColumnRef ref) const;
 
-  /// The snapshot's per-epoch index cache: every query evaluated against
-  /// this epoch shares one set of per-column inverted indexes (the repeat
-  /// work dominating query latency), and an epoch bump — which builds a
-  /// fresh snapshot, hence a fresh cache — naturally orphans entries for
-  /// mutated tables. Internally synchronized; never null.
-  const std::shared_ptr<IndexCache>& index_cache() const {
-    return index_cache_;
-  }
-
   // CorpusColumnSource — the per-pair engine's read surface.
   Result<const Column*> ResidentColumn(ColumnRef ref) const override;
   const std::string& table_name(uint32_t t) const override;
   const std::string& column_name(ColumnRef ref) const override;
-  /// Fingerprint captured at Build time (0 for dead ids), so per-pair
-  /// evaluation over the snapshot keys the index cache without ever
-  /// touching the moved-on live catalog.
+  /// Fingerprint captured at Build time (0 for dead ids), so a caller can
+  /// key per-column results without touching the moved-on live catalog.
   uint64_t table_fingerprint(uint32_t t) const override {
     return t < fingerprints_.size() ? fingerprints_[t] : 0;
   }
@@ -113,7 +105,6 @@ class CorpusSnapshot : public CorpusColumnSource {
   std::vector<uint64_t> fingerprints_;
   std::unordered_map<std::string, uint32_t> by_name_;
   PairPrunerResult shortlist_;
-  std::shared_ptr<IndexCache> index_cache_;
   size_t num_tables_ = 0;
   size_t num_columns_ = 0;
   size_t resident_bytes_ = 0;

@@ -2,19 +2,23 @@
 //  * served queries are byte-identical to responses rebuilt offline from a
 //    replica catalog (the serving layer's consistency contract),
 //  * concurrent readers racing a mutation observe only whole epochs — every
-//    response matches the expected bytes FOR ITS EPOCH, at several client
-//    thread counts,
+//    response matches the expected bytes FOR ITS EPOCH, at 1, 4 and 16
+//    clients, on a heap catalog and on a spilled one that evicts,
 //  * mutations coalesce, answer with their epoch, and survive bad input,
 //  * graceful shutdown never hangs a waiter or drops an accepted mutation,
 //  * the live-watch loop mirrors directory changes into served state,
-//  * closed connections release their handler threads.
+//  * closed connections release their handler threads, and connections
+//    beyond the cap are refused.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -91,6 +95,11 @@ class ServerTest : public ::testing::Test {
     TJ_RETURN_IF_ERROR(client.Connect(socket_path_));
     return client.CallRaw(json);
   }
+
+  /// Clients hammer one joinable query on ServerCorpus(33), already
+  /// loaded and served, while a table is added and removed mid-stream, at
+  /// 1, 4 and 16 concurrent clients (defined below).
+  void ExpectConcurrentReadersSeeOnlyWholeEpochs(const SynthCorpus& corpus);
 
   /// Writes one corpus table as CSV into the harness dir.
   std::string WriteTableCsv(const Table& table, const std::string& stem) {
@@ -187,10 +196,10 @@ TEST_F(ServerTest, TransformJoinHonorsRequestedOrientation) {
   EXPECT_GT(result->Find("joined_rows")->AsNumber(), 0.0);
 }
 
-TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochs) {
-  const SynthCorpus corpus = ServerCorpus(33);
-  LoadCorpus(corpus);
-  StartServer();
+/// Every observed epoch must have exactly ONE response byte pattern, equal
+/// to the offline heap replica's bytes for that epoch's table set.
+void ServerTest::ExpectConcurrentReadersSeeOnlyWholeEpochs(
+    const SynthCorpus& corpus) {
   const uint64_t epoch_before = server_->current_snapshot()->epoch();
 
   // The table added mid-flight: another joinable partner for table 0's
@@ -210,7 +219,7 @@ TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochs) {
   const std::string query =
       "{\"op\":\"joinable\",\"column\":\"" + spec + "\"}";
 
-  for (const int num_clients : {1, 2, 4}) {
+  for (const int num_clients : {1, 4, 16}) {
     // Responses indexed by the epoch they claim.
     std::mutex mu;
     std::map<uint64_t, std::set<std::string>> by_epoch;
@@ -250,8 +259,6 @@ TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochs) {
     stop.store(true);
     for (std::thread& t : clients) t.join();
 
-    // Every observed epoch must have exactly ONE response byte pattern,
-    // equal to the offline replica's bytes for that epoch's table set.
     ASSERT_FALSE(by_epoch.empty());
     std::vector<Table> with_extra = corpus.tables;
     with_extra.push_back(extra_table);
@@ -269,6 +276,46 @@ TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochs) {
           << "epoch " << epoch << " (" << num_clients << " clients)";
     }
   }
+}
+
+TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochs) {
+  const SynthCorpus corpus = ServerCorpus(33);
+  LoadCorpus(corpus);
+  StartServer();
+  ExpectConcurrentReadersSeeOnlyWholeEpochs(corpus);
+}
+
+TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochsOnSpilledCatalog) {
+  // A quarter of the corpus' cell bytes: every mutation batch evicts cold
+  // tables, and concurrent queries re-map them (racing each other's
+  // re-maps, never an eviction).
+  const SynthCorpus corpus = ServerCorpus(33);
+  size_t cell_bytes = 0;
+  for (const Table& table : corpus.tables) cell_bytes += table.ArenaBytes();
+  StorageOptions storage;
+  storage.spill_dir = dir_ + "/spill";
+  storage.memory_budget_bytes = std::max<size_t>(cell_bytes / 4, 1);
+  ASSERT_TRUE(fs::create_directories(storage.spill_dir));
+  catalog_ = TableCatalog(SignatureOptions(), storage);
+  LoadCorpus(corpus);
+  StartServer();
+  // A mutation batch enforces the budget; with no query in flight nothing
+  // re-maps the evicted tables before the next snapshot records them.
+  // Identical contents keep the corpus equal to the offline replica.
+  const Table& victim = corpus.tables[0];
+  const std::string victim_csv = WriteTableCsv(victim, victim.name());
+  const auto updated =
+      Request("{\"op\":\"update\",\"path\":\"" + victim_csv + "\"}");
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  ASSERT_NE(updated->find("\"ok\":true"), std::string::npos) << *updated;
+  const auto stats_frame = Request("{\"op\":\"stats\"}");
+  ASSERT_TRUE(stats_frame.ok()) << stats_frame.status().ToString();
+  const auto stats = JsonValue::Parse(*stats_frame);
+  ASSERT_TRUE(stats.ok());
+  ASSERT_LT(stats->Find("resident_bytes")->AsNumber(),
+            static_cast<double>(cell_bytes))
+      << "the budget evicted nothing";
+  ExpectConcurrentReadersSeeOnlyWholeEpochs(corpus);
 }
 
 TEST_F(ServerTest, MutationsAdvanceEpochAndAnswerErrors) {
@@ -482,6 +529,55 @@ TEST_F(ServerTest, ClosedConnectionsReleaseTheirHandlerThreads) {
   // the bound leaves room for the allocator's own caches.
   const long vm_growth_mb = (ProcStatusField("VmSize") - vm_kb_before) / 1024;
   EXPECT_LT(vm_growth_mb, 256);
+}
+
+TEST_F(ServerTest, ConnectionsBeyondTheCapAreRefused) {
+  // Each connection may run its own evaluation, so live connections are
+  // capped: the next one reads one ResourceExhausted frame and is closed.
+  const SynthCorpus corpus = ServerCorpus();
+  LoadCorpus(corpus);
+  StartServer();
+
+  std::vector<ServeClient> held(kMaxConnections);
+  for (ServeClient& client : held) {
+    ASSERT_TRUE(client.Connect(socket_path_).ok());
+    const auto stats = client.CallRaw("{\"op\":\"stats\"}");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_NE(stats->find("\"ok\":true"), std::string::npos) << *stats;
+  }
+
+  // Read without sending: the refusal is written before any request.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr = {};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path_.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  const auto refused = ReadFrame(fd, kMaxFrameBytes, /*stop=*/nullptr);
+  ::close(fd);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_NE(refused->find("\"ok\":false"), std::string::npos) << *refused;
+  EXPECT_NE(refused->find("ResourceExhausted"), std::string::npos)
+      << *refused;
+
+  // Once a held connection closes, its handler exits and a new connection
+  // is served (retry: the handler notices the close asynchronously).
+  held.back().Close();
+  std::string served;
+  for (int attempt = 0; attempt < 200 && served.empty(); ++attempt) {
+    const auto stats = Request("{\"op\":\"stats\"}");
+    if (stats.ok() && stats->find("\"ok\":true") != std::string::npos) {
+      served = *stats;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_FALSE(served.empty()) << "no connection served after one closed";
+  const auto stats_json = JsonValue::Parse(served);
+  ASSERT_TRUE(stats_json.ok());
+  EXPECT_GE(stats_json->Find("requests_rejected")->AsNumber(), 1.0);
 }
 
 TEST(ServeOptionsTest, ValidateRejectsBadConfigurations) {
