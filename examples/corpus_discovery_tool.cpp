@@ -38,7 +38,6 @@
 // prints each failing check by name, and exits with the number of failed
 // checks (used as a ctest smoke test).
 
-#include <charconv>
 #include <climits>
 #include <csignal>
 #include <cstdio>
@@ -374,15 +373,6 @@ int SelfTest() {
   return 0;
 }
 
-/// Parses all of `arg` as a decimal number. std::from_chars takes no
-/// leading whitespace or '+', and no sign at all for unsigned types.
-template <typename T>
-bool ParseWhole(const char* arg, T* out) {
-  const char* end = arg + std::strlen(arg);
-  const auto [ptr, ec] = std::from_chars(arg, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
 int InvalidValue(const char* argv0, const char* flag, const char* value) {
   std::fprintf(stderr, "invalid %s value '%s'\n", flag, value);
   return Usage(argv0);
@@ -506,11 +496,17 @@ int main(int argc, char** argv) {
     uint64_t seed = 1;
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--tables") == 0 && i + 1 < argc) {
-        tables = static_cast<size_t>(std::atol(argv[++i]));
+        if (!ParseWhole(argv[++i], &tables)) {
+          return InvalidValue(argv[0], "--tables", argv[i]);
+        }
       } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
-        rows = static_cast<size_t>(std::atol(argv[++i]));
+        if (!ParseWhole(argv[++i], &rows)) {
+          return InvalidValue(argv[0], "--rows", argv[i]);
+        }
       } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-        seed = static_cast<uint64_t>(std::atoll(argv[++i]));
+        if (!ParseWhole(argv[++i], &seed)) {
+          return InvalidValue(argv[0], "--seed", argv[i]);
+        }
       } else {
         return Usage(argv[0]);
       }
@@ -587,7 +583,9 @@ int main(int argc, char** argv) {
         return InvalidValue(argv[0], "--support", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
-      top = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseWhole(argv[++i], &top)) {
+        return InvalidValue(argv[0], "--top", argv[i]);
+      }
     } else if (std::strcmp(argv[i], "--signatures") == 0 && i + 1 < argc) {
       signatures_path = argv[++i];
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {

@@ -88,7 +88,10 @@ int main(int argc, char** argv) {
   bool index_cache_requested = false;
   for (int i = 5; i < argc; ++i) {
     if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
-      support = std::atof(argv[++i]);
+      if (!ParseWhole(argv[++i], &support)) {
+        std::fprintf(stderr, "invalid --support value '%s'\n", argv[i]);
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--precheck") == 0) {
       precheck = true;
     } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
@@ -120,7 +123,10 @@ int main(int argc, char** argv) {
                      argv[i], simd::SimdLevelName(installed));
       }
     } else if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-      sample = static_cast<size_t>(std::atol(argv[++i]));
+      if (!ParseWhole(argv[++i], &sample)) {
+        std::fprintf(stderr, "invalid --sample value '%s'\n", argv[i]);
+        return Usage(argv[0]);
+      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       char* end = nullptr;
       const long parsed = std::strtol(argv[++i], &end, 10);
@@ -256,10 +262,6 @@ int main(int argc, char** argv) {
   IndexCache index_cache(index_cache_budget);
   if (index_cache_requested) {
     options.match_options.index_cache = &index_cache;
-    options.match_options.source_cache_key.fingerprint =
-        TableFingerprint(pair.source);
-    options.match_options.source_cache_key.column =
-        static_cast<uint32_t>(pair.source_join_column);
     options.match_options.target_cache_key.fingerprint =
         TableFingerprint(pair.target);
     options.match_options.target_cache_key.column =

@@ -34,14 +34,19 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
+/// One FNV-1a step: folds `byte` into a running state. From
+/// kFnvOffsetBasis, Mix64 of the state after bytes p[0..n) is
+/// HashBytes(p, n), so a loop can hash every prefix of a window by
+/// extending one state (the row matcher's probe does, per start position).
+inline uint64_t FnvStep(uint64_t state, unsigned char byte) {
+  return (state ^ byte) * kFnvPrime;
+}
+
 /// FNV-1a over raw bytes, finalized with Mix64.
 inline uint64_t HashBytes(const void* data, size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint64_t h = kFnvOffsetBasis;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
+  for (size_t i = 0; i < n; ++i) h = FnvStep(h, p[i]);
   return Mix64(h);
 }
 

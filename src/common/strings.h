@@ -4,8 +4,10 @@
 #ifndef TJ_COMMON_STRINGS_H_
 #define TJ_COMMON_STRINGS_H_
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace tj {
@@ -51,6 +53,18 @@ std::string EscapeForDisplay(std::string_view s);
 /// suffix (case-insensitive, powers of 1024; "64m" = 64 MiB). Returns false
 /// on malformed input or overflow. Used by the --memory-budget CLI flags.
 bool ParseByteSize(std::string_view s, size_t* out);
+
+/// Parses all of `s` as one decimal number of type T (integral or floating
+/// point). std::from_chars takes no leading whitespace or '+', and no sign
+/// at all for unsigned types, so "-1" is rejected instead of wrapping into
+/// a huge count. Returns false on malformed, partial or out-of-range input.
+/// Used by the CLIs' numeric flags.
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 /// True if `needle` occurs in `haystack` (convenience over find()).
 inline bool Contains(std::string_view haystack, std::string_view needle) {

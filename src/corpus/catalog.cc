@@ -351,6 +351,12 @@ const std::string& TableCatalog::table_name(uint32_t t) const {
   return tables_[t].table->name();
 }
 
+size_t TableCatalog::table_num_columns(uint32_t t) const {
+  TJ_CHECK(t < tables_.size());
+  TJ_CHECK(tables_[t].live);
+  return tables_[t].table->num_columns();
+}
+
 Result<uint32_t> TableCatalog::TableIndex(std::string_view name) const {
   const auto it = table_index_.find(name);
   if (it == table_index_.end()) {

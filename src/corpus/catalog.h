@@ -193,6 +193,9 @@ class TableCatalog : public CorpusColumnSource {
   /// Table metadata without touching residency: printing a name must not
   /// fault an evicted table back in. Requires IsLive(t) (TJ_CHECK).
   const std::string& table_name(uint32_t t) const override;
+  /// The table's column count, also without touching residency (the
+  /// pruner sizes a table's probe from it). Requires IsLive(t) (TJ_CHECK).
+  size_t table_num_columns(uint32_t t) const;
   Result<uint32_t> TableIndex(std::string_view name) const;
 
   /// Monotonically increasing mutation counter: bumped by every successful

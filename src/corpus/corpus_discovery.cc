@@ -49,16 +49,14 @@ CorpusPairResult EvaluatePair(const CorpusColumnSource& source,
   result.source = a_is_source ? candidate.a : candidate.b;
   result.target = a_is_source ? candidate.b : candidate.a;
 
-  // Cross-pair memoization: with a cache configured, key both sides by
-  // (table content fingerprint, column ordinal) so this pair's two index
-  // builds are shared with every other pair touching the same columns. A
-  // source that tracks no fingerprints (returns 0) leaves the key
-  // disengaged and the cache bypassed for that side.
+  // Cross-pair memoization: with a cache configured, key the target side
+  // by (table content fingerprint, column ordinal) so this pair's index
+  // build is shared with every other pair targeting the same column (the
+  // matcher indexes no source column). A source that tracks no
+  // fingerprints (returns 0) leaves the key disengaged and the cache
+  // bypassed.
   JoinOptions local = join_options;
   if (local.match_options.index_cache != nullptr) {
-    local.match_options.source_cache_key.fingerprint =
-        source.table_fingerprint(result.source.table);
-    local.match_options.source_cache_key.column = result.source.column;
     local.match_options.target_cache_key.fingerprint =
         source.table_fingerprint(result.target.table);
     local.match_options.target_cache_key.column = result.target.column;
@@ -90,26 +88,25 @@ JoinOptions PairJoinOptions(const CorpusDiscoveryOptions& options,
   return join_options;
 }
 
-/// Builds every distinct shortlisted column's inverted index into the
-/// cache before the pair fan-out starts, in shortlist order (first
-/// appearance wins), fanned out over the pool. Pairs then start from warm
-/// entries instead of racing the same build N ways; single-flight would
-/// make such races safe, but warming keeps the fan-out's workers on
-/// distinct columns. Columns whose source tracks no fingerprint or whose
-/// bytes are unreadable are skipped — the pair evaluation reports those
-/// errors itself.
+/// Builds every distinct shortlisted target-side column's inverted index
+/// into the cache before the pair fan-out starts, in shortlist order (first
+/// appearance wins), fanned out over the pool. The side follows the
+/// orientation hint the fan-out evaluates with; source columns are never
+/// indexed. Pairs then start from warm entries instead of racing the same
+/// build N ways; single-flight would make such races safe, but warming
+/// keeps the fan-out's workers on distinct columns. Columns whose source
+/// tracks no fingerprint or whose bytes are unreadable are skipped — the
+/// pair evaluation reports those errors itself.
 void PrewarmIndexCache(const CorpusColumnSource& source,
                        const PairPrunerResult& pruned,
                        const JoinOptions& join_options, ThreadPool* pool) {
   std::vector<ColumnRef> warm;
   std::unordered_set<uint64_t> seen;
-  warm.reserve(pruned.shortlist.size() * 2);
+  warm.reserve(pruned.shortlist.size());
   for (const ColumnPairCandidate& candidate : pruned.shortlist) {
-    for (const ColumnRef ref : {candidate.a, candidate.b}) {
-      const uint64_t id =
-          (static_cast<uint64_t>(ref.table) << 32) | ref.column;
-      if (seen.insert(id).second) warm.push_back(ref);
-    }
+    const ColumnRef ref = candidate.a_is_source ? candidate.b : candidate.a;
+    const uint64_t id = (static_cast<uint64_t>(ref.table) << 32) | ref.column;
+    if (seen.insert(id).second) warm.push_back(ref);
   }
   pool->ParallelFor(
       warm.size(), warm.size(),

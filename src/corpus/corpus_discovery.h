@@ -49,8 +49,9 @@ struct CorpusDiscoveryOptions {
 
   /// Optional externally-owned cross-pair index cache (index/index_cache.h).
   /// When set, the pair fan-out pre-warms it with every distinct
-  /// shortlisted column's inverted index (in shortlist order) and each pair
-  /// evaluation fetches its two indexes from it instead of rebuilding —
+  /// shortlisted target-side column's inverted index (in shortlist order;
+  /// the row matcher indexes no source column) and each pair evaluation
+  /// fetches its target index from it instead of rebuilding —
   /// byte-identical output either way. The handle is shared into every
   /// per-pair RowMatchOptions; entries key on table content fingerprints,
   /// so catalog mutations between runs self-invalidate and one cache can

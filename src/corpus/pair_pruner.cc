@@ -149,7 +149,7 @@ void IncrementalPairPruner::OnTableAdded(const TableCatalog& catalog,
   TJ_CHECK(table_columns_.find(table_id) == table_columns_.end());
 
   const auto num_new_columns =
-      static_cast<uint32_t>(catalog.table(table_id).num_columns());
+      static_cast<uint32_t>(catalog.table_num_columns(table_id));
 
   // Probe before inserting: the index holds only previously tracked
   // columns, so the new table cannot collide with itself and OnTableUpdated

@@ -12,7 +12,7 @@
 namespace tj {
 namespace {
 
-constexpr uint32_t kNoGram = 0xffffffffu;
+constexpr uint32_t kNoGram = NgramInvertedIndex::kNoGram;
 constexpr uint32_t kNoRow = 0xffffffffu;
 
 size_t SlotCapacityFor(size_t num_grams) {
@@ -232,27 +232,27 @@ NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
   return index;
 }
 
-uint32_t NgramInvertedIndex::FindGram(std::string_view g) const {
-  if (slots_.empty()) return kEmptySlot;
+uint32_t NgramInvertedIndex::GramId(std::string_view g, uint64_t hash) const {
+  if (slots_.empty()) return kNoGram;
   const size_t mask = slots_.size() - 1;
-  size_t i = static_cast<size_t>(HashString(g)) & mask;
+  size_t i = static_cast<size_t>(hash) & mask;
   while (true) {
     const uint32_t id = slots_[i];
-    if (id == kEmptySlot) return kEmptySlot;
+    if (id == kNoGram) return kNoGram;
     if (gram(id) == g) return id;
     i = (i + 1) & mask;
   }
 }
 
 void NgramInvertedIndex::RebuildSlotTable() {
-  FillSlotTable(&slots_, num_grams(), num_grams(), kEmptySlot,
+  FillSlotTable(&slots_, num_grams(), num_grams(), kNoGram,
                 [this](uint32_t id) { return gram(id); });
 }
 
 std::span<const uint32_t> NgramInvertedIndex::Lookup(
     std::string_view g) const {
-  const uint32_t id = FindGram(g);
-  if (id == kEmptySlot) return {};
+  const uint32_t id = GramId(g, HashString(g));
+  if (id == kNoGram) return {};
   return postings(id);
 }
 
@@ -267,12 +267,6 @@ std::span<const uint32_t> NgramInvertedIndex::postings(uint32_t id) const {
   return std::span<const uint32_t>(
       postings_.data() + posting_starts_[id],
       posting_starts_[id + 1] - posting_starts_[id]);
-}
-
-void NgramInvertedIndex::ForEachGram(
-    const std::function<void(std::string_view, std::span<const uint32_t>)>&
-        fn) const {
-  for (uint32_t id = 0; id < num_grams(); ++id) fn(gram(id), postings(id));
 }
 
 size_t NgramInvertedIndex::MemoryBytes() const {

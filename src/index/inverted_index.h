@@ -26,7 +26,6 @@
 #define TJ_INDEX_INVERTED_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -60,10 +59,19 @@ class NgramInvertedIndex {
   static NgramInvertedIndex Build(const Column& column, size_t n0, size_t nmax,
                                   bool lowercase, ThreadPool* pool);
 
+  /// Sentinel GramId returns for an unseen n-gram.
+  static constexpr uint32_t kNoGram = 0xffffffffu;
+
   /// Rows containing the n-gram, ascending and deduplicated; empty span for
   /// unseen n-grams. The span points into the index's posting buffer and is
   /// valid for the index's lifetime (moves included).
   std::span<const uint32_t> Lookup(std::string_view gram) const;
+
+  /// The n-gram's dense id, or kNoGram when unseen. `hash` must equal
+  /// HashString(gram): a caller that extends one FNV-1a state a byte at a
+  /// time across gram sizes passes Mix64(state) instead of rehashing every
+  /// gram from its first byte.
+  uint32_t GramId(std::string_view gram, uint64_t hash) const;
 
   /// Number of distinct rows containing the n-gram (the denominator of the
   /// paper's IRF, Eq. 1).
@@ -84,20 +92,10 @@ class NgramInvertedIndex {
   /// The id-th gram's posting list (ascending, deduplicated).
   std::span<const uint32_t> postings(uint32_t id) const;
 
-  /// Visits every (gram, posting list) pair in gram-id order — i.e. global
-  /// first-seen order, deterministic across thread counts.
-  void ForEachGram(
-      const std::function<void(std::string_view, std::span<const uint32_t>)>&
-          fn) const;
-
   /// Heap bytes held by the four flat buffers and the slot table.
   size_t MemoryBytes() const;
 
  private:
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
-
-  /// Probes the slot table; returns the gram id or kEmptySlot.
-  uint32_t FindGram(std::string_view gram) const;
   /// Builds the slot table from the final gram set (capacity = power of two
   /// >= num_grams / 0.7).
   void RebuildSlotTable();

@@ -2,51 +2,57 @@
 
 #include <algorithm>
 #include <optional>
-#include <span>
 #include <string_view>
-#include <unordered_map>
 
-#include "common/strings.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
-#include "text/ngram.h"
 
 namespace tj {
 namespace {
 
-using RscoreMap =
-    std::unordered_map<std::string_view, double, StringHash, StringEq>;
+/// One probe hit: a source gram of `size` bytes that the target index holds
+/// under id `gram`.
+struct Hit {
+  uint32_t gram;
+  uint32_t size;
+};
 
-/// Appends the raw candidate occurrence sequence of one source row, in the
-/// exact order the serial Algorithm 1 scan visits it: for each n-gram size
-/// ascending, the representative gram's target posting list. Occurrences are
-/// NOT deduplicated here — duplicates (the same target reached through
-/// several n-gram sizes) must survive so the max_pairs budget check fires at
-/// the same raw occurrence it would in a fused serial scan.
-///
-/// `source` is already in query case (the caller indexes and scans the same
-/// lowered column), so the row view is read straight from the arena — the
-/// scan allocates nothing per row.
-void CollectRowOccurrences(const Column& source, uint32_t row,
-                           const NgramInvertedIndex& target_index,
-                           const RscoreMap& rscore,
-                           const RowMatchOptions& options,
-                           std::vector<uint32_t>* occurrences) {
-  const std::string_view text = source.Get(row);
-  for (size_t n = options.n0; n <= options.nmax && n <= text.size(); ++n) {
-    // Representative n-gram of this size: argmax Rscore with a positive
-    // target-side IRF. First occurrence wins ties (deterministic).
-    std::string_view rep;
-    double best = 0.0;
-    ForEachNgram(text, n, [&](std::string_view gram) {
-      const auto it = rscore.find(gram);
-      if (it != rscore.end() && it->second > best) {
-        best = it->second;
-        rep = gram;
+/// Pass-1 output of one contiguous row range: every row's hits, row after
+/// row, with `row_ends[k]` the end offset of the range's k-th row.
+struct ChunkHits {
+  std::vector<Hit> hits;
+  std::vector<size_t> row_ends;
+};
+
+/// Probes the target index with every gram of sizes [n0, nmax] of rows
+/// [begin, end) of `source` (already in query case), recording the hits in
+/// (start position, size) order. Each start position extends one FNV-1a
+/// state a byte at a time, so Mix64(state) is HashString of the current
+/// gram without rehashing it. Every prefix of an indexed gram that is at
+/// least n0 long is indexed too (it occurs in the same target row), so the
+/// first miss ends a start position's run: no longer gram from there can
+/// hit. Grams the target lacks have Rscore 0 and never become
+/// representatives, so nothing else is recorded.
+void ProbeRows(const Column& source, size_t begin, size_t end,
+               const NgramInvertedIndex& target_index, size_t n0, size_t nmax,
+               ChunkHits* out) {
+  out->row_ends.reserve(end - begin);
+  for (size_t row = begin; row < end; ++row) {
+    const std::string_view text = source.Get(row);
+    const auto* bytes = reinterpret_cast<const unsigned char*>(text.data());
+    for (size_t i = 0; i + n0 <= text.size(); ++i) {
+      const size_t longest = std::min(nmax, text.size() - i);
+      uint64_t state = kFnvOffsetBasis;
+      for (size_t n = 1; n <= longest; ++n) {
+        state = FnvStep(state, bytes[i + n - 1]);
+        if (n < n0) continue;
+        const uint32_t gram =
+            target_index.GramId(text.substr(i, n), Mix64(state));
+        if (gram == NgramInvertedIndex::kNoGram) break;
+        out->hits.push_back(Hit{gram, static_cast<uint32_t>(n)});
       }
-    });
-    if (rep.empty()) continue;
-    const std::span<const uint32_t> targets = target_index.Lookup(rep);
-    occurrences->insert(occurrences->end(), targets.begin(), targets.end());
+    }
+    out->row_ends.push_back(out->hits.size());
   }
 }
 
@@ -104,14 +110,15 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
                                  const RowMatchOptions& options) {
   RowMatchResult result;
 
-  // Lowercase at the column grain instead of per row: both index builds and
-  // the row scan then read lowered views with zero per-row allocation
-  // (indexing the lowered column with lowercase off is byte-identical to
-  // lowering each row during the build). FROZEN columns — catalog entries,
-  // loaded CSVs, datagen output — cache the lowered shadow on the column
-  // (built once *ever* for columns matched repeatedly, e.g. across a corpus
-  // run's pairs); unfrozen columns get a transient copy scoped to this
-  // call, so a one-shot match does not retain a second arena.
+  // Lowercase at the column grain instead of per row: the target index
+  // build and the source probe then read lowered views with zero per-row
+  // allocation (indexing the lowered column with lowercase off is
+  // byte-identical to lowering each row during the build). FROZEN columns —
+  // catalog entries, loaded CSVs, datagen output — cache the lowered shadow
+  // on the column (built once *ever* for columns matched repeatedly, e.g.
+  // across a corpus run's pairs); unfrozen columns get a transient copy
+  // scoped to this call, so a one-shot match does not retain a second
+  // arena.
   std::optional<Column> lowered_source;
   std::optional<Column> lowered_target;
   const Column* scan_source = &source;
@@ -131,10 +138,10 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
     }
   }
 
-  // One pool serves both index builds and the row scan (previously each
-  // index build spun up its own). Serial when a shared pool was not given
-  // and num_threads resolves to 1, or when this call itself runs inside a
-  // ParallelFor chunk (corpus pair-level fan-out).
+  // One pool serves the target index build and the source probe. Serial
+  // when a shared pool was not given and num_threads resolves to 1, or when
+  // this call itself runs inside a ParallelFor chunk (corpus pair-level
+  // fan-out).
   const int threads = options.pool != nullptr
                           ? options.pool->size()
                           : ResolveNumThreads(options.num_threads);
@@ -150,99 +157,122 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
     pool = &pool_ref->get();
   }
 
-  // Cross-pair memoization: with an engaged key the index comes from (or
-  // lands in) options.index_cache — shared across every pair and served
-  // query touching this column. Cached or not, both sides hold a
-  // shared_ptr for the scope, so an eviction mid-scan cannot free them.
-  const std::shared_ptr<const NgramInvertedIndex> source_index_ptr =
-      AcquireScanIndex(*scan_source, options, options.source_cache_key, pool);
+  // Cross-pair memoization: with an engaged key the target index comes
+  // from (or lands in) options.index_cache — shared across every pair and
+  // served query touching this column. Cached or not, the scope holds a
+  // shared_ptr, so an eviction mid-scan cannot free it. The source side
+  // needs no index: Algorithm 1 only ranks grams the target holds.
   const std::shared_ptr<const NgramInvertedIndex> target_index_ptr =
       AcquireScanIndex(*scan_target, options, options.target_cache_key, pool);
-  const NgramInvertedIndex& source_index = *source_index_ptr;
   const NgramInvertedIndex& target_index = *target_index_ptr;
 
-  // Precomputed Rscore per distinct source-side gram: one target-index probe
-  // per distinct gram, instead of two index probes per gram occurrence in
-  // the per-row scans below. Every gram of every source row is in the
-  // source index by construction, and grams with a zero target-side IRF
-  // score 0 (they can never become representatives), so only positive
-  // scores are stored and a lookup miss below means score 0. Keys are views
-  // into source_index's own gram strings (stable for this scope), and the
-  // score is the same IRF product Rscore() computes — not an algebraically
-  // equivalent division, which could differ in the last ulp and flip the
-  // first-occurrence tie-break.
-  RscoreMap rscore;
-  rscore.reserve(source_index.num_grams());
-  source_index.ForEachGram(
-      [&](std::string_view gram, std::span<const uint32_t> rows) {
-        const double target_irf = InverseRowFrequency(target_index, gram);
-        if (target_irf == 0.0) return;
-        rscore.emplace(gram, (1.0 / static_cast<double>(rows.size())) *
-                                 target_irf);
-      });
-
-  // Row scan. The expensive part — finding each row's representative grams —
-  // is embarrassingly parallel; the cheap budget/dedup bookkeeping below is
-  // a serial merge in row order, so the emitted pair list (including where
-  // a max_pairs budget cuts it off) is identical to the serial scan. The
-  // parallel path computes every row's occurrences even when a budget stops
-  // the merge early; callers that cap aggressively on huge inputs should
-  // prefer one thread for the scan.
-  std::vector<std::vector<uint32_t>> per_row;
-  if (parallel) {
-    per_row.resize(source.size());
-    pool->ParallelFor(source.size(),
-                      static_cast<size_t>(pool->size()) * 4,
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+  // Pass 1: probe every source gram against the target index. The probe is
+  // embarrassingly parallel over rows; each chunk of rows fills its own
+  // flat buffer, read back below in chunk (= row) order. df_s is a
+  // whole-column statistic, so every row is probed even when a max_pairs
+  // budget stops the merge early.
+  const bool parallel_probe = parallel && source.size() >= 2;
+  const size_t num_chunks =
+      parallel_probe
+          ? std::min(source.size(), static_cast<size_t>(pool->size()) * 4)
+          : 1;
+  std::vector<ChunkHits> chunks(num_chunks);
+  if (parallel_probe) {
+    pool->ParallelFor(source.size(), num_chunks,
+                      [&](int /*worker*/, size_t chunk, size_t begin,
                           size_t end) {
-                        for (size_t row = begin; row < end; ++row) {
-                          CollectRowOccurrences(
-                              *scan_source, static_cast<uint32_t>(row),
-                              target_index, rscore, options, &per_row[row]);
-                        }
+                        ProbeRows(*scan_source, begin, end, target_index,
+                                  options.n0, options.nmax, &chunks[chunk]);
                       });
+  } else {
+    ProbeRows(*scan_source, 0, source.size(), target_index, options.n0,
+              options.nmax, &chunks[0]);
   }
 
-  // Merge in row order, replaying the serial scan's emission semantics:
-  // budget check before every raw occurrence (duplicates included), per-row
-  // dedup (cross-row duplicates are impossible — the source row is part of
-  // the pair), rows never scanned after exhaustion are not counted as
-  // unmatched.
-  std::vector<uint32_t> occurrences;
-  // Per-row dedup through a row-stamped flat table instead of a hashed
-  // set: one uint32 slot per target row, "cleared" by the advancing stamp,
-  // so the merge's inner loop does no hashing, no allocation, and no
-  // per-row clear. Stamps are row+1 so row 0 differs from the
-  // zero-initialized slots. Emission order (and where a max_pairs budget
-  // cuts it) is unchanged.
+  // Source row frequency df_s of every hit gram: the number of distinct
+  // source rows holding it, counted through a row-stamped table (stamps
+  // are row+1 so row 0 differs from the zero-initialized slots). Grams
+  // without hits keep df_s 0 and are never read.
+  std::vector<uint32_t> df_stamp(target_index.num_grams(), 0);
+  std::vector<uint32_t> source_df(target_index.num_grams(), 0);
+  size_t longest_hit = 0;
+  {
+    uint32_t row = 0;
+    for (const ChunkHits& chunk : chunks) {
+      size_t hit = 0;
+      for (const size_t row_end : chunk.row_ends) {
+        const uint32_t stamp = ++row;
+        for (; hit < row_end; ++hit) {
+          const Hit& h = chunk.hits[hit];
+          longest_hit = std::max<size_t>(longest_hit, h.size);
+          if (df_stamp[h.gram] != stamp) {
+            df_stamp[h.gram] = stamp;
+            ++source_df[h.gram];
+          }
+        }
+      }
+    }
+  }
+
+  // Pass 2, merged in row order: per row and size, the representative is
+  // the first hit (in position order) with the largest Rscore — strict `>`
+  // on the same IRF product Rscore() computes (not an algebraically equal
+  // single division, which can differ in the last ulp and flip a tie), so
+  // ties break exactly as the paper's left-to-right scan does. Its target
+  // postings, sizes ascending, are the row's raw occurrences. Replaying
+  // the serial scan's emission: a budget check before every raw occurrence
+  // (duplicates included), per-row dedup (cross-row duplicates are
+  // impossible — the source row is part of the pair), rows never reached
+  // after exhaustion not counted as unmatched. The per-row dedup is a
+  // row-stamped table over target rows, so the loop does no hashing and no
+  // per-row clear. Slots span only the sizes that hit, so an unvalidated
+  // nmax far past every row allocates nothing extra.
+  const size_t num_sizes =
+      longest_hit == 0 ? 0 : longest_hit - options.n0 + 1;
+  std::vector<double> best_score(num_sizes);
+  std::vector<uint32_t> best_gram(num_sizes);
   std::vector<uint32_t> seen_stamp(scan_target->size(), 0);
   bool budget_exhausted = false;
-  for (uint32_t row = 0; row < source.size() && !budget_exhausted; ++row) {
-    const std::vector<uint32_t>* row_occurrences;
-    if (parallel) {
-      row_occurrences = &per_row[row];
-    } else {
-      occurrences.clear();
-      CollectRowOccurrences(*scan_source, row, target_index, rscore, options,
-                            &occurrences);
-      row_occurrences = &occurrences;
-    }
-    bool any = false;
-    const uint32_t stamp = row + 1;
-    for (uint32_t target_row : *row_occurrences) {
-      if (options.max_pairs != 0 &&
-          result.pairs.size() >= options.max_pairs) {
-        budget_exhausted = true;
-        break;
+  uint32_t row = 0;
+  for (const ChunkHits& chunk : chunks) {
+    size_t hit = 0;
+    for (const size_t row_end : chunk.row_ends) {
+      std::fill(best_score.begin(), best_score.end(), 0.0);
+      std::fill(best_gram.begin(), best_gram.end(),
+                NgramInvertedIndex::kNoGram);
+      for (; hit < row_end; ++hit) {
+        const Hit& h = chunk.hits[hit];
+        const double score =
+            (1.0 / static_cast<double>(source_df[h.gram])) *
+            (1.0 / static_cast<double>(target_index.postings(h.gram).size()));
+        const size_t slot = h.size - options.n0;
+        if (score > best_score[slot]) {
+          best_score[slot] = score;
+          best_gram[slot] = h.gram;
+        }
       }
-      if (seen_stamp[target_row] != stamp) {
-        seen_stamp[target_row] = stamp;
-        result.pairs.push_back(RowPair{row, target_row});
-        any = true;
+      bool any = false;
+      const uint32_t stamp = row + 1;
+      for (const uint32_t rep : best_gram) {
+        if (rep == NgramInvertedIndex::kNoGram) continue;
+        for (const uint32_t target_row : target_index.postings(rep)) {
+          if (options.max_pairs != 0 &&
+              result.pairs.size() >= options.max_pairs) {
+            budget_exhausted = true;
+            break;
+          }
+          if (seen_stamp[target_row] != stamp) {
+            seen_stamp[target_row] = stamp;
+            result.pairs.push_back(RowPair{row, target_row});
+            any = true;
+          }
+        }
+        if (budget_exhausted) break;
       }
+      if (budget_exhausted) return result;
+      if (!any) ++result.unmatched_source_rows;
+      ++row;
     }
-    if (budget_exhausted) break;
-    if (!any) ++result.unmatched_source_rows;
   }
   return result;
 }
@@ -264,11 +294,9 @@ Status ValidateOptions(const RowMatchOptions& options) {
     // and would make the per-row representative scan quadratic in it.
     return Status::InvalidArgument("RowMatchOptions::nmax must be <= 256");
   }
-  if (options.index_cache == nullptr &&
-      (options.source_cache_key.engaged() ||
-       options.target_cache_key.engaged())) {
+  if (options.index_cache == nullptr && options.target_cache_key.engaged()) {
     return Status::InvalidArgument(
-        "RowMatchOptions carries engaged index-cache keys but no "
+        "RowMatchOptions carries an engaged index-cache key but no "
         "index_cache");
   }
   return Status::OK();

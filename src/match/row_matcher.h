@@ -34,27 +34,29 @@ struct RowMatchOptions {
   /// budget is exhausted the scan stops entirely; rows never scanned are not
   /// counted as unmatched.
   size_t max_pairs = 0;
-  /// Worker threads for building the two n-gram inverted indexes and for
-  /// the representative-gram row scan (0 = hardware concurrency, 1 =
+  /// Worker threads for building the target column's n-gram inverted index
+  /// and for probing it with the source rows (0 = hardware concurrency, 1 =
   /// serial). Index content and the emitted pairs — including the
   /// max_pairs-capped emission order — are identical across thread counts.
   int num_threads = 1;
 
-  /// Optional externally-owned pool shared by the index builds and the row
-  /// scan (and across pairs at corpus scale). Overrides num_threads when
-  /// set; a call already running inside a chunk of this pool falls back to
-  /// the serial scan with identical results.
+  /// Optional externally-owned pool shared by the index build and the probe
+  /// (and across pairs at corpus scale). Overrides num_threads when set; a
+  /// call already running inside a chunk of this pool falls back to the
+  /// serial probe with identical results.
   ThreadPool* pool = nullptr;
 
   /// Optional externally-owned cross-pair index cache (index/index_cache.h).
-  /// When set and a side's key below is engaged (nonzero table
-  /// fingerprint), that side's inverted index is fetched from / installed
-  /// into the cache instead of rebuilt per call — byte-identical either
-  /// way, since Build output is bit-identical at every thread count. The
-  /// keys' n0/nmax/lowercase fields are overwritten from this struct, so
-  /// callers only fill fingerprint + column ordinal. Engaged keys with a
-  /// null cache are an InvalidArgument (ValidateOptions).
+  /// When set and target_cache_key is engaged (nonzero table fingerprint),
+  /// the target column's inverted index is fetched from / installed into
+  /// the cache instead of rebuilt per call — byte-identical either way,
+  /// since Build output is bit-identical at every thread count. The key's
+  /// n0/nmax/lowercase fields are overwritten from this struct, so callers
+  /// only fill fingerprint + column ordinal. An engaged target key with a
+  /// null cache is an InvalidArgument (ValidateOptions).
   IndexCache* index_cache = nullptr;
+  /// Ignored: FindJoinablePairs builds no source index. Kept only while
+  /// callers outside the library still fill it.
   IndexCacheKey source_cache_key;
   IndexCacheKey target_cache_key;
 };
@@ -75,8 +77,11 @@ struct RowMatchResult {
   size_t unmatched_source_rows = 0;
 };
 
-/// Algorithm 1. Both columns are indexed over [n0, nmax]; `source` should be
-/// the more descriptive column (see PickSourceColumn).
+/// Algorithm 1. Only the target column is indexed over [n0, nmax]; every
+/// source gram is probed against that index, and the source row frequency
+/// of Eq. 1 is counted for the grams that hit (a gram the target lacks
+/// scores 0 and is never a representative). `source` should be the more
+/// descriptive column (see PickSourceColumn).
 RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
                                  const RowMatchOptions& options);
 

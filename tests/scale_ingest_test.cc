@@ -112,6 +112,10 @@ TEST_F(ScaleIngestTest, BudgetedLshIngestStaysSublinear) {
   IncrementalPairPruner pruner(options);
   pruner.Rebuild(catalog, &pool);
 
+  // The pruner reads only signatures and column counts: rebuilding it must
+  // not map the evicted corpus back in.
+  EXPECT_LE(catalog.ResidentCellBytes(), storage.memory_budget_bytes);
+
   // An exhaustive build scores every cross-table pair once: N*(N-1)/2 with
   // one column per table. The probe path must do a small fraction of that
   // — the corpus is mostly non-colliding noise.
