@@ -9,8 +9,15 @@
 // apply_s is the default prefix-trie walk; paper_apply_s re-runs coverage
 // with the paper's row-major scan on the same rows and store. The bench
 // exits nonzero if the two coverage indexes differ.
+//
+// With --json PATH it also writes one record per row count: rows,
+// transformations, apply_s, paper_apply_s, and each path's unit_evals (memo
+// misses: the walk's falls below the scan's as the root dispatch skips
+// children whose head byte cannot start the target).
 
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "benchlib/report.h"
@@ -22,13 +29,24 @@
 namespace tj {
 namespace {
 
-int Run() {
+/// One row count's coverage record for --json.
+struct CoveragePoint {
+  size_t rows;
+  size_t transformations;
+  double apply_s;
+  double paper_apply_s;
+  uint64_t unit_evals;
+  uint64_t paper_unit_evals;
+};
+
+int Run(const std::string& json_path) {
   std::printf("== Figure 4a: Runtime breakdown vs number of rows ==\n\n");
   const SuiteOptions suite_options = SuiteOptionsFromEnv();
   SeriesPrinter series("rows", {"apply_s", "paper_apply_s", "dedup_s",
                                 "placeholder_s", "unit_extraction_s",
                                 "total_s"});
   int mismatches = 0;
+  std::vector<CoveragePoint> points;
   const size_t row_counts[] = {100, 250, 500, 1000, 2000};
   for (size_t rows : row_counts) {
     const auto scaled =
@@ -63,13 +81,56 @@ int Run() {
                      result.stats.time_placeholder_gen,
                      result.stats.time_unit_extraction,
                      result.stats.time_total});
+    points.push_back({scaled, result.store.size(), result.stats.time_apply,
+                      paper_stats.time_apply, result.stats.unit_evals,
+                      paper_stats.unit_evals});
   }
   series.Print();
   std::printf("\n");
+
+  if (!json_path.empty()) {
+    std::FILE* f = std::fopen(json_path.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
+    std::fprintf(f,
+                 "{\n"
+                 "  \"benchmark\": \"bench_fig4a\",\n"
+                 "  \"scale\": %.3f,\n"
+                 "  \"coverage_identical\": %s,\n"
+                 "  \"points\": [",
+                 suite_options.scale, mismatches == 0 ? "true" : "false");
+    for (size_t i = 0; i < points.size(); ++i) {
+      const CoveragePoint& p = points[i];
+      std::fprintf(f,
+                   "%s\n    {\"rows\": %zu, \"transformations\": %zu, "
+                   "\"apply_s\": %.6f, \"paper_apply_s\": %.6f, "
+                   "\"unit_evals\": %llu, \"paper_unit_evals\": %llu}",
+                   i == 0 ? "" : ",", p.rows, p.transformations, p.apply_s,
+                   p.paper_apply_s,
+                   static_cast<unsigned long long>(p.unit_evals),
+                   static_cast<unsigned long long>(p.paper_unit_evals));
+    }
+    std::fprintf(f, "\n  ]\n}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return mismatches == 0 ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace tj
 
-int main() { return tj::Run(); }
+int main(int argc, char** argv) {
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
+      return 2;
+    }
+  }
+  return tj::Run(json_path);
+}

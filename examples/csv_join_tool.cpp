@@ -235,7 +235,9 @@ int main(int argc, char** argv) {
   pair.target_join_column = left_is_source ? *right_idx : *left_idx;
 
   // Optional golden matching: left-row,right-row index pairs, remapped to
-  // the source/target orientation chosen above.
+  // the source/target orientation chosen above. A cell that is not a row
+  // index of its table rejects the file: scoring it as some other pair
+  // would report a wrong P/R/F1 without a word.
   if (!golden_path.empty()) {
     auto golden = ReadCsvFile(golden_path);
     if (!golden.ok() || golden->num_columns() < 2) {
@@ -243,13 +245,26 @@ int main(int argc, char** argv) {
                    golden_path.c_str());
       return 1;
     }
+    const char* const side_name[2] = {"left", "right"};
+    const std::string* const side_path[2] = {&left_path, &right_path};
+    const size_t side_rows[2] = {left->num_rows(), right->num_rows()};
     for (size_t r = 0; r < golden->num_rows(); ++r) {
-      const auto left_row = static_cast<uint32_t>(
-          std::atol(std::string(golden->column(0).Get(r)).c_str()));
-      const auto right_row = static_cast<uint32_t>(
-          std::atol(std::string(golden->column(1).Get(r)).c_str()));
-      pair.golden.Add(left_is_source ? RowPair{left_row, right_row}
-                                     : RowPair{right_row, left_row});
+      uint32_t row[2];
+      for (int side = 0; side < 2; ++side) {
+        const std::string cell(golden->column(side).Get(r));
+        if (!ParseWhole(cell, &row[side]) || row[side] >= side_rows[side]) {
+          // Records count from 1 after the header line.
+          std::fprintf(stderr,
+                       "error in golden pairs %s, record %zu: %s row '%s' "
+                       "is not a row index of %s (%zu rows)\n",
+                       golden_path.c_str(), r + 1, side_name[side],
+                       cell.c_str(), side_path[side]->c_str(),
+                       side_rows[side]);
+          return 1;
+        }
+      }
+      pair.golden.Add(left_is_source ? RowPair{row[0], row[1]}
+                                     : RowPair{row[1], row[0]});
     }
   }
 

@@ -1,11 +1,13 @@
 #include "core/coverage.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -21,7 +23,10 @@ namespace {
 ///
 /// The memo is allocated once per worker and invalidated per row with an
 /// epoch counter — resetting multi-megabyte state vectors per row would
-/// otherwise dominate the runtime on large inputs.
+/// otherwise dominate the runtime on large inputs. The same epoch
+/// invalidates the row's split table: the positions of each delimiter in
+/// the source, found on the delimiter's first use, which Split and
+/// SplitSubstr then index instead of rescanning the source.
 class RowUnitCache {
  public:
   /// With `use_memo` false (the paper's no-cache ablation) every evaluation
@@ -42,8 +47,12 @@ class RowUnitCache {
     kBad = 2,  // unit fails or its output is not in the target
   };
 
-  /// Starts a new row: logically clears every memo entry in O(1).
-  void BeginRow() { ++current_epoch_; }
+  /// Starts a new row: logically clears every memo entry and the split
+  /// table in O(1).
+  void BeginRow() {
+    ++current_epoch_;
+    split_bounds_.clear();
+  }
 
   State state(UnitId id) const {
     if (!use_memo_) return kUnknown;
@@ -54,12 +63,16 @@ class RowUnitCache {
 
   /// Evaluates (or recalls) unit `id` on this row. Returns kOk/kBad and, for
   /// kOk, sets *out to the unit's output. `unit_evals` counts memo misses.
+  /// With kPieces (the walk) Split and SplitSubstr read their piece from the
+  /// split table; without it (the scan) every unit runs Unit::Eval, so the
+  /// scan stays an oracle independent of the table.
+  template <bool kPieces>
   State Evaluate(const UnitInterner& interner, UnitId id,
                  std::string_view source, std::string_view target,
                  uint64_t* unit_evals, std::string_view* out) {
     if (!use_memo_) {
       ++*unit_evals;
-      const auto produced = interner.Get(id).Eval(source);
+      const auto produced = Apply<kPieces>(interner.Get(id), source);
       if (!produced.has_value() ||
           (!produced->empty() &&
            target.find(*produced) == std::string_view::npos)) {
@@ -70,7 +83,7 @@ class RowUnitCache {
     }
     if ((packed_[id] >> 2) != current_epoch_) {
       ++*unit_evals;
-      const auto produced = interner.Get(id).Eval(source);
+      const auto produced = Apply<kPieces>(interner.Get(id), source);
       if (!produced.has_value() ||
           (!produced->empty() &&
            target.find(*produced) == std::string_view::npos)) {
@@ -85,7 +98,49 @@ class RowUnitCache {
     return state;
   }
 
+  /// Piece `index` of this row's `source` split on `delim`, empty pieces
+  /// kept (NthSplitPiece's result), or nullopt when there is no such piece.
+  std::optional<std::string_view> Piece(std::string_view source, char delim,
+                                        int32_t index) {
+    if (index < 0) return std::nullopt;
+    const auto c = static_cast<unsigned char>(delim);
+    if (split_epoch_[c] != current_epoch_) {
+      // Entry k is where piece k starts; one final entry |source| + 1
+      // closes the last piece, so piece k is [b[k], b[k + 1] - 1).
+      split_epoch_[c] = current_epoch_;
+      split_first_[c] = static_cast<uint32_t>(split_bounds_.size());
+      split_bounds_.push_back(0);
+      for (size_t j = 0; j < source.size(); ++j) {
+        if (source[j] == delim) {
+          split_bounds_.push_back(static_cast<uint32_t>(j + 1));
+        }
+      }
+      split_bounds_.push_back(static_cast<uint32_t>(source.size() + 1));
+      split_pieces_[c] = static_cast<uint32_t>(split_bounds_.size()) -
+                         split_first_[c] - 1;
+    }
+    if (static_cast<uint32_t>(index) >= split_pieces_[c]) return std::nullopt;
+    const uint32_t* b = split_bounds_.data() + split_first_[c] + index;
+    return source.substr(b[0], b[1] - 1 - b[0]);
+  }
+
  private:
+  template <bool kPieces>
+  std::optional<std::string_view> Apply(const Unit& unit,
+                                        std::string_view source) {
+    if constexpr (kPieces) {
+      if (unit.kind == UnitKind::kSplit) {
+        return Piece(source, unit.c1, unit.index);
+      }
+      if (unit.kind == UnitKind::kSplitSubstr) {
+        const auto piece = Piece(source, unit.c1, unit.index);
+        if (!piece.has_value()) return std::nullopt;
+        return SliceOrFail(*piece, unit.start, unit.end);
+      }
+    }
+    return unit.Eval(source);
+  }
+
   const bool use_memo_;
   // 30-bit row epoch: a cache instance lives for one coverage pass over at
   // most a few thousand rows, nowhere near the billion BeginRow calls a
@@ -93,6 +148,13 @@ class RowUnitCache {
   uint32_t current_epoch_ = 0;
   std::vector<uint32_t> packed_;
   std::vector<std::string_view> output_;
+  // Split table, per delimiter byte: the epoch it was built in, its first
+  // entry in split_bounds_ and its piece count. Positions are 32-bit: a
+  // cell is far below 4 GiB.
+  std::array<uint32_t, 256> split_epoch_{};
+  std::array<uint32_t, 256> split_first_{};
+  std::array<uint32_t, 256> split_pieces_{};
+  std::vector<uint32_t> split_bounds_;
 };
 
 using CoveringPair = std::pair<uint32_t, uint32_t>;  // (transformation, row)
@@ -151,9 +213,9 @@ void EvaluateRowRange(const TransformationStore& store,
       bool covers = true;
       for (size_t i = 0; i < t_size; ++i) {
         std::string_view out;
-        if (cache->Evaluate(interner, t_units[i], src, tgt,
-                            &stats->unit_evals,
-                            &out) == RowUnitCache::kBad ||
+        if (cache->Evaluate<false>(interner, t_units[i], src, tgt,
+                                   &stats->unit_evals,
+                                   &out) == RowUnitCache::kBad ||
             !MatchesAt(tgt, offset, out)) {
           covers = false;
           break;
@@ -173,18 +235,82 @@ void EvaluateRowRange(const TransformationStore& store,
 // Default path: one walk per row over a prefix trie of the unit sequences.
 // ---------------------------------------------------------------------------
 
+/// What fixes a root child's first output byte at offset 0, where the
+/// child survives only if that byte is target[0]. A probed unit never
+/// outputs an empty string when it applies, and its first byte is:
+///   kLiteral      the literal's first byte;
+///   kSubstr       source[start], for Substr(start, end);
+///   kSplitSubstr  piece_index[start] on `delim`, for SplitSubstr.
+/// Everything else is kAlways, visited on every row: its output can be
+/// empty or its head is not known cheaply (Split, TwoCharSplitSubstr, empty
+/// literals, start == end), or it fails on every row (a negative field,
+/// end < start).
+struct HeadProbe {
+  enum Kind : uint8_t { kAlways, kLiteral, kSubstr, kSplitSubstr };
+  Kind kind = kAlways;
+  uint8_t byte = 0;  // kLiteral
+  char delim = 0;    // kSplitSubstr
+  int32_t index = 0;  // kSplitSubstr
+  int32_t start = 0;  // kSubstr, kSplitSubstr
+
+  static constexpr int kNoByte = -1;
+
+  static HeadProbe Of(const Unit& u) {
+    HeadProbe probe;
+    const bool nonempty_range = u.start >= 0 && u.start < u.end;
+    if (u.kind == UnitKind::kLiteral && !u.literal.empty()) {
+      probe.kind = kLiteral;
+      probe.byte = static_cast<uint8_t>(u.literal[0]);
+    } else if (u.kind == UnitKind::kSubstr && nonempty_range) {
+      probe.kind = kSubstr;
+      probe.start = u.start;
+    } else if (u.kind == UnitKind::kSplitSubstr && nonempty_range &&
+               u.index >= 0) {
+      probe.kind = kSplitSubstr;
+      probe.delim = u.c1;
+      probe.index = u.index;
+      probe.start = u.start;
+    }
+    return probe;
+  }
+
+  /// The first byte a probed unit outputs on `source` (0-255), or kNoByte
+  /// when it fails there. Not for kAlways.
+  int ByteOn(std::string_view source, RowUnitCache* cache) const {
+    if (kind == kLiteral) return byte;
+    const std::optional<std::string_view> from =
+        kind == kSplitSubstr ? cache->Piece(source, delim, index) : source;
+    if (!from.has_value() || static_cast<size_t>(start) >= from->size()) {
+      return kNoByte;
+    }
+    return static_cast<unsigned char>((*from)[static_cast<size_t>(start)]);
+  }
+
+  auto operator<=>(const HeadProbe&) const = default;
+};
+
 /// The store's unit sequences as a prefix trie, nodes in pre-order so a
 /// subtree is the index range [i, end[i]). Node i stands for the prefix
 /// ending in unit[i] at depth[i] (the root's children are depth 1). Four
 /// parallel arrays keep a node at 13 bytes — about the size of the arena
 /// unit references it stands for, since Cartesian-product generation makes
 /// sequences share prefixes.
+///
+/// The root's children are ordered by head probe, so the children sharing
+/// one form a contiguous node range: a root group. Below the root, children
+/// ascend by unit id.
 struct UnitTrie {
   static constexpr uint32_t kNoTerminal = std::numeric_limits<uint32_t>::max();
   /// Set in a terminal field when several ids end at the node (only with
   /// enable_dedup off): the low bits index `shared_terminals`.
   static constexpr uint32_t kShared = 1u << 31;
   static constexpr size_t kMaxDepth = std::numeric_limits<uint8_t>::max();
+
+  struct RootGroup {
+    HeadProbe probe;
+    uint32_t begin;  // first node
+    uint32_t end;    // one past the group's last node
+  };
 
   std::vector<UnitId> unit;
   std::vector<uint8_t> depth;
@@ -195,6 +321,7 @@ struct UnitTrie {
   uint32_t root_terminal = kNoTerminal;
   /// Runs of [count, id, id, ...] for terminal fields flagged kShared.
   std::vector<uint32_t> shared_terminals;
+  std::vector<RootGroup> root_groups;
   size_t max_depth = 0;
 
   /// Calls fn(id) for every id a terminal field holds, ascending.
@@ -210,52 +337,75 @@ struct UnitTrie {
   }
 };
 
-/// Builds the trie by bucketing ids on their unit at each depth: a counting
-/// sort on the first unit, then a sort of each bucket's packed
-/// (unit + 1) << 32 | id keys one level down, where 0 in the high half marks
-/// a sequence that ends at the bucket's node. Each sequence is read from the
-/// store's arena once per level, not once per comparison as a sort over
-/// whole sequences would.
+/// Builds the trie top-down. At each node a stable counting pass groups the
+/// node's ids on their next unit; each sequence is read from the store's
+/// arena twice per level (count, then scatter), never once per comparison
+/// as a sort would.
 class TrieBuilder {
  public:
-  TrieBuilder(const TransformationStore& store, UnitTrie* trie)
-      : store_(store), trie_(trie) {}
+  TrieBuilder(const TransformationStore& store, const UnitInterner& interner,
+              UnitTrie* trie)
+      : store_(store), interner_(interner), trie_(trie) {}
 
   /// False when some sequence is deeper than UnitTrie::kMaxDepth (never
   /// generated: skeletons have at most 2 * max_placeholders + 1 blocks).
-  bool Build(size_t num_units) {
+  bool Build() {
     const size_t num_t = store_.size();
     TJ_CHECK(num_t < UnitTrie::kShared);
-    // bucket[k + 1] counts first-unit key k: 0 for an empty sequence,
-    // unit + 1 otherwise.
-    std::vector<uint32_t> bucket(num_units + 2, 0);
-    {
-      std::vector<uint32_t> first(num_t);
-      for (TransformationId t = 0; t < num_t; ++t) {
-        const std::span<const UnitId> u = store_.Units(t);
-        if (u.size() > UnitTrie::kMaxDepth) return false;
-        trie_->max_depth = std::max(trie_->max_depth, u.size());
-        first[t] = u.empty() ? 0 : u[0] + 1;
-        ++bucket[first[t] + 1];
-      }
-      for (size_t k = 1; k < bucket.size(); ++k) bucket[k] += bucket[k - 1];
-      keys_.resize(num_t);
-      std::vector<uint32_t> cursor(bucket.begin(), bucket.end() - 1);
-      for (TransformationId t = 0; t < num_t; ++t) {
-        keys_[cursor[first[t]]++] = t;
-      }
+    for (TransformationId t = 0; t < num_t; ++t) {
+      const size_t size = store_.Units(t).size();
+      if (size > UnitTrie::kMaxDepth) return false;
+      trie_->max_depth = std::max(trie_->max_depth, size);
     }
-    trie_->root_terminal = Terminals(0, bucket[1]);
-    for (size_t k = 1; k <= num_units; ++k) {
-      if (bucket[k] == bucket[k + 1]) continue;
-      const uint32_t node = AddNode(static_cast<UnitId>(k - 1), 1);
-      Expand(node, bucket[k], bucket[k + 1], 1);
+    count_.assign(interner_.size() + 1, 0);
+    ids_.resize(num_t);
+    for (TransformationId t = 0; t < num_t; ++t) ids_[t] = t;
+    scatter_.resize(num_t);
+    Partition(0, num_t, 0);
+
+    // The root's children, reordered by head probe (then unit id).
+    struct RootChild {
+      HeadProbe probe;
+      UnitId unit;
+      uint32_t begin, end;
+    };
+    std::vector<RootChild> children;
+    uint32_t begin = 0;
+    for (const Run& run : runs_) {
+      if (run.key == 0) {
+        trie_->root_terminal = Terminals(begin, run.end);
+      } else {
+        const UnitId u = run.key - 1;
+        children.push_back({HeadProbe::Of(interner_.Get(u)), u, begin,
+                            run.end});
+      }
+      begin = run.end;
+    }
+    runs_.clear();
+    std::sort(children.begin(), children.end(),
+              [](const RootChild& a, const RootChild& b) {
+                return std::tie(a.probe, a.unit) < std::tie(b.probe, b.unit);
+              });
+    auto& groups = trie_->root_groups;
+    for (const RootChild& child : children) {
+      const uint32_t node = AddNode(child.unit, 1);
+      if (groups.empty() || groups.back().probe != child.probe) {
+        groups.push_back({child.probe, node, 0});
+      }
+      Expand(node, child.begin, child.end, 1);
       trie_->end[node] = static_cast<uint32_t>(trie_->unit.size());
+      groups.back().end = trie_->end[node];
     }
     return true;
   }
 
  private:
+  /// One next-unit value and the end of its ids in ids_.
+  struct Run {
+    uint32_t key;  // 0: the sequence ends here; else unit + 1
+    uint32_t end;
+  };
+
   uint32_t AddNode(UnitId u, size_t depth) {
     const auto node = static_cast<uint32_t>(trie_->unit.size());
     trie_->unit.push_back(u);
@@ -265,29 +415,58 @@ class TrieBuilder {
     return node;
   }
 
-  static TransformationId IdOf(uint64_t key) {
-    return static_cast<TransformationId>(key);
-  }
-
-  /// The terminal field for the ids in keys_[lo, hi).
+  /// The terminal field for the ids in ids_[lo, hi).
   uint32_t Terminals(size_t lo, size_t hi) {
     if (hi - lo == 0) return UnitTrie::kNoTerminal;
-    if (hi - lo == 1) return IdOf(keys_[lo]);
+    if (hi - lo == 1) return ids_[lo];
     const auto run = static_cast<uint32_t>(trie_->shared_terminals.size());
     trie_->shared_terminals.push_back(static_cast<uint32_t>(hi - lo));
-    for (size_t k = lo; k < hi; ++k) {
-      trie_->shared_terminals.push_back(IdOf(keys_[k]));
-    }
+    trie_->shared_terminals.insert(trie_->shared_terminals.end(),
+                                   ids_.begin() + lo, ids_.begin() + hi);
     return UnitTrie::kShared | run;
   }
 
-  /// keys_[lo, hi) hold the ids whose first `d` units spell node `node`'s
+  uint32_t KeyAt(TransformationId id, size_t d) const {
+    const std::span<const UnitId> u = store_.Units(id);
+    return u.size() == d ? 0 : u[d] + 1;
+  }
+
+  /// Stable counting pass over ids_[lo, hi) on each sequence's key at
+  /// depth d: regroups the range by ascending key, ids ascending within a
+  /// key, and appends one Run per key to runs_. count_ is all zero before
+  /// and after; only the keys seen are sorted and reset.
+  void Partition(size_t lo, size_t hi, size_t d) {
+    const size_t mark = runs_.size();
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t key = KeyAt(ids_[k], d);
+      if (count_[key]++ == 0) runs_.push_back({key, 0});
+    }
+    std::sort(runs_.begin() + mark, runs_.end(),
+              [](const Run& a, const Run& b) { return a.key < b.key; });
+    auto next = static_cast<uint32_t>(lo);
+    for (size_t r = mark; r < runs_.size(); ++r) {
+      const uint32_t n = count_[runs_[r].key];
+      count_[runs_[r].key] = next;  // now the key's scatter cursor
+      next += n;
+      runs_[r].end = next;
+    }
+    if (runs_.size() - mark > 1) {
+      for (size_t k = lo; k < hi; ++k) {
+        scatter_[count_[KeyAt(ids_[k], d)]++] = ids_[k];
+      }
+      std::copy(scatter_.begin() + lo, scatter_.begin() + hi,
+                ids_.begin() + lo);
+    }
+    for (size_t r = mark; r < runs_.size(); ++r) count_[runs_[r].key] = 0;
+  }
+
+  /// ids_[lo, hi) hold the ids whose first `d` units spell node `node`'s
   /// prefix. Sets the node's terminals and adds its subtrees in pre-order;
   /// the caller sets end[node].
   void Expand(uint32_t node, size_t lo, size_t hi, size_t d) {
     if (hi - lo == 1) {
       // One sequence left: its remaining units form a chain.
-      const TransformationId id = IdOf(keys_[lo]);
+      const TransformationId id = ids_[lo];
       const std::span<const UnitId> u = store_.Units(id);
       uint32_t last = node;
       for (size_t k = d; k < u.size(); ++k) last = AddNode(u[k], k + 1);
@@ -298,52 +477,57 @@ class TrieBuilder {
       }
       return;
     }
-    for (size_t k = lo; k < hi; ++k) {
-      const TransformationId id = IdOf(keys_[k]);
-      const std::span<const UnitId> u = store_.Units(id);
-      const uint64_t next = u.size() == d ? 0 : uint64_t{u[d]} + 1;
-      keys_[k] = (next << 32) | id;
+    // This level's runs sit at runs_[mark, ...); deeper levels push theirs
+    // above and pop them before returning.
+    const size_t mark = runs_.size();
+    Partition(lo, hi, d);
+    size_t begin = lo;
+    for (size_t r = mark; r < runs_.size(); ++r) {
+      const Run run = runs_[r];
+      if (run.key == 0) {
+        trie_->terminal[node] = Terminals(begin, run.end);
+      } else {
+        const uint32_t child = AddNode(run.key - 1, d + 1);
+        Expand(child, begin, run.end, d + 1);
+        trie_->end[child] = static_cast<uint32_t>(trie_->unit.size());
+      }
+      begin = run.end;
     }
-    std::sort(keys_.begin() + lo, keys_.begin() + hi);
-    size_t k = lo;
-    while (k < hi && (keys_[k] >> 32) == 0) ++k;
-    trie_->terminal[node] = Terminals(lo, k);
-    while (k < hi) {
-      const uint64_t next = keys_[k] >> 32;
-      size_t run_end = k + 1;
-      while (run_end < hi && (keys_[run_end] >> 32) == next) ++run_end;
-      const uint32_t child = AddNode(static_cast<UnitId>(next - 1), d + 1);
-      Expand(child, k, run_end, d + 1);
-      trie_->end[child] = static_cast<uint32_t>(trie_->unit.size());
-      k = run_end;
-    }
+    runs_.resize(mark);
   }
 
   const TransformationStore& store_;
+  const UnitInterner& interner_;
   UnitTrie* trie_;
-  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> count_;    // per key, zero between passes
+  std::vector<uint32_t> ids_;      // transformation ids, regrouped per level
+  std::vector<uint32_t> scatter_;  // Partition's output buffer
+  std::vector<Run> runs_;          // a stack of per-level runs
 };
 
 /// Walks the trie once per row in [begin, end). At node i the unit's memoized
 /// output must continue the target where the parent's prefix stopped;
 /// otherwise every sequence below i fails and the walk jumps to end[i] —
 /// the negative-unit pruning of §4.1.5, applied once per shared prefix
-/// instead of once per transformation. A sequence covers the row iff its
-/// terminal is reached with the whole target matched, so the covering set is
-/// exactly the row-major scan's; only the order within a row differs, which
-/// the counting sort in ComputeCoverage absorbs.
+/// instead of once per transformation. At the root the walk first computes
+/// each root group's head byte and enters only the groups whose byte is
+/// target[0] (none when the target is empty), plus the kAlways group; a
+/// child it skips would have failed MatchesAt(target, 0, ·). A sequence
+/// covers the row iff its terminal is reached with the whole target
+/// matched, so the covering set is exactly the row-major scan's; only the
+/// order within a row differs, which the counting sort in ComputeCoverage
+/// absorbs.
 ///
 /// Counters: full_evaluations counts the (transformation, row) pairs whose
-/// terminal was reached, cache_hits the rest (cut off at some prefix), so
-/// the two still sum to transformations x rows. unit_evals counts memo
-/// misses.
+/// terminal was reached, cache_hits the rest (cut off at some prefix or
+/// skipped at the root), so the two still sum to transformations x rows.
+/// unit_evals counts memo misses; head probes are not unit evaluations.
 void WalkRowRange(const UnitTrie& trie, size_t num_t,
                   const UnitInterner& interner,
                   const std::vector<ExamplePair>& rows, size_t begin,
                   size_t end, RowUnitCache* cache,
                   std::vector<CoveringPair>* covering,
                   DiscoveryStats* stats) {
-  const auto num_nodes = static_cast<uint32_t>(trie.unit.size());
   // matched[d]: target bytes spelled by the current depth-d prefix.
   std::vector<size_t> matched(trie.max_depth + 1, 0);
   uint64_t reached = 0;
@@ -361,20 +545,30 @@ void WalkRowRange(const UnitTrie& trie, size_t num_t,
       });
     };
     reach(trie.root_terminal, 0);
-    uint32_t i = 0;
-    while (i < num_nodes) {
-      const size_t d = trie.depth[i];
-      const size_t base = matched[d - 1];
-      std::string_view out;
-      if (cache->Evaluate(interner, trie.unit[i], src, tgt,
-                          &stats->unit_evals, &out) == RowUnitCache::kBad ||
-          !MatchesAt(tgt, base, out)) {
-        i = trie.end[i];
+    const int head =
+        tgt.empty() ? HeadProbe::kNoByte : static_cast<unsigned char>(tgt[0]);
+    for (const UnitTrie::RootGroup& group : trie.root_groups) {
+      if (group.probe.kind != HeadProbe::kAlways &&
+          (head == HeadProbe::kNoByte ||
+           group.probe.ByteOn(src, cache) != head)) {
         continue;
       }
-      matched[d] = base + out.size();
-      reach(trie.terminal[i], matched[d]);
-      ++i;
+      uint32_t i = group.begin;
+      while (i < group.end) {
+        const size_t d = trie.depth[i];
+        const size_t base = matched[d - 1];
+        std::string_view out;
+        if (cache->Evaluate<true>(interner, trie.unit[i], src, tgt,
+                                  &stats->unit_evals,
+                                  &out) == RowUnitCache::kBad ||
+            !MatchesAt(tgt, base, out)) {
+          i = trie.end[i];
+          continue;
+        }
+        matched[d] = base + out.size();
+        reach(trie.terminal[i], matched[d]);
+        ++i;
+      }
     }
   }
   stats->full_evaluations += reached;
@@ -402,7 +596,7 @@ CoverageIndex ComputeCoverage(const TransformationStore& store,
   if (!options.paper_coverage_scan && options.enable_neg_cache) {
     ScopedTimer build_timer(&stats->cpu_apply);
     trie.emplace();
-    if (!TrieBuilder(store, &*trie).Build(interner.size())) trie.reset();
+    if (!TrieBuilder(store, interner, &*trie).Build()) trie.reset();
   }
 
   const auto evaluate = [&](size_t begin, size_t end, RowUnitCache* cache,

@@ -57,14 +57,19 @@ class CoverageIndex {
 /// a per-unit array of (row epoch, state) words, reset in O(1) per row.
 ///
 /// By default the store's unit sequences are arranged in a prefix trie,
-/// built once per call, and each row walks it: a unit that fails, or whose
-/// output does not continue the target, prunes every transformation sharing
-/// that prefix at once. With options.paper_coverage_scan, or without
-/// options.enable_neg_cache, the paper's row-major scan runs instead: every
-/// transformation on every row, skipped when one of its units is already
-/// known bad (the paper's second pruning strategy). Both produce the same
-/// index at every thread count; DiscoveryStats documents how their
-/// counters differ.
+/// built once per call by a counting pass per level, and each row walks it:
+/// a unit that fails, or whose output does not continue the target, prunes
+/// every transformation sharing that prefix at once. The trie's root
+/// children are grouped by what fixes their first output byte (a literal's
+/// first byte, source[s] for Substr, piece[s] for SplitSubstr); per row the
+/// walk enters only the groups whose byte is target[0], plus the children
+/// whose output can be empty or whose head is unknown. Split and SplitSubstr
+/// read their pieces from a per-row table of delimiter positions. With
+/// options.paper_coverage_scan, or without options.enable_neg_cache, the
+/// paper's row-major scan runs instead: every transformation on every row
+/// through Unit::Eval, skipped when one of its units is already known bad
+/// (the paper's second pruning strategy). Both produce the same index at
+/// every thread count; DiscoveryStats documents how their counters differ.
 CoverageIndex ComputeCoverage(const TransformationStore& store,
                               const UnitInterner& interner,
                               const std::vector<ExamplePair>& rows,

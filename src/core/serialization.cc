@@ -34,20 +34,21 @@ class Cursor {
     return true;
   }
 
-  /// Parses a (possibly negative) decimal integer.
+  /// Parses a (possibly negative) decimal integer. A digit run outside
+  /// int32_t is an error, never wrapped or clamped.
   Result<int32_t> ParseInt() {
     SkipSpace();
-    size_t start = pos_;
+    const size_t start = pos_;
     if (Peek() == '-') ++pos_;
     while (!AtEnd() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      return Status::InvalidArgument("expected integer at offset " +
+    int32_t value = 0;
+    if (!ParseWhole(text_.substr(start, pos_ - start), &value)) {
+      return Status::InvalidArgument("expected a 32-bit integer at offset " +
                                      std::to_string(start));
     }
-    return static_cast<int32_t>(
-        std::stol(std::string(text_.substr(start, pos_ - start))));
+    return value;
   }
 
   /// Parses a single-quoted string with EscapeForDisplay escapes.

@@ -38,9 +38,12 @@ struct DiscoveryStats {
   /// Scan: (transformation, row) pairs evaluated unit by unit. Walk: pairs
   /// whose whole unit sequence matched a prefix of the target.
   uint64_t full_evaluations = 0;
-  /// Unit evaluations performed (memo misses). The walk evaluates a
-  /// prefix's units before seeing a later known-bad unit, so it runs a few
-  /// percent above the scan.
+  /// Unit evaluations performed (memo misses). The walk skips every root
+  /// child whose first output byte cannot be target[0] without evaluating
+  /// it (the head probe is not counted), so it counts about half the
+  /// scan's evaluations (Synth-N, 1000 rows: 3.2 M vs 6.4 M). Below the
+  /// root it still evaluates a prefix's units before reaching a later
+  /// known-bad unit, where the scan would have skipped the transformation.
   uint64_t unit_evals = 0;
   /// (transformation, row) pairs that covered. Exact on both paths.
   uint64_t covering_pairs = 0;

@@ -66,21 +66,6 @@ Unit Unit::MakeTwoCharSplitSubstr(char c1, char c2, int32_t i, int32_t s,
   return u;
 }
 
-namespace {
-
-/// Bounds-checked [start, end) slice of `piece`.
-std::optional<std::string_view> SliceOrFail(std::string_view piece,
-                                            int32_t start, int32_t end) {
-  if (start < 0 || end < start ||
-      static_cast<size_t>(end) > piece.size()) {
-    return std::nullopt;
-  }
-  return piece.substr(static_cast<size_t>(start),
-                      static_cast<size_t>(end - start));
-}
-
-}  // namespace
-
 std::optional<std::string_view> Unit::Eval(std::string_view input) const {
   switch (kind) {
     case UnitKind::kLiteral:

@@ -94,6 +94,20 @@ struct UnitHash {
   }
 };
 
+/// The [start, end) slice of `piece`, or nullopt when the range does not
+/// fit: what Substr, SplitSubstr and TwoCharSplitSubstr apply to their
+/// input or piece.
+inline std::optional<std::string_view> SliceOrFail(std::string_view piece,
+                                                   int32_t start,
+                                                   int32_t end) {
+  if (start < 0 || end < start ||
+      static_cast<size_t>(end) > piece.size()) {
+    return std::nullopt;
+  }
+  return piece.substr(static_cast<size_t>(start),
+                      static_cast<size_t>(end - start));
+}
+
 }  // namespace tj
 
 #endif  // TJ_CORE_UNIT_H_

@@ -4,18 +4,26 @@
 // generated stores and on hand-built stores that hit the trie's corner
 // cases (root terminals, terminals on inner nodes, duplicate ids, empty unit
 // outputs, one unit matching at different offsets, literal-only sequences,
-// sequences too deep for the trie).
+// sequences too deep for the trie). The walk dispatches the root's children
+// by their first output byte and reads Split/SplitSubstr pieces from a
+// per-row split table, while the scan runs Unit::Eval on every unit; the
+// dispatch cases below (empty pieces and empty targets, failing root
+// children, bytes >= 0x80) and the randomized split stores check both.
 // Run with `ctest -L coverage`, in plain and ASan+UBSan builds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/coverage.h"
 #include "core/generator.h"
 #include "datagen/synth.h"
+#include "text/tokenizer.h"
 
 namespace tj {
 namespace {
@@ -246,6 +254,215 @@ TEST_F(TrieCornerCaseTest, SequencesDeeperThanTheTrieFallBackToTheScan) {
   const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
   EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{0}));
   EXPECT_EQ(Rows(index, shallow), (std::vector<uint32_t>{1}));
+}
+
+// ---- Root dispatch and the split table ------------------------------------
+
+TEST_F(TrieCornerCaseTest, EmptySplitPieceAtTheRoot) {
+  // An empty piece matches at offset 0 whatever target[0] is, so a Split
+  // root child must be visited on every row.
+  const TransformationId empty_then_rest =
+      Add({Unit::MakeSplit(',', 0), Unit::MakeSplit(',', 1)});
+  const TransformationId empty_middle =
+      Add({Unit::MakeSplit(',', 1), Unit::MakeLiteral("x")});
+  const TransformationId alone = Add({Unit::MakeSplit(',', 0)});
+  const std::vector<ExamplePair> rows = {
+      {",b", "b"}, {"a,b", "ab"}, {"a,,b", "x"}, {",", ""},
+      {"a,b", "b"}, {"q,,", "x"}, {"", ""}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, empty_then_rest), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(Rows(index, empty_middle), (std::vector<uint32_t>{2, 5}));
+  EXPECT_EQ(Rows(index, alone), (std::vector<uint32_t>{3, 6}));
+}
+
+TEST_F(TrieCornerCaseTest, LiteralFirstSequencesShareOrSplitTheirHeadByte) {
+  const Unit tail = Unit::MakeSplit('-', 1);
+  // "ab", "ac" and "a" share a head byte; "b" and "zz" do not.
+  const TransformationId ab = Add({Unit::MakeLiteral("ab"), tail});
+  const TransformationId ac = Add({Unit::MakeLiteral("ac"), tail});
+  const TransformationId a = Add({Unit::MakeLiteral("a"), tail});
+  const TransformationId b = Add({Unit::MakeLiteral("b"), tail});
+  const TransformationId zz = Add({Unit::MakeLiteral("zz")});
+  const std::vector<ExamplePair> rows = {
+      {"x-q", "abq"}, {"x-q", "acq"}, {"x-cq", "acq"}, {"x-q", "bq"},
+      {"x-q", "zz"},  {"x-q", "q"},   {"x-q", ""}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, ab), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, ac), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(Rows(index, a), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, b), (std::vector<uint32_t>{3}));
+  EXPECT_EQ(Rows(index, zz), (std::vector<uint32_t>{4}));
+}
+
+TEST_F(TrieCornerCaseTest, FailingRootChildren) {
+  const Unit rest = Unit::MakeLiteral("!");
+  const TransformationId past_end = Add({Unit::MakeSubstr(5, 7), rest});
+  const TransformationId reaches_end = Add({Unit::MakeSubstr(3, 4), rest});
+  const TransformationId piece_past_count =
+      Add({Unit::MakeSplitSubstr(',', 2, 0, 1), rest});
+  const TransformationId last_piece =
+      Add({Unit::MakeSplitSubstr(',', 1, 0, 1), rest});
+  const TransformationId negative_piece =
+      Add({Unit::MakeSplitSubstr(',', -1, 0, 1), rest});
+  const TransformationId negative_split = Add({Unit::MakeSplit(',', -1)});
+  const TransformationId negative_start = Add({Unit::MakeSubstr(-1, 1), rest});
+  const TransformationId start_past_piece =
+      Add({Unit::MakeSplitSubstr(',', 0, 2, 3), rest});
+  const std::vector<ExamplePair> rows = {
+      {"ab,cd", "c!"}, {"ab,cd", "d!"}, {"abcdefg", "fg!"},
+      {"ab,cd", "a!"}, {"ab,cd", ""},   {"a,cd", "c!"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, past_end), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, reaches_end), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, piece_past_count), (std::vector<uint32_t>{}));
+  EXPECT_EQ(Rows(index, last_piece), (std::vector<uint32_t>{0, 5}));
+  for (const TransformationId t :
+       {negative_piece, negative_split, negative_start, start_past_piece}) {
+    EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{})) << t;
+  }
+}
+
+TEST_F(TrieCornerCaseTest, EmptyRangeSubstrAtTheRoot) {
+  // Substr(s, s) outputs "" wherever s <= |source|, so it cannot be
+  // dispatched on a head byte.
+  const TransformationId lead = Add({Unit::MakeSubstr(2, 2),
+                                     Unit::MakeSubstr(0, 2)});
+  const TransformationId alone = Add({Unit::MakeSubstr(3, 3)});
+  const TransformationId piece = Add({Unit::MakeSplitSubstr(',', 1, 1, 1),
+                                      Unit::MakeSplit(',', 0)});
+  const std::vector<ExamplePair> rows = {
+      {"abc", "ab"}, {"a", "a"}, {"abc", ""}, {"ab", ""}, {"x,y", "x"},
+      {"x", "x"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, lead), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, alone), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, piece), (std::vector<uint32_t>{4}));
+}
+
+TEST_F(TrieCornerCaseTest, EmptyTargetVisitsOnlyUnitsThatCanOutputNothing) {
+  const TransformationId root = Add({});
+  const TransformationId literal = Add({Unit::MakeLiteral("a")});
+  const TransformationId empty_literal = Add({Unit::MakeLiteral("")});
+  const TransformationId substr = Add({Unit::MakeSubstr(0, 1)});
+  const TransformationId empty_substr = Add({Unit::MakeSubstr(0, 0)});
+  const TransformationId split = Add({Unit::MakeSplit(';', 1)});
+  const std::vector<ExamplePair> rows = {
+      {"a;", ""}, {"a", ""}, {"a;b", "a"}, {"", ""}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, root), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(Rows(index, literal), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, empty_literal), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(Rows(index, substr), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, empty_substr), (std::vector<uint32_t>{0, 1, 3}));
+  EXPECT_EQ(Rows(index, split), (std::vector<uint32_t>{0}));
+}
+
+TEST_F(TrieCornerCaseTest, HighBytesInLiteralsDelimitersAndHeads) {
+  // Head bytes and delimiters >= 0x80: a signed comparison would send
+  // these rows past every group they belong to.
+  const char dot = '\xB7';
+  const TransformationId literal =
+      Add({Unit::MakeLiteral("\xC3\xA9"), Unit::MakeSplit(dot, 1)});
+  const TransformationId piece =
+      Add({Unit::MakeSplitSubstr(dot, 1, 0, 2), Unit::MakeLiteral("!")});
+  const TransformationId substr = Add({Unit::MakeSubstr(1, 3)});
+  const TransformationId split_then_literal =
+      Add({Unit::MakeSplit(dot, 0), Unit::MakeLiteral("\xFF")});
+  const std::vector<ExamplePair> rows = {
+      {"a\xB7xy", "\xC3\xA9xy"}, {"a\xB7\xE9\xFFz", "\xE9\xFF!"},
+      {"\xFF\xE9\x80", "\xE9\x80"}, {"q\xB7r", "q\xFF"},
+      {"\xB7r", "\xFF"}};
+  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  EXPECT_EQ(Rows(index, literal), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, piece), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(Rows(index, substr), (std::vector<uint32_t>{2}));
+  EXPECT_EQ(Rows(index, split_then_literal), (std::vector<uint32_t>{3, 4}));
+}
+
+// Random stores of 1-3-unit Split/SplitSubstr/Substr/Literal sequences (and
+// a few TwoCharSplitSubstr, which the walk always visits) over random
+// sources: delimiters at both ends and in runs, piece indexes from -1 to one
+// past the piece count, empty and failing ranges, bytes >= 0x80.
+// About half the targets are some stored sequence's output on the row's
+// source, so rows get covered.
+TEST(RandomSplitStores, WalkMatchesScanAtEveryThreadCount) {
+  constexpr std::string_view kDelims = {",; \xE9", 4};
+  constexpr std::string_view kBytes = {"ab,; \xE9\x80", 7};
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    std::vector<std::string> sources(40);
+    for (std::string& src : sources) {
+      src = rng.RandomString(rng.Uniform(10), kBytes);
+      if (rng.Bernoulli(0.3)) src.insert(0, 1, rng.PickChar(kDelims));
+      if (rng.Bernoulli(0.3)) src.push_back(rng.PickChar(kDelims));
+      if (rng.Bernoulli(0.3)) {
+        src.insert(rng.Uniform(src.size() + 1), 2, rng.PickChar(kDelims));
+      }
+    }
+    const auto max_pieces = [&](char delim) {
+      size_t most = 1;
+      for (const std::string& src : sources) {
+        most = std::max(most, CountSplitPieces(src, delim));
+      }
+      return static_cast<int64_t>(most);
+    };
+    const auto random_unit = [&]() {
+      const char delim = rng.PickChar(kDelims);
+      const auto index =
+          static_cast<int32_t>(rng.UniformInt(-1, max_pieces(delim)));
+      const auto start = static_cast<int32_t>(rng.UniformInt(-1, 5));
+      const auto end = static_cast<int32_t>(start + rng.UniformInt(-1, 4));
+      switch (rng.Uniform(5)) {
+        case 0:
+          return Unit::MakeLiteral(rng.RandomString(rng.Uniform(3), kBytes));
+        case 1:
+          return Unit::MakeSubstr(start, end);
+        case 2:
+          return Unit::MakeSplit(delim, index);
+        case 3:
+          return Unit::MakeSplitSubstr(delim, index, start, end);
+        default:
+          return Unit::MakeTwoCharSplitSubstr(delim, rng.PickChar(kDelims),
+                                              index, start, end);
+      }
+    };
+    UnitInterner units;
+    std::vector<UnitId> pool;
+    for (int k = 0; k < 40; ++k) pool.push_back(units.Intern(random_unit()));
+    TransformationStore store;
+    for (int k = 0; k < 300; ++k) {
+      std::vector<UnitId> seq(1 + rng.Uniform(3));
+      for (UnitId& u : seq) u = rng.PickOne(pool);
+      store.Intern(Transformation(std::move(seq)));
+    }
+    std::vector<std::string> targets;
+    for (const std::string& src : sources) {
+      std::string target = rng.RandomString(rng.Uniform(5), kBytes);
+      if (rng.Bernoulli(0.5)) {
+        const auto t =
+            static_cast<TransformationId>(rng.Uniform(store.size()));
+        std::string produced;
+        bool applies = true;
+        for (const UnitId u : store.Units(t)) {
+          const auto out = units.Get(u).Eval(src);
+          if (!out.has_value()) {
+            applies = false;
+            break;
+          }
+          produced += *out;
+        }
+        if (applies) target = std::move(produced);
+      }
+      targets.push_back(std::move(target));
+    }
+    std::vector<ExamplePair> rows;
+    for (size_t r = 0; r < sources.size(); ++r) {
+      rows.push_back({sources[r], targets[r]});
+    }
+    const CoverageIndex oracle = ExpectPathsAgree(store, units, rows);
+    EXPECT_GT(oracle.TotalPairs(), 0u);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/discovery.h"
 
 namespace tj {
@@ -43,6 +46,33 @@ TEST(ParseUnit, RejectsMalformedInput) {
   EXPECT_FALSE(ParseUnit("Split(',')").ok());
   EXPECT_FALSE(ParseUnit("Literal('unterminated)").ok());
   EXPECT_FALSE(ParseUnit("Split('ab',1)").ok());  // multi-char delimiter
+}
+
+TEST(ParseUnit, RejectsIntegersOutsideInt32) {
+  // Each of these once wrapped into another unit or threw out of the parser.
+  for (const char* text :
+       {"Substr(0,4294967297)", "Split(',',-4294967295)",
+        "Substr(0,2147483648)", "Substr(0,99999999999999999999)"}) {
+    const auto parsed = ParseUnit(text);
+    ASSERT_FALSE(parsed.ok()) << text << " parsed as " << parsed->ToString();
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(parsed.status().message().find("offset"), std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
+TEST(ParseUnit, Int32ExtremesRoundTrip) {
+  constexpr int32_t kMin = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax = std::numeric_limits<int32_t>::max();
+  for (const Unit& u : {Unit::MakeSubstr(kMin, kMax),
+                        Unit::MakeSplitSubstr(';', kMax, kMin, kMin),
+                        Unit::MakeTwoCharSplitSubstr('(', ')', kMin, kMax,
+                                                     kMax)}) {
+    const auto parsed = ParseUnit(u.ToString());
+    ASSERT_TRUE(parsed.ok()) << u.ToString() << ": "
+                             << parsed.status().ToString();
+    EXPECT_EQ(*parsed, u) << u.ToString();
+  }
 }
 
 TEST(ParseUnit, HexEscapeNeedsExactlyTwoHexDigits) {
