@@ -43,8 +43,7 @@
 namespace {
 
 /// Storage-core metrics for the corpus: total column-arena bytes and the
-/// index-build allocation comparison over every column (flat CSR vs the
-/// retained map-based reference builder; see benchlib/storage_metrics.h).
+/// n-gram index size over every column (see benchlib/storage_metrics.h).
 tj::StorageMetrics MeasureStorage(const tj::SynthCorpus& corpus) {
   tj::StorageMetrics m;
   for (const tj::Table& table : corpus.tables) {

@@ -14,10 +14,8 @@
 
 // With --json PATH the bench additionally writes a machine-readable record:
 // the coverage/runtime summary plus the storage-core metrics — cells-bytes
-// (column arena footprint of the whole suite) and the index-build
-// allocation comparison between the flat CSR build and the retained
-// map-based reference builder (strictly fewer allocations is an asserted
-// property of the refactor; here it is a recorded number).
+// (column arena footprint of the whole suite) and the postings and bytes of
+// the flat CSR n-gram index over every join column.
 
 #include <cstdio>
 #include <cstring>
@@ -43,7 +41,7 @@ struct PanelSummary {
 };
 
 /// Storage-core metrics over the whole suite: arena footprint of every
-/// table, index-build allocation comparison over every join column.
+/// table, n-gram index size over every join column.
 StorageMetrics MeasureStorage(const std::vector<BenchDataset>& suite) {
   StorageMetrics m;
   for (const BenchDataset& dataset : suite) {

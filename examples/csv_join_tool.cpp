@@ -21,10 +21,8 @@
 #include "common/simd.h"
 #include "common/strings.h"
 #include "core/serialization.h"
-#include "corpus/catalog.h"
 #include "corpus/lsh_index.h"
 #include "corpus/signature.h"
-#include "index/index_cache.h"
 #include "join/join_engine.h"
 #include "table/csv.h"
 #include "table/spill_arena.h"
@@ -38,7 +36,6 @@ int Usage(const char* argv0) {
                "          [--support F] [--sample N] [--threads N] "
                "[--rules out.tj] [--out out.csv] [--golden pairs.csv]\n"
                "          [--spill-dir DIR] [--memory-budget BYTES]\n"
-               "          [--index-cache-budget BYTES]\n"
                "          [--precheck] [--simd scalar|avx2|auto]\n"
                "          [--failpoints SPEC]\n"
                "       --simd: pin the kernel dispatch level ('auto' = best "
@@ -55,10 +52,6 @@ int Usage(const char* argv0) {
                "       --memory-budget BYTES: with --spill-dir, release "
                "resident pages after ingest so matching faults cells "
                "in on demand (k/m/g suffixes ok)\n"
-               "       --index-cache-budget BYTES: byte budget for the "
-               "fingerprint-keyed inverted-index cache (0 = unlimited; "
-               "one-shot joins build each index once either way — the flag "
-               "mirrors corpus_discovery_tool for scripted reuse)\n"
                "       --failpoints SPEC: arm fault-injection sites, e.g. "
                "'mmap/sync=p:0.5,errno:EIO' "
                "(requires a -DTJ_FAILPOINTS=ON build)\n",
@@ -78,14 +71,12 @@ int main(int argc, char** argv) {
   const std::string right_column = argv[4];
   double support = 0.05;
   size_t sample = 0;
-  int threads = 0;  // 0 = hardware concurrency
+  unsigned threads = 0;  // 0 = hardware concurrency
   std::string rules_path;
   std::string out_path;
   std::string golden_path;
   bool precheck = false;
   StorageOptions storage;
-  size_t index_cache_budget = 0;
-  bool index_cache_requested = false;
   for (int i = 5; i < argc; ++i) {
     if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
       if (!ParseWhole(argv[++i], &support)) {
@@ -103,14 +94,6 @@ int main(int argc, char** argv) {
                      argv[i]);
         return Usage(argv[0]);
       }
-    } else if (std::strcmp(argv[i], "--index-cache-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &index_cache_budget)) {
-        std::fprintf(stderr, "invalid --index-cache-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
-      }
-      index_cache_requested = true;
     } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
       simd::SimdLevel level;
       if (!simd::ParseSimdLevel(argv[++i], &level)) {
@@ -128,13 +111,12 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      const long parsed = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || parsed < 0 || parsed > 1024) {
+      // Unsigned: from_chars then rejects any sign or padding, so "-0" is
+      // an error rather than all cores.
+      if (!ParseWhole(argv[++i], &threads) || threads > 1024) {
         std::fprintf(stderr, "invalid --threads value '%s'\n", argv[i]);
         return Usage(argv[0]);
       }
-      threads = static_cast<int>(parsed);
     } else if (std::strcmp(argv[i], "--rules") == 0 && i + 1 < argc) {
       rules_path = argv[++i];
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -272,16 +254,8 @@ int main(int argc, char** argv) {
   options.matching = MatchingMode::kNgram;
   options.min_join_support = support;
   options.sample_pairs = sample;
-  options.discovery.num_threads = threads;
-  options.match_options.num_threads = threads;
-  IndexCache index_cache(index_cache_budget);
-  if (index_cache_requested) {
-    options.match_options.index_cache = &index_cache;
-    options.match_options.target_cache_key.fingerprint =
-        TableFingerprint(pair.target);
-    options.match_options.target_cache_key.column =
-        static_cast<uint32_t>(pair.target_join_column);
-  }
+  options.discovery.num_threads = static_cast<int>(threads);
+  options.match_options.num_threads = static_cast<int>(threads);
   const JoinResult result = TransformJoin(pair, options);
 
   std::printf("learning pairs: %zu, discovery: %.2fs\n",

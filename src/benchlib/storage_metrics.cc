@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include "index/inverted_index.h"
-#include "index/reference_postings.h"
 #include "table/storage_events.h"
 
 namespace tj {
@@ -40,34 +39,18 @@ size_t ReportedPeakRss(const StorageMetrics& m) {
 }  // namespace
 
 void StorageMetrics::MeasureColumn(const Column& column) {
-  const AllocCounters before_csr = CurrentAllocCounters();
   const NgramInvertedIndex index =
       NgramInvertedIndex::Build(column, 4, 20, /*lowercase=*/true, 1);
-  const AllocCounters after_csr = CurrentAllocCounters();
-  csr.allocs += (after_csr - before_csr).allocs;
-  csr.bytes += (after_csr - before_csr).bytes;
   index_total_postings += index.TotalPostings();
   index_memory_bytes += index.MemoryBytes();
-
-  const AllocCounters before_ref = CurrentAllocCounters();
-  const ReferencePostingsMap reference_map =
-      BuildReferencePostings(column, 4, 20, /*lowercase=*/true);
-  const AllocCounters after_ref = CurrentAllocCounters();
-  reference.allocs += (after_ref - before_ref).allocs;
-  reference.bytes += (after_ref - before_ref).bytes;
 }
 
 void PrintStorageSummary(const StorageMetrics& m) {
   std::printf(
       "storage: cells %zu bytes (%zu spilled); peak rss %zu bytes; index "
-      "build %llu allocs / %llu bytes "
-      "(reference map builder: %llu allocs / %llu bytes)%s\n",
+      "%zu postings / %zu bytes\n",
       m.cells_bytes, m.spilled_bytes, ReportedPeakRss(m),
-      static_cast<unsigned long long>(m.csr.allocs),
-      static_cast<unsigned long long>(m.csr.bytes),
-      static_cast<unsigned long long>(m.reference.allocs),
-      static_cast<unsigned long long>(m.reference.bytes),
-      AllocCountingAvailable() ? "" : " [alloc hooks not linked]");
+      m.index_total_postings, m.index_memory_bytes);
   const StorageEventCounters events = GetStorageEventCounters();
   if (events.heap_fallback_columns > 0 || events.spill_errors_recovered > 0) {
     std::printf(
@@ -91,22 +74,12 @@ void WriteStorageJsonTail(std::FILE* f, const StorageMetrics& m) {
       "  \"index_total_postings\": %zu,\n"
       "  \"index_memory_bytes\": %zu,\n"
       "  \"heap_fallback_columns\": %llu,\n"
-      "  \"spill_errors_recovered\": %llu,\n"
-      "  \"alloc_counting_available\": %s,\n"
-      "  \"index_build_allocs\": %llu,\n"
-      "  \"index_build_bytes_allocated\": %llu,\n"
-      "  \"index_build_allocs_reference\": %llu,\n"
-      "  \"index_build_bytes_allocated_reference\": %llu\n"
+      "  \"spill_errors_recovered\": %llu\n"
       "}\n",
       m.cells_bytes, m.spilled_bytes, ReportedPeakRss(m),
       m.index_total_postings, m.index_memory_bytes,
       static_cast<unsigned long long>(events.heap_fallback_columns),
-      static_cast<unsigned long long>(events.spill_errors_recovered),
-      AllocCountingAvailable() ? "true" : "false",
-      static_cast<unsigned long long>(m.csr.allocs),
-      static_cast<unsigned long long>(m.csr.bytes),
-      static_cast<unsigned long long>(m.reference.allocs),
-      static_cast<unsigned long long>(m.reference.bytes));
+      static_cast<unsigned long long>(events.spill_errors_recovered));
 }
 
 }  // namespace tj

@@ -1,18 +1,14 @@
-// Storage-core measurement shared by the allocation-reporting benches
-// (bench_table2, bench_corpus): column arena footprint, the spilled-bytes
-// and peak-RSS footprint of the out-of-core path, plus the index-build
-// allocation comparison — flat CSR build vs the retained map-based
-// reference builder (index/reference_postings.h) — double-built over the
-// same columns with the same n-gram range, counters read from
-// common/alloc_stats.h. Keeping the loop and the JSON field names in one
-// place is what keeps the two benches' CI records in sync.
+// Storage-core measurement shared by bench_table2 and bench_corpus: column
+// arena footprint, the spilled-bytes and peak-RSS footprint of the
+// out-of-core path, and the size of the flat CSR n-gram index over the
+// measured columns. Keeping the loop and the JSON field names in one place
+// is what keeps the two benches' CI records in sync.
 
 #ifndef TJ_BENCHLIB_STORAGE_METRICS_H_
 #define TJ_BENCHLIB_STORAGE_METRICS_H_
 
 #include <cstdio>
 
-#include "common/alloc_stats.h"
 #include "table/table.h"
 
 namespace tj {
@@ -37,8 +33,6 @@ struct StorageMetrics {
   size_t peak_rss_bytes = 0;
   size_t index_total_postings = 0;  // CSR postings over measured columns
   size_t index_memory_bytes = 0;    // CSR footprint of measured columns
-  AllocCounters csr;                // allocations of the CSR builds
-  AllocCounters reference;          // allocations of the map-based builds
 
   /// Adds a table's arena + spill-file footprint to the byte counters (no
   /// index build).
@@ -47,16 +41,15 @@ struct StorageMetrics {
     spilled_bytes += table.SpilledBytes();
   }
 
-  /// Builds the n-gram index over `column` twice — flat CSR, then the
-  /// map-based reference — recording each pass's allocation counters and
-  /// the CSR index's size. The paper's n0=4, nmax=20 range, lowercased.
+  /// Builds the n-gram index over `column` and records its postings and
+  /// footprint. The paper's n0=4, nmax=20 range, lowercased.
   void MeasureColumn(const Column& column);
 };
 
 /// One-line human-readable summary (printed by both benches).
 void PrintStorageSummary(const StorageMetrics& m);
 
-/// Writes the storage fields as the TAIL of a JSON object — the byte/alloc
+/// Writes the storage fields as the TAIL of a JSON object — the byte
 /// counters plus peak_rss_bytes sampled at call time — followed by the
 /// closing "}\n". The caller's previous field must end with ",\n".
 void WriteStorageJsonTail(std::FILE* f, const StorageMetrics& m);

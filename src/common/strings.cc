@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -98,6 +99,62 @@ std::string EscapeForDisplay(std::string_view s) {
     }
   }
   return out;
+}
+
+Result<std::string> ParseQuotedDisplay(std::string_view text, size_t* pos) {
+  size_t i = *pos;
+  if (i >= text.size() || text[i] != '\'') {
+    return Status::InvalidArgument("expected opening quote");
+  }
+  ++i;
+  std::string out;
+  while (i < text.size()) {
+    const char c = text[i++];
+    if (c == '\'') {
+      *pos = i;
+      return out;
+    }
+    if (c != '\\') {
+      out.push_back(c);
+      continue;
+    }
+    if (i >= text.size()) break;
+    const char esc = text[i++];
+    switch (esc) {
+      case 'n':
+        out.push_back('\n');
+        break;
+      case 't':
+        out.push_back('\t');
+        break;
+      case 'r':
+        out.push_back('\r');
+        break;
+      case '\'':
+      case '\\':
+        out.push_back(esc);
+        break;
+      case 'x': {
+        // Exactly two hex digits: from_chars takes no sign or prefix.
+        unsigned value = 0;
+        const char* digits = text.data() + i;
+        if (text.size() - i < 2 ||
+            std::from_chars(digits, digits + 2, value, 16).ptr !=
+                digits + 2) {
+          return Status::InvalidArgument(
+              "\\x escape needs two hex digits at offset " +
+              std::to_string(i));
+        }
+        i += 2;
+        out.push_back(static_cast<char>(value));
+        break;
+      }
+      default:
+        return Status::InvalidArgument(std::string("unknown escape: \\") +
+                                       esc);
+    }
+  }
+  return Status::InvalidArgument("unterminated quoted string");
 }
 
 bool ParseByteSize(std::string_view s, size_t* out) {

@@ -10,6 +10,8 @@
 #include <system_error>
 #include <vector>
 
+#include "common/status.h"
+
 namespace tj {
 
 /// Lowercases one ASCII letter; other bytes pass through. The single shared
@@ -48,6 +50,12 @@ std::string StrPrintf(const char* fmt, ...)
 /// Renders a string for display, escaping non-printable bytes and quotes
 /// (used when pretty-printing transformations and literals).
 std::string EscapeForDisplay(std::string_view s);
+
+/// Decodes a single-quoted EscapeForDisplay rendering ('...' with \n, \t,
+/// \r, \', \\ and \xNN, exactly two hex digits) that starts at
+/// text[*pos]; on success *pos moves past the closing quote. The one reader
+/// of that quoting, shared by the rule-file and signature-cache parsers.
+Result<std::string> ParseQuotedDisplay(std::string_view text, size_t* pos);
 
 /// Parses a byte-size spec: a non-negative integer with an optional k/m/g
 /// suffix (case-insensitive, powers of 1024; "64m" = 64 MiB). Returns false

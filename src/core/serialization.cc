@@ -1,7 +1,6 @@
 #include "core/serialization.h"
 
 #include <cctype>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -54,56 +53,7 @@ class Cursor {
   /// Parses a single-quoted string with EscapeForDisplay escapes.
   Result<std::string> ParseQuoted() {
     SkipSpace();
-    if (!Consume('\'')) {
-      return Status::InvalidArgument("expected opening quote");
-    }
-    std::string out;
-    while (!AtEnd()) {
-      char c = text_[pos_++];
-      if (c == '\'') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (AtEnd()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case '\'':
-          out.push_back('\'');
-          break;
-        case '\\':
-          out.push_back('\\');
-          break;
-        case 'x': {
-          // Exactly two hex digits: from_chars takes no sign or prefix.
-          unsigned value = 0;
-          const char* digits = text_.data() + pos_;
-          if (text_.size() - pos_ < 2 ||
-              std::from_chars(digits, digits + 2, value, 16).ptr !=
-                  digits + 2) {
-            return Status::InvalidArgument(
-                "\\x escape needs two hex digits at offset " +
-                std::to_string(pos_));
-          }
-          pos_ += 2;
-          out.push_back(static_cast<char>(value));
-          break;
-        }
-        default:
-          return Status::InvalidArgument(
-              std::string("unknown escape: \\") + esc);
-      }
-    }
-    return Status::InvalidArgument("unterminated quoted string");
+    return ParseQuotedDisplay(text_, &pos_);
   }
 
   /// Parses a quoted string that must hold exactly one character.

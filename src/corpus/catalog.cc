@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -63,81 +65,48 @@ class LineCursor {
     return true;
   }
 
-  Result<uint64_t> ParseU64() {
+  /// Parses the next token whole at T's width: an integer through
+  /// ParseWhole (a sign, trailing bytes or a value outside T is an error,
+  /// never wrapped or saturated), a double as the "%a" hex float
+  /// SerializeSignatures writes, finite and not negative (a mean length).
+  template <typename T>
+  Status Number(T* out) {
     SkipSpace();
     const size_t start = pos_;
-    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
+    while (pos_ < line_.size() && line_[pos_] != ' ' && line_[pos_] != '\t') {
       ++pos_;
     }
-    if (pos_ == start) {
-      return Status::InvalidArgument("expected unsigned integer");
+    const std::string_view token = line_.substr(start, pos_ - start);
+    bool ok = false;
+    if constexpr (std::is_floating_point_v<T>) {
+      if (token.substr(0, 2) == "0x") {
+        const char* end = token.data() + token.size();
+        const auto [ptr, ec] = std::from_chars(token.data() + 2, end, *out,
+                                               std::chars_format::hex);
+        ok = ec == std::errc() && ptr == end && std::isfinite(*out) &&
+             !std::signbit(*out);
+      }
+    } else {
+      ok = ParseWhole(token, out);
     }
-    return static_cast<uint64_t>(
-        std::strtoull(std::string(line_.substr(start, pos_ - start)).c_str(),
-                      nullptr, 10));
+    if (ok) return Status::OK();
+    return Status::InvalidArgument("invalid number '" + std::string(token) +
+                                   "'");
   }
 
-  /// Parses a double written by "%a" (hex float) or "%g".
-  Result<double> ParseDouble() {
-    SkipSpace();
-    const std::string rest(line_.substr(pos_));
-    char* end = nullptr;
-    const double value = std::strtod(rest.c_str(), &end);
-    if (end == rest.c_str()) {
-      return Status::InvalidArgument("expected floating-point value");
+  /// Reads `key=<number>` (see Number).
+  template <typename T>
+  Status Field(std::string_view key, T* out) {
+    if (!ConsumeKey(key)) {
+      return Status::InvalidArgument("expected " + std::string(key) + "=");
     }
-    pos_ += static_cast<size_t>(end - rest.c_str());
-    return value;
+    return Number(out);
   }
 
   /// Parses a single-quoted string with the EscapeForDisplay escapes.
   Result<std::string> ParseQuoted() {
     SkipSpace();
-    if (pos_ >= line_.size() || line_[pos_] != '\'') {
-      return Status::InvalidArgument("expected opening quote");
-    }
-    ++pos_;
-    std::string out;
-    while (pos_ < line_.size()) {
-      const char c = line_[pos_++];
-      if (c == '\'') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= line_.size()) break;
-      const char esc = line_[pos_++];
-      switch (esc) {
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case '\'': out.push_back('\''); break;
-        case '\\': out.push_back('\\'); break;
-        case 'x': {
-          if (pos_ + 2 > line_.size()) {
-            return Status::InvalidArgument("truncated \\x escape");
-          }
-          const auto hex_digit = [](char h) -> int {
-            if (h >= '0' && h <= '9') return h - '0';
-            if (h >= 'a' && h <= 'f') return h - 'a' + 10;
-            if (h >= 'A' && h <= 'F') return h - 'A' + 10;
-            return -1;
-          };
-          const int hi = hex_digit(line_[pos_]);
-          const int lo = hex_digit(line_[pos_ + 1]);
-          pos_ += 2;
-          if (hi < 0 || lo < 0) {
-            return Status::InvalidArgument("invalid \\x escape");
-          }
-          out.push_back(static_cast<char>(hi * 16 + lo));
-          break;
-        }
-        default:
-          return Status::InvalidArgument(std::string("unknown escape: \\") +
-                                         esc);
-      }
-    }
-    return Status::InvalidArgument("unterminated quoted string");
+    return ParseQuotedDisplay(line_, &pos_);
   }
 
  private:
@@ -145,8 +114,7 @@ class LineCursor {
   size_t pos_ = 0;
 };
 
-constexpr std::string_view kSignatureHeaderV1 = "# tj-signatures v1";
-constexpr std::string_view kSignatureHeaderV2 = "# tj-signatures v2";
+constexpr std::string_view kSignatureHeader = "# tj-signatures v2";
 
 }  // namespace
 
@@ -657,7 +625,7 @@ const ColumnSignature& TableCatalog::signature(ColumnRef ref) const {
 }
 
 std::string TableCatalog::SerializeSignatures() const {
-  std::string out(kSignatureHeaderV2);
+  std::string out(kSignatureHeader);
   out += "\n";
   out += StrPrintf("options ngram=%llu hashes=%llu seed=%llu lowercase=%d\n",
                    static_cast<unsigned long long>(options_.ngram),
@@ -700,9 +668,9 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
   std::vector<std::pair<ColumnRef, ColumnSignature>> staged;
   constexpr uint32_t kNoTable = ~0u;
   uint32_t current_table = kNoTable;
-  int version = 0;       // 0 = header not seen yet
+  bool saw_header = false;
   bool saw_options = false;
-  // v2: true while inside a table block whose sketches must be discarded
+  // True while inside a table block whose sketches must be discarded
   // (unknown table or stale fingerprint). Lines are still syntax-checked.
   bool skipping_block = false;
   // Whether the most recent column line (staged or skipped) is still
@@ -726,35 +694,32 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
 
     line = TrimAscii(line);
     if (line.empty()) continue;
-    if (version == 0) {
-      if (line == kSignatureHeaderV1) {
-        version = 1;
-      } else if (line == kSignatureHeaderV2) {
-        version = 2;
-      } else {
-        return fail("missing tj-signatures header");
+    if (!saw_header) {
+      // Any other header (the fingerprint-less v1 format included) fails
+      // closed; the caller rescans and saves v2.
+      if (line != kSignatureHeader) {
+        return fail("expected the '" + std::string(kSignatureHeader) +
+                    "' header");
       }
+      saw_header = true;
       continue;
     }
     if (line[0] == '#') continue;
 
     LineCursor cursor(line);
     if (cursor.ConsumeWord("options")) {
-      if (!cursor.ConsumeKey("ngram")) return fail("expected ngram=");
-      auto ngram = cursor.ParseU64();
-      if (!ngram.ok()) return fail(ngram.status().message());
-      if (!cursor.ConsumeKey("hashes")) return fail("expected hashes=");
-      auto hashes = cursor.ParseU64();
-      if (!hashes.ok()) return fail(hashes.status().message());
-      if (!cursor.ConsumeKey("seed")) return fail("expected seed=");
-      auto seed = cursor.ParseU64();
-      if (!seed.ok()) return fail(seed.status().message());
-      if (!cursor.ConsumeKey("lowercase")) return fail("expected lowercase=");
-      auto lowercase = cursor.ParseU64();
-      if (!lowercase.ok()) return fail(lowercase.status().message());
-      if (*ngram != options_.ngram || *hashes != options_.num_hashes ||
-          *seed != options_.seed ||
-          (*lowercase != 0) != options_.lowercase) {
+      size_t ngram = 0;
+      size_t hashes = 0;
+      uint64_t seed = 0;
+      unsigned lowercase = 0;
+      Status parsed = cursor.Field("ngram", &ngram);
+      if (parsed.ok()) parsed = cursor.Field("hashes", &hashes);
+      if (parsed.ok()) parsed = cursor.Field("seed", &seed);
+      if (parsed.ok()) parsed = cursor.Field("lowercase", &lowercase);
+      if (!parsed.ok()) return fail(parsed.message());
+      if (lowercase > 1) return fail("lowercase= must be 0 or 1");
+      if (ngram != options_.ngram || hashes != options_.num_hashes ||
+          seed != options_.seed || (lowercase == 1) != options_.lowercase) {
         return fail("sketch parameters disagree with this catalog's options");
       }
       saw_options = true;
@@ -766,35 +731,16 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (column_pending) return fail("previous column missing its minhash");
       auto name = cursor.ParseQuoted();
       if (!name.ok()) return fail(name.status().message());
-      std::optional<uint64_t> recorded_fp;
-      if (version >= 2) {
-        if (!cursor.ConsumeKey("fp")) return fail("expected fp=");
-        auto fp = cursor.ParseU64();
-        if (!fp.ok()) return fail(fp.status().message());
-        recorded_fp = *fp;
-      }
+      uint64_t recorded_fp = 0;
+      const Status parsed = cursor.Field("fp", &recorded_fp);
+      if (!parsed.ok()) return fail(parsed.message());
+      // A block for a table this catalog no longer has, or whose content
+      // changed since the cache was written, is stale: skip it, and the
+      // sketches are recomputed.
       auto index = TableIndex(*name);
-      if (!index.ok()) {
-        // v2 entries for tables this catalog no longer has are stale, not
-        // fatal: skip the block. v1 has no way to tell stale from typo, so
-        // it fails closed.
-        if (version >= 2) {
-          skipping_block = true;
-          current_table = kNoTable;
-          continue;
-        }
-        return fail(index.status().message());
-      }
-      if (recorded_fp.has_value() &&
-          *recorded_fp != tables_[*index].fingerprint) {
-        // Stale v2 entry: the table's content changed since the cache was
-        // written. Self-invalidate — the sketches will be recomputed.
-        skipping_block = true;
-        current_table = kNoTable;
-        continue;
-      }
-      skipping_block = false;
-      current_table = *index;
+      skipping_block =
+          !index.ok() || recorded_fp != tables_[*index].fingerprint;
+      current_table = skipping_block ? kNoTable : *index;
       continue;
     }
     if (cursor.ConsumeWord("column")) {
@@ -804,30 +750,13 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       ColumnSignature sig;
       sig.ngram = options_.ngram;
       sig.seed = options_.seed;
-      if (!cursor.ConsumeKey("rows")) return fail("expected rows=");
-      auto rows = cursor.ParseU64();
-      if (!rows.ok()) return fail(rows.status().message());
-      sig.num_rows = static_cast<uint32_t>(*rows);
-      if (!cursor.ConsumeKey("distinct")) return fail("expected distinct=");
-      auto distinct = cursor.ParseU64();
-      if (!distinct.ok()) return fail(distinct.status().message());
-      sig.distinct_ngrams = *distinct;
-      if (!cursor.ConsumeKey("minlen")) return fail("expected minlen=");
-      auto minlen = cursor.ParseU64();
-      if (!minlen.ok()) return fail(minlen.status().message());
-      sig.min_length = static_cast<uint32_t>(*minlen);
-      if (!cursor.ConsumeKey("maxlen")) return fail("expected maxlen=");
-      auto maxlen = cursor.ParseU64();
-      if (!maxlen.ok()) return fail(maxlen.status().message());
-      sig.max_length = static_cast<uint32_t>(*maxlen);
-      if (!cursor.ConsumeKey("meanlen")) return fail("expected meanlen=");
-      auto meanlen = cursor.ParseDouble();
-      if (!meanlen.ok()) return fail(meanlen.status().message());
-      sig.mean_length = *meanlen;
-      if (!cursor.ConsumeKey("charset")) return fail("expected charset=");
-      auto charset = cursor.ParseU64();
-      if (!charset.ok()) return fail(charset.status().message());
-      sig.charset_mask = static_cast<uint32_t>(*charset);
+      Status parsed = cursor.Field("rows", &sig.num_rows);
+      if (parsed.ok()) parsed = cursor.Field("distinct", &sig.distinct_ngrams);
+      if (parsed.ok()) parsed = cursor.Field("minlen", &sig.min_length);
+      if (parsed.ok()) parsed = cursor.Field("maxlen", &sig.max_length);
+      if (parsed.ok()) parsed = cursor.Field("meanlen", &sig.mean_length);
+      if (parsed.ok()) parsed = cursor.Field("charset", &sig.charset_mask);
+      if (!parsed.ok()) return fail(parsed.message());
       if (skipping_block) {
         skipped_sig = std::move(sig);
         column_pending = true;
@@ -859,9 +788,10 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (!sig.minhash.empty()) return fail("duplicate minhash line");
       sig.minhash.reserve(options_.num_hashes);
       while (!cursor.AtEnd()) {
-        auto h = cursor.ParseU64();
-        if (!h.ok()) return fail(h.status().message());
-        sig.minhash.push_back(*h);
+        uint64_t h = 0;
+        const Status parsed = cursor.Number(&h);
+        if (!parsed.ok()) return fail(parsed.message());
+        sig.minhash.push_back(h);
       }
       if (sig.minhash.size() != options_.num_hashes) {
         return fail(StrPrintf("expected %zu minhash slots, got %zu",
@@ -872,7 +802,7 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
     }
     return fail("unrecognized line");
   }
-  if (version == 0) {
+  if (!saw_header) {
     return Status::InvalidArgument("signatures: missing tj-signatures header");
   }
   if (column_pending) {

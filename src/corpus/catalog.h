@@ -289,16 +289,18 @@ class TableCatalog : public CorpusColumnSource {
   /// Parses a SerializeSignatures dump and installs the signatures on the
   /// matching columns of this catalog.
   ///
-  /// v2 dumps self-invalidate: a table block whose name is unknown here or
+  /// Dumps self-invalidate: a table block whose name is unknown here or
   /// whose recorded fingerprint disagrees with the current table content is
   /// skipped (still syntax-checked), so stale sketches are silently dropped
   /// and recomputed by the next ComputeSignatures instead of being served.
   ///
-  /// v1-era dumps (no fingerprints) are accepted for migration but fail
-  /// closed: any disagreement — unknown table or column name, row-count
-  /// drift, malformed or truncated input, sketch parameters that differ
-  /// from this catalog's SignatureOptions — is an error and installs
-  /// nothing, forcing a rescan. Saving after a v1 load writes v2.
+  /// Anything else fails closed and installs nothing, forcing a rescan: a
+  /// header other than "# tj-signatures v2" (the fingerprint-less v1 format
+  /// included), sketch parameters that differ from this catalog's
+  /// SignatureOptions, an unknown column, row-count drift, malformed or
+  /// truncated input, and numbers no sketch holds — each integer is read
+  /// at its field's width, meanlen must be finite and not negative, and
+  /// lowercase 0 or 1.
   Status LoadSignatures(std::string_view text);
 
   /// Crash-safe save: serializes into `<path>.tmp`, fsyncs, then renames

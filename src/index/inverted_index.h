@@ -13,8 +13,8 @@
 // plus one open-addressed slot table mapping hash(gram) -> gram id. No
 // per-gram heap node, no per-gram posting vector: the build performs O(1)
 // allocations (amortized growth of the flat buffers) instead of O(distinct
-// grams) — bench_table2's JSON records the measured difference against the
-// retained map-based reference builder (index/reference_postings.h).
+// grams). tests/parallel_determinism_test.cc keeps the map-based builder
+// this layout replaced as its oracle.
 //
 // Gram ids are assigned in global first-seen row-scan order, which the
 // sharded parallel build reproduces exactly (shards cover ascending row

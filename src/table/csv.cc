@@ -193,7 +193,7 @@ class CsvTableBuilder {
   /// Sizes each column from the input size: cell bytes are bounded by the
   /// input bytes split across columns, and the row count by input bytes
   /// over the first data record's length. One up-front reservation instead
-  /// of regrow-copy cycles — visible in index_build_allocs-style counters.
+  /// of regrow-copy cycles.
   void ApplyReserveHints(const std::vector<std::string>& fields,
                          size_t num_fields) {
     if (input_size_hint_ == 0 || columns_.empty()) return;

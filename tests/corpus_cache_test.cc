@@ -1,9 +1,10 @@
 // Robustness tests for the signature cache and the CSV ingestion path that
-// feeds the catalog: malformed/truncated/v1-era cache files must fail
-// closed (error out and install nothing — the caller rescans), v2 entries
-// self-invalidate via per-table content fingerprints, a v1 dump migrates
-// to v2 through one load/save round trip, and AddCsvDirectory survives the
-// awkward corners of real CSV files.
+// feeds the catalog: malformed, truncated or v1-era cache files, and dumps
+// edited to hold numbers no sketch computes, must fail closed (error out
+// and install nothing — the caller rescans); v2 entries self-invalidate via
+// per-table content fingerprints; quoted table and column names round-trip
+// through the shared EscapeForDisplay decoder; and AddCsvDirectory survives
+// the awkward corners of real CSV files.
 
 #include <gtest/gtest.h>
 
@@ -44,19 +45,15 @@ void ExpectNothingInstalled(const TableCatalog& catalog) {
   }
 }
 
-/// Downgrades a v2 dump to the v1 wire format: v1 header, no fp= keys.
-std::string DowngradeToV1(std::string dump) {
-  const std::string v2_header = "# tj-signatures v2";
-  const size_t header = dump.find(v2_header);
-  EXPECT_NE(header, std::string::npos);
-  dump.replace(header, v2_header.size(), "# tj-signatures v1");
-  size_t pos = 0;
-  while ((pos = dump.find(" fp=", pos)) != std::string::npos) {
-    size_t end = pos + 4;
-    while (end < dump.size() && dump[end] >= '0' && dump[end] <= '9') ++end;
-    dump.erase(pos, end - pos);
-  }
-  return dump;
+/// Replaces the first value written after `key` (e.g. "rows=", "minhash ")
+/// in a dump, leaving every other byte — fingerprints included — intact.
+std::string EditFirst(std::string dump, const std::string& key,
+                      const std::string& value) {
+  const size_t pos = dump.find(key);
+  EXPECT_NE(pos, std::string::npos) << key;
+  const size_t begin = pos + key.size();
+  const size_t end = dump.find_first_of(" \n", begin);
+  return dump.replace(begin, end - begin, value);
 }
 
 TEST(SignatureCache, SerializesAsV2WithFingerprints) {
@@ -73,6 +70,8 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
   TableCatalog catalog = BuildCatalog(corpus);
   catalog.ComputeSignatures();
   const std::string dump = catalog.SerializeSignatures();
+  const uint64_t rows = std::stoull(dump.substr(dump.find("rows=") + 5));
+  const std::string twenty_digits = "99999999999999999999";
 
   const std::vector<std::string> malformed = {
       "",                                     // empty
@@ -82,10 +81,32 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
       "# tj-signatures v2\ntable 'x'\n",      // table before options
       // Options disagreeing with the catalog's sketch parameters.
       "# tj-signatures v2\noptions ngram=4 hashes=9 seed=1 lowercase=1\n",
+      // The fingerprint-less v1 format is no longer read: a v1 header fails
+      // closed like any unknown one, whatever follows it.
+      "# tj-signatures v1" + dump.substr(dump.find('\n')),
+      // One field of a real dump edited, its fingerprints left valid. Each
+      // once installed a sketch no fresh run computes: a wrapped or
+      // saturated integer, a NaN or infinite mean length, lowercase=2.
+      EditFirst(dump, "rows=", std::to_string(rows + (uint64_t{1} << 32))),
+      EditFirst(dump, "rows=", std::to_string(rows + 1)),  // row-count drift
+      EditFirst(dump, "rows=", "+" + std::to_string(rows)),
+      EditFirst(dump, "minlen=", "4294967296"),
+      EditFirst(dump, "maxlen=", "4294967296"),
+      EditFirst(dump, "distinct=", twenty_digits),
+      EditFirst(dump, "charset=", twenty_digits),
+      EditFirst(dump, "minhash ", twenty_digits),
+      EditFirst(dump, "fp=", twenty_digits),
+      EditFirst(dump, "meanlen=", "nan"),
+      EditFirst(dump, "meanlen=", "inf"),
+      EditFirst(dump, "meanlen=", "-0x1p+2"),
+      EditFirst(dump, "meanlen=", "0x1p+2x"),
+      EditFirst(dump, "lowercase=", "2"),
   };
   for (const std::string& text : malformed) {
+    ASSERT_NE(text, dump);
     TableCatalog target = BuildCatalog(corpus);
-    EXPECT_FALSE(target.LoadSignatures(text).ok()) << text;
+    EXPECT_FALSE(target.LoadSignatures(text).ok())
+        << text.substr(0, text.find("minhash"));
     ExpectNothingInstalled(target);
   }
 }
@@ -114,52 +135,47 @@ TEST(SignatureCache, TruncatedDumpsFailClosed) {
   }
 }
 
-TEST(SignatureCache, V1MigrationRoundTrip) {
-  const SynthCorpus corpus = SmallCorpus();
-  TableCatalog catalog = BuildCatalog(corpus);
+TEST(SignatureCache, EscapedNamesRoundTrip) {
+  // Names holding a quote, a backslash, a tab and a byte >= 0x80 are
+  // written with EscapeForDisplay and read back by the shared decoder.
+  const std::string table_name = "it's\\a\tb\xe9";
+  const std::string column_name = "c\xff'\\\t";
+  const auto build = [&] {
+    TableCatalog catalog;
+    Table table(table_name);
+    EXPECT_TRUE(
+        table.AddColumn(Column(column_name, {"alpha", "beta", "gamma"})).ok());
+    EXPECT_TRUE(table.AddColumn(Column("plain", {"1", "2", "3"})).ok());
+    EXPECT_TRUE(catalog.AddTable(std::move(table)).ok());
+    return catalog;
+  };
+  TableCatalog catalog = build();
   catalog.ComputeSignatures();
-  const std::string v2_dump = catalog.SerializeSignatures();
-  const std::string v1_dump = DowngradeToV1(v2_dump);
-  ASSERT_EQ(v1_dump.rfind("# tj-signatures v1", 0), 0u);
-  ASSERT_EQ(v1_dump.find(" fp="), std::string::npos);
+  const std::string dump = catalog.SerializeSignatures();
+  EXPECT_NE(dump.find("table 'it\\'s\\\\a\\tb\\xe9' fp="),
+            std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("column 'c\\xff\\'\\\\\\t' rows=3"),
+            std::string::npos)
+      << dump;
 
-  // A clean v1 dump loads (migration path)...
-  TableCatalog migrated = BuildCatalog(corpus);
-  const Status loaded = migrated.LoadSignatures(v1_dump);
+  TableCatalog reloaded = build();
+  const Status loaded = reloaded.LoadSignatures(dump);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   for (const ColumnRef ref : catalog.AllColumns()) {
-    ASSERT_TRUE(migrated.HasSignature(ref));
-    EXPECT_TRUE(migrated.signature(ref) == catalog.signature(ref));
+    ASSERT_TRUE(reloaded.HasSignature(ref));
+    EXPECT_TRUE(reloaded.signature(ref) == catalog.signature(ref));
   }
-  // ...and the next save writes v2 with fingerprints, byte-identical to a
-  // native v2 serialization.
-  EXPECT_EQ(migrated.SerializeSignatures(), v2_dump);
-}
+  EXPECT_EQ(reloaded.SerializeSignatures(), dump);
 
-TEST(SignatureCache, V1DriftFailsClosed) {
-  const SynthCorpus corpus = SmallCorpus();
-  TableCatalog catalog = BuildCatalog(corpus);
-  catalog.ComputeSignatures();
-  const std::string v1_dump = DowngradeToV1(catalog.SerializeSignatures());
-
-  // v1 has no fingerprints, so an unknown table name cannot be told apart
-  // from corruption: fail closed, install nothing.
-  std::string renamed = v1_dump;
-  const size_t table_pos = renamed.find("table '");
-  ASSERT_NE(table_pos, std::string::npos);
-  renamed.replace(table_pos, 7, "table 'zz");
-  TableCatalog target = BuildCatalog(corpus);
-  EXPECT_FALSE(target.LoadSignatures(renamed).ok());
+  // A malformed escape inside a name fails closed.
+  std::string bad = dump;
+  const size_t escape = bad.find("\\xe9");
+  ASSERT_NE(escape, std::string::npos);
+  bad.replace(escape, 4, "\\xZ9");
+  TableCatalog target = build();
+  EXPECT_FALSE(target.LoadSignatures(bad).ok());
   ExpectNothingInstalled(target);
-
-  // Row-count drift (the only v1-detectable staleness) also fails closed.
-  std::string drifted = v1_dump;
-  const size_t rows_pos = drifted.find("rows=");
-  ASSERT_NE(rows_pos, std::string::npos);
-  drifted.replace(rows_pos, 7, "rows=9");
-  TableCatalog target2 = BuildCatalog(corpus);
-  EXPECT_FALSE(target2.LoadSignatures(drifted).ok());
-  ExpectNothingInstalled(target2);
 }
 
 TEST(SignatureCache, V2StaleFingerprintSelfInvalidates) {

@@ -7,16 +7,19 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/discovery.h"
 #include "core/example.h"
 #include "datagen/synth.h"
 #include "index/inverted_index.h"
-#include "index/reference_postings.h"
 #include "join/join_engine.h"
 #include "match/row_matcher.h"
+#include "text/ngram.h"
 
 namespace tj {
 namespace {
@@ -262,8 +265,42 @@ TEST(ParallelIndexBuild, IdenticalPostingsAcrossThreadCounts) {
   }
 }
 
+using ReferencePostingsMap =
+    std::unordered_map<std::string, std::vector<uint32_t>, StringHash,
+                       StringEq>;
+
+/// The map-based builder the flat CSR layout replaced, kept as the oracle:
+/// one heap string and one growable posting vector per distinct gram,
+/// ascending per-row-deduplicated postings, optional ASCII lowercasing.
+ReferencePostingsMap BuildReferencePostings(const Column& column, size_t n0,
+                                            size_t nmax, bool lowercase) {
+  ReferencePostingsMap postings;
+  for (size_t row = 0; row < column.size(); ++row) {
+    std::string lowered;
+    std::string_view text = column.Get(row);
+    if (lowercase) {
+      lowered = ToLowerAscii(text);
+      text = lowered;
+    }
+    for (size_t n = n0; n <= nmax && n <= text.size(); ++n) {
+      ForEachNgram(text, n, [&](std::string_view gram) {
+        auto it = postings.find(gram);
+        if (it == postings.end()) {
+          it = postings.emplace(std::string(gram), std::vector<uint32_t>())
+                   .first;
+        }
+        if (it->second.empty() ||
+            it->second.back() != static_cast<uint32_t>(row)) {
+          it->second.push_back(static_cast<uint32_t>(row));
+        }
+      });
+    }
+  }
+  return postings;
+}
+
 TEST(ParallelIndexBuild, CsrMatchesMapReferenceBuilder) {
-  // The flat CSR index must agree gram-for-gram with the retained map-based
+  // The flat CSR index must agree gram-for-gram with the map-based
   // reference builder (the pre-refactor storage model), lowercased and not.
   const SynthDataset ds = GenerateSynth(SynthN(40, 29));
   const Column& column = ds.pair.SourceColumn();
