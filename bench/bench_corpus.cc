@@ -26,7 +26,6 @@
 #include "benchlib/report.h"
 #include "benchlib/storage_metrics.h"
 #include "common/hash.h"
-#include "common/perf_counters.h"
 #include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -589,12 +588,9 @@ ServeOutcome RunServed(const tj::SynthCorpus& corpus,
 struct SignatureBuildOutcome {
   double scalar_ms = 0.0;
   double simd_ms = 0.0;
-  tj::PerfSample scalar_perf;
-  tj::PerfSample simd_perf;
 };
 
-SignatureBuildOutcome MeasureSignatureBuild(const tj::SynthCorpus& corpus,
-                                            tj::PerfCounterGroup* perf) {
+SignatureBuildOutcome MeasureSignatureBuild(const tj::SynthCorpus& corpus) {
   using namespace tj;
   SignatureBuildOutcome outcome;
   const simd::SimdLevel best = simd::BestSupportedLevel();
@@ -602,7 +598,6 @@ SignatureBuildOutcome MeasureSignatureBuild(const tj::SynthCorpus& corpus,
   std::vector<ColumnSignature> best_sigs;
 
   const auto sketch = [&](simd::SimdLevel level, double* ms,
-                          PerfSample* sample,
                           std::vector<ColumnSignature>* sigs) {
     simd::SetActiveLevel(level);
     TableCatalog catalog;
@@ -613,18 +608,15 @@ SignatureBuildOutcome MeasureSignatureBuild(const tj::SynthCorpus& corpus,
         std::exit(1);
       }
     }
-    const PerfSample begin = perf->Read();
     Stopwatch watch;
     catalog.ComputeSignatures();
     *ms = watch.ElapsedSeconds() * 1e3;
-    *sample = perf->Read().Since(begin);
     for (const ColumnRef ref : catalog.AllColumns()) {
       sigs->push_back(catalog.signature(ref));
     }
   };
-  sketch(simd::SimdLevel::kScalar, &outcome.scalar_ms, &outcome.scalar_perf,
-         &scalar_sigs);
-  sketch(best, &outcome.simd_ms, &outcome.simd_perf, &best_sigs);
+  sketch(simd::SimdLevel::kScalar, &outcome.scalar_ms, &scalar_sigs);
+  sketch(best, &outcome.simd_ms, &best_sigs);
   simd::SetActiveLevel(best);  // leave dispatch at the default for the rest
 
   if (scalar_sigs != best_sigs) {
@@ -650,13 +642,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  // Open the counter trio before anything spawns a thread: events are
-  // inherited by threads created afterwards, so every phase's pool workers
-  // are counted. Degrades silently (zeros + available=false) where the
-  // syscall is blocked.
-  PerfCounterGroup perf;
-  perf.Open();
 
   const char* scale_env = std::getenv("TJ_BENCH_SCALE");
   const double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
@@ -685,21 +670,17 @@ int main(int argc, char** argv) {
   // Out-of-core FIRST — before the heap corpus even exists: peak RSS is a
   // process-wide high-water mark, so the spilled phase's sample is only
   // meaningful while no in-memory copy of the corpus has been faulted.
-  const PerfSample spill_begin = perf.Read();
   const SpillOutcome spilled = RunSpilled(corpus_options, pruned_options);
-  const PerfSample spill_perf = perf.Read().Since(spill_begin);
 
   const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
   std::printf("corpus: %zu tables (%zu joinable pairs), %zu rows each, "
-              "threads=%d, simd=%s, perf counters %s\n",
+              "threads=%d, simd=%s\n",
               corpus.tables.size(), corpus.golden.size(),
               corpus_options.rows, ResolveNumThreads(num_threads),
-              simd::SimdLevelName(simd::ActiveLevel()),
-              perf.available() ? "on" : "unavailable");
+              simd::SimdLevelName(simd::ActiveLevel()));
 
   // Scalar-vs-best sketch pass (proves bit-identity, reports both times).
-  const SignatureBuildOutcome sig_build =
-      MeasureSignatureBuild(corpus, &perf);
+  const SignatureBuildOutcome sig_build = MeasureSignatureBuild(corpus);
   std::printf(
       "signature build: scalar %.2f ms, %s %.2f ms (%.2fx), outputs "
       "identical\n",
@@ -707,9 +688,7 @@ int main(int argc, char** argv) {
       sig_build.simd_ms,
       sig_build.simd_ms > 0 ? sig_build.scalar_ms / sig_build.simd_ms : 0.0);
 
-  const PerfSample pruned_begin = perf.Read();
   const RunOutcome pruned = Run(corpus, pruned_options);
-  const PerfSample pruned_perf = perf.Read().Since(pruned_begin);
 
   // Cross-pair memoization: cold pass builds each distinct column's index
   // once into the cache, warm pass (repeated discovery over the unchanged
@@ -720,9 +699,7 @@ int main(int argc, char** argv) {
   IndexCache index_cache(256ull << 20);
   const CachedOutcome cached = RunCached(corpus, pruned_options, &index_cache);
 
-  const PerfSample brute_begin = perf.Read();
   const RunOutcome brute = Run(corpus, brute_options);
-  const PerfSample brute_perf = perf.Read().Since(brute_begin);
   const bool cache_identical =
       SameDiscoveryResults(cached.cold.result, pruned.result) &&
       SameDiscoveryResults(cached.warm.result, pruned.result);
@@ -828,9 +805,7 @@ int main(int argc, char** argv) {
 
   // Million-table scale: LSH-banded probes vs the linear-scan incremental
   // build on a 10k-table corpus (scaled by TJ_BENCH_SCALE, floor 200).
-  const PerfSample lsh_begin = perf.Read();
   const LshScaleOutcome lsh = RunLshScale(scale, num_threads);
-  const PerfSample lsh_perf = perf.Read().Since(lsh_begin);
   std::printf(
       "\nlsh scale (%zu tables): probes scored %zu of %zu linear-scan "
       "pairs (%.3fx), one full-size add scored %zu of %zu (%.3fx), "
@@ -850,10 +825,8 @@ int main(int argc, char** argv) {
   // The same daemon with 1 and with 4 concurrent clients: queries evaluate
   // in parallel on their own connections, so queries/s should scale with
   // clients up to the core count while p50 holds.
-  const PerfSample serve_begin = perf.Read();
   const ServeOutcome served = RunServed(corpus, pruned_options, 1);
   const ServeOutcome served4 = RunServed(corpus, pruned_options, 4);
-  const PerfSample serve_perf = perf.Read().Since(serve_begin);
   const auto print_served = [](int clients, const ServeOutcome& outcome) {
     std::printf("  %d client(s), %zu queries: p50 %.0f us, p99 %.0f us, "
                 "%.0f queries/s\n",
@@ -865,30 +838,6 @@ int main(int argc, char** argv) {
   print_served(4, served4);
   std::printf("  mutation->fresh snapshot %.1f ms\n",
               served.snapshot_rebuild_ms);
-
-  if (perf.available()) {
-    TablePrinter perf_printer(
-        {"phase", "cycles", "instructions", "ipc", "cache misses"});
-    const auto add_perf_row = [&](const char* phase, const PerfSample& s) {
-      perf_printer.AddRow({phase, StrPrintf("%llu",
-                                            (unsigned long long)s.cycles),
-                           StrPrintf("%llu",
-                                     (unsigned long long)s.instructions),
-                           FormatDouble(s.Ipc(), 2),
-                           StrPrintf("%llu",
-                                     (unsigned long long)s.cache_misses)});
-    };
-    add_perf_row("signature build (scalar)", sig_build.scalar_perf);
-    add_perf_row("signature build (best)", sig_build.simd_perf);
-    add_perf_row("out-of-core discovery", spill_perf);
-    add_perf_row("sketch-pruned discovery", pruned_perf);
-    add_perf_row("brute-force discovery", brute_perf);
-    add_perf_row("lsh scale ingest", lsh_perf);
-    add_perf_row("served queries", serve_perf);
-    std::printf("\nhardware counters per phase (simd_level=%s):\n",
-                simd::SimdLevelName(simd::ActiveLevel()));
-    perf_printer.Print();
-  }
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -981,20 +930,11 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"simd_level\": \"%s\",\n"
                  "  \"simd_best_level\": \"%s\",\n"
-                 "  \"perf_counters_available\": %s,\n"
                  "  \"signature_build_ms_scalar\": %.3f,\n"
                  "  \"signature_build_ms_simd\": %.3f,\n",
                  simd::SimdLevelName(simd::ActiveLevel()),
                  simd::SimdLevelName(simd::BestSupportedLevel()),
-                 perf.available() ? "true" : "false", sig_build.scalar_ms,
-                 sig_build.simd_ms);
-    WritePerfPhaseJson(f, "signature_build_scalar", sig_build.scalar_perf);
-    WritePerfPhaseJson(f, "signature_build_simd", sig_build.simd_perf);
-    WritePerfPhaseJson(f, "spill", spill_perf);
-    WritePerfPhaseJson(f, "pruned", pruned_perf);
-    WritePerfPhaseJson(f, "bruteforce", brute_perf);
-    WritePerfPhaseJson(f, "lsh", lsh_perf);
-    WritePerfPhaseJson(f, "serve", serve_perf);
+                 sig_build.scalar_ms, sig_build.simd_ms);
     std::fprintf(f,
                  "  \"lsh_scale_tables\": %zu,\n"
                  "  \"lsh_probe_pairs\": %zu,\n"

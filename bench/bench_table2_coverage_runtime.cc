@@ -25,7 +25,6 @@
 #include "benchlib/report.h"
 #include "benchlib/storage_metrics.h"
 #include "benchlib/suite.h"
-#include "common/perf_counters.h"
 #include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -115,29 +114,18 @@ PanelSummary RunPanel(const std::vector<BenchDataset>& suite,
 }
 
 int Run(const std::string& json_path) {
-  // Counters first: events opened here are inherited by the pool's worker
-  // threads (constructed below), so panel deltas charge parallel work too.
-  PerfCounterGroup perf;
-  perf.Open();
-
   std::printf("== Table 2: Coverage and runtime, ours vs Auto-Join ==\n");
-  std::printf("(simd=%s, perf counters %s)\n",
-              simd::SimdLevelName(simd::ActiveLevel()),
-              perf.available() ? "on" : "unavailable");
+  std::printf("(simd=%s)\n", simd::SimdLevelName(simd::ActiveLevel()));
   std::printf(
       "(Auto-Join runs under a per-table wall budget; 'capped' marks runs "
       "that\nhit it, the analogue of the paper's 650,000s cap.)\n\n");
   const SuiteOptions options = SuiteOptionsFromEnv();
   const std::vector<BenchDataset> suite = BuildSuite(options);
   ThreadPool pool(options.num_threads);
-  const PerfSample before_ngram = perf.Read();
   const PanelSummary ngram =
       RunPanel(suite, MatchingMode::kNgram, &pool, "N-gram row matching");
-  const PerfSample before_golden = perf.Read();
   const PanelSummary golden =
       RunPanel(suite, MatchingMode::kGolden, &pool, "Golden row matching");
-  const PerfSample ngram_perf = before_golden.Since(before_ngram);
-  const PerfSample golden_perf = perf.Read().Since(before_golden);
 
   const StorageMetrics storage = MeasureStorage(suite);
   PrintStorageSummary(storage);
@@ -165,13 +153,9 @@ int Run(const std::string& json_path) {
         golden.mean_top_cov, golden.mean_coverage, golden.seconds);
     std::fprintf(f,
                  "  \"simd_level\": \"%s\",\n"
-                 "  \"simd_best_level\": \"%s\",\n"
-                 "  \"perf_counters_available\": %s,\n",
+                 "  \"simd_best_level\": \"%s\",\n",
                  simd::SimdLevelName(simd::ActiveLevel()),
-                 simd::SimdLevelName(simd::BestSupportedLevel()),
-                 perf.available() ? "true" : "false");
-    WritePerfPhaseJson(f, "ngram", ngram_perf);
-    WritePerfPhaseJson(f, "golden", golden_perf);
+                 simd::SimdLevelName(simd::BestSupportedLevel()));
     WriteStorageJsonTail(f, storage);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

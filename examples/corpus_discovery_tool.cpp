@@ -1,10 +1,12 @@
 // corpus_discovery_tool: repository-scale joinable-column discovery over a
 // directory of CSV tables.
 //
-//   corpus_discovery_tool <csv-dir> [--threads N] [--min-containment F]
-//                         [--max-candidates N] [--support F] [--top K]
+//   corpus_discovery_tool <csv-dir> [--min-containment F]
+//                         [--max-candidates N] [--top K]
 //                         [--signatures cache.tj] [--out results.csv]
 //                         [--add FILE]... [--remove NAME]... [--update FILE]...
+//                         [--threads N] [--support F] [--spill-dir DIR]
+//                         [--memory-budget BYTES] [--failpoints SPEC]
 //   corpus_discovery_tool <csv-dir> --serve SOCKET [--watch DIR] [...]
 //   corpus_discovery_tool --client SOCKET JSON...
 //   corpus_discovery_tool --gen <dir> [--tables N] [--rows N] [--seed S]
@@ -37,8 +39,10 @@
 // --selftest runs a set of named end-to-end checks on an in-memory corpus,
 // prints each failing check by name, and exits with the number of failed
 // checks (used as a ctest smoke test).
+//
+// --threads, --support, --spill-dir, --memory-budget and --failpoints are
+// shared with csv_join_tool (tool_flags.h).
 
-#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -47,8 +51,6 @@
 #include <vector>
 
 #include "benchlib/report.h"
-#include "common/failpoint.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "corpus/catalog.h"
@@ -59,40 +61,29 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "table/csv.h"
-#include "table/spill_arena.h"
+#include "tool_flags.h"
 
 namespace {
 
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s <csv-dir> [--threads N] [--min-containment F]\n"
-      "          [--max-candidates N] [--support F] [--top K]\n"
+      "usage: %s <csv-dir> [--min-containment F]\n"
+      "          [--max-candidates N] [--top K]\n"
       "          [--signatures cache.tj] [--out results.csv]\n"
-      "          [--spill-dir DIR] [--memory-budget BYTES]\n"
       "          [--index-cache-budget BYTES]\n"
       "          [--lsh-bands N] [--lsh-rows N]\n"
-      "          [--failpoints SPEC]\n"
       "          [--add FILE]... [--remove NAME]... [--update FILE]...\n"
+      "          [--threads N] [--support F] [--spill-dir DIR]\n"
+      "          [--memory-budget BYTES] [--failpoints SPEC]\n"
       "       %s <csv-dir> --serve SOCKET [--watch DIR] [options]\n"
       "       %s --client SOCKET JSON...\n"
       "       %s --gen <dir> [--tables N] [--rows N] [--seed S]\n"
       "       %s --selftest\n"
-      "  --simd scalar|avx2|auto: pin the kernel dispatch level (any mode;\n"
-      "      'auto' = best the CPU supports; kernels are bit-identical\n"
-      "      across levels, so this only changes speed)\n"
-      "  --threads N: pair-level worker threads (0 = all cores, default);\n"
-      "      with --serve, the startup and mutation pool only (each query\n"
-      "      runs on its own connection's thread)\n"
       "  --min-containment F: sketch containment pruning floor "
       "(default 0.05; 0 = brute force)\n"
       "  --signatures F: load/save the column sketch cache (v2: stale\n"
       "      entries self-invalidate via per-table fingerprints)\n"
-      "  --spill-dir DIR: land table bytes in mmap-backed files under DIR\n"
-      "      (out-of-core catalogs; ingest streams block-wise)\n"
-      "  --memory-budget BYTES: resident cell-byte budget (k/m/g suffixes\n"
-      "      ok); cold tables are evicted to their spill files and\n"
-      "      re-mapped on access. Requires --spill-dir\n"
       "  --index-cache-budget BYTES: byte budget for the per-column\n"
       "      inverted-index cache shared across pair evaluations (default\n"
       "      256m, 0 = unlimited); batch and --add/--update runs only\n"
@@ -104,19 +95,19 @@ int Usage(const char* argv0) {
       "      most 128; the default 128x1 is lossless at any positive\n"
       "      --min-containment; coarser settings trade recall for fewer\n"
       "      probes)\n"
-      "  --failpoints SPEC: arm fault-injection sites, e.g.\n"
-      "      'mmap/sync=p:0.5,errno:EIO;mmap/ftruncate=errno:ENOSPC'\n"
-      "      (requires a -DTJ_FAILPOINTS=ON build)\n"
       "  --serve SOCKET: run as tjd, answering joinable/transform-join/\n"
       "      add/update/remove/stats requests over the unix socket\n"
       "      (length-prefixed JSON frames; snapshot-isolated epochs;\n"
-      "      concurrent queries, at most 64 live connections)\n"
+      "      concurrent queries, at most 64 live connections); --threads\n"
+      "      then sizes the startup and mutation pool only (each query\n"
+      "      runs on its own connection's thread)\n"
       "  --watch DIR: with --serve, mirror DIR's *.csv files into the\n"
       "      live catalog (debounced; add/update/remove by file stem)\n"
       "  --client SOCKET JSON...: send each JSON argument as one request\n"
       "      to a running daemon and print each response on its own line\n",
       argv0, argv0, argv0, argv0, argv0);
-  return 2;
+  std::fputs(tj::cli::kSharedUsage, stderr);
+  return tj::cli::kUsageExit;
 }
 
 int GenerateDemoCorpus(const std::string& dir, size_t tables, size_t rows,
@@ -373,11 +364,6 @@ int SelfTest() {
   return 0;
 }
 
-int InvalidValue(const char* argv0, const char* flag, const char* value) {
-  std::fprintf(stderr, "invalid %s value '%s'\n", flag, value);
-  return Usage(argv0);
-}
-
 struct MaintenanceOp {
   enum Kind { kAdd, kRemove, kUpdate } kind;
   std::string arg;  // CSV path for add/update, table name for remove
@@ -464,25 +450,6 @@ int RunDaemon(tj::TableCatalog* catalog, tj::serve::ServeOptions options,
 int main(int argc, char** argv) {
   using namespace tj;
 
-  // --simd applies in every mode (discovery, serve, gen, selftest), so it
-  // is stripped from argv before the per-mode parsers run.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--simd") != 0) continue;
-    simd::SimdLevel level;
-    if (i + 1 >= argc || !simd::ParseSimdLevel(argv[i + 1], &level)) {
-      std::fprintf(stderr, "--simd wants scalar|avx2|auto\n");
-      return 2;
-    }
-    const simd::SimdLevel installed = simd::SetActiveLevel(level);
-    if (installed != level) {
-      std::fprintf(stderr, "note: --simd %s unsupported here; using %s\n",
-                   argv[i + 1], simd::SimdLevelName(installed));
-    }
-    for (int j = i + 2; j < argc; ++j) argv[j - 2] = argv[j];
-    argc -= 2;
-    --i;
-  }
-
   if (argc < 2) return Usage(argv[0]);
 
   if (std::strcmp(argv[1], "--selftest") == 0) return SelfTest();
@@ -496,22 +463,22 @@ int main(int argc, char** argv) {
     uint64_t seed = 1;
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--tables") == 0 && i + 1 < argc) {
-        if (!ParseWhole(argv[++i], &tables)) {
-          return InvalidValue(argv[0], "--tables", argv[i]);
+        // Fewer than 2 tables would wrap the noise-table count below zero.
+        if (!ParseWhole(argv[++i], &tables) || tables < 2) {
+          return cli::InvalidValue(Usage, argv[0], "--tables", argv[i]);
         }
       } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
-        if (!ParseWhole(argv[++i], &rows)) {
-          return InvalidValue(argv[0], "--rows", argv[i]);
+        if (!ParseWhole(argv[++i], &rows) || rows == 0) {
+          return cli::InvalidValue(Usage, argv[0], "--rows", argv[i]);
         }
       } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
         if (!ParseWhole(argv[++i], &seed)) {
-          return InvalidValue(argv[0], "--seed", argv[i]);
+          return cli::InvalidValue(Usage, argv[0], "--seed", argv[i]);
         }
       } else {
         return Usage(argv[0]);
       }
     }
-    if (tables < 2 || rows == 0) return Usage(argv[0]);
     return GenerateDemoCorpus(dir, tables, rows, seed);
   }
 
@@ -528,36 +495,26 @@ int main(int argc, char** argv) {
   bool index_cache_budget_set = false;
   std::vector<MaintenanceOp> ops;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      // Unsigned: from_chars then rejects any sign, so "-2" is an error
-      // rather than a clamp to one thread.
-      unsigned threads = 0;
-      if (!ParseWhole(argv[++i], &threads) ||
-          threads > static_cast<unsigned>(INT_MAX)) {
-        return InvalidValue(argv[0], "--threads", argv[i]);
-      }
-      options.num_threads = static_cast<int>(threads);
-    } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
+    const cli::SharedFlag shared = cli::ParseSharedFlag(
+        argc, argv, &i, Usage, &options.num_threads, &options.join, &storage);
+    if (shared == cli::SharedFlag::kRejected) return cli::kUsageExit;
+    if (shared == cli::SharedFlag::kParsed) continue;
+    if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
       serve_socket = argv[++i];
     } else if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
       watch_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
-      storage.spill_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &storage.memory_budget_bytes)) {
-        return InvalidValue(argv[0], "--memory-budget", argv[i]);
-      }
     } else if (std::strcmp(argv[i], "--index-cache-budget") == 0 &&
                i + 1 < argc) {
       if (!ParseByteSize(argv[++i], &index_cache_budget)) {
-        return InvalidValue(argv[0], "--index-cache-budget", argv[i]);
+        return cli::InvalidValue(Usage, argv[0], "--index-cache-budget",
+                                 argv[i]);
       }
       index_cache_budget_set = true;
     } else if (std::strcmp(argv[i], "--min-containment") == 0 &&
                i + 1 < argc) {
       if (!ParseWhole(argv[++i], &options.pruner.min_containment)) {
-        return InvalidValue(argv[0], "--min-containment", argv[i]);
+        return cli::InvalidValue(Usage, argv[0], "--min-containment",
+                                 argv[i]);
       }
       if (options.pruner.min_containment <= 0.0) {
         options.pruner.require_charset_overlap = false;  // true brute force
@@ -565,26 +522,23 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--max-candidates") == 0 &&
                i + 1 < argc) {
       if (!ParseWhole(argv[++i], &options.pruner.max_candidates)) {
-        return InvalidValue(argv[0], "--max-candidates", argv[i]);
+        return cli::InvalidValue(Usage, argv[0], "--max-candidates",
+                                 argv[i]);
       }
     } else if (std::strcmp(argv[i], "--lsh-bands") == 0 && i + 1 < argc) {
       if (!ParseWhole(argv[++i], &options.pruner.lsh.bands)) {
-        return InvalidValue(argv[0], "--lsh-bands", argv[i]);
+        return cli::InvalidValue(Usage, argv[0], "--lsh-bands", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--lsh-rows") == 0 && i + 1 < argc) {
       // A band wider than the sketch leaves no band to index, so every
       // incremental fold-in would find no partner.
       if (!ParseWhole(argv[++i], &options.pruner.lsh.rows_per_band) ||
           options.pruner.lsh.rows_per_band > SignatureOptions().num_hashes) {
-        return InvalidValue(argv[0], "--lsh-rows", argv[i]);
-      }
-    } else if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
-      if (!ParseWhole(argv[++i], &options.join.min_join_support)) {
-        return InvalidValue(argv[0], "--support", argv[i]);
+        return cli::InvalidValue(Usage, argv[0], "--lsh-rows", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
       if (!ParseWhole(argv[++i], &top)) {
-        return InvalidValue(argv[0], "--top", argv[i]);
+        return cli::InvalidValue(Usage, argv[0], "--top", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--signatures") == 0 && i + 1 < argc) {
       signatures_path = argv[++i];
@@ -596,18 +550,6 @@ int main(int argc, char** argv) {
       ops.push_back({MaintenanceOp::kRemove, argv[++i]});
     } else if (std::strcmp(argv[i], "--update") == 0 && i + 1 < argc) {
       ops.push_back({MaintenanceOp::kUpdate, argv[++i]});
-    } else if (std::strcmp(argv[i], "--failpoints") == 0 && i + 1 < argc) {
-      if (!failpoint::CompiledIn()) {
-        std::fprintf(stderr,
-                     "--failpoints requires a -DTJ_FAILPOINTS=ON build\n");
-        return 2;
-      }
-      const Status armed = failpoint::ConfigureFromSpec(argv[++i]);
-      if (!armed.ok()) {
-        std::fprintf(stderr, "invalid --failpoints spec: %s\n",
-                     armed.ToString().c_str());
-        return 2;
-      }
     } else {
       return Usage(argv[0]);
     }
@@ -616,33 +558,8 @@ int main(int argc, char** argv) {
   // Reject malformed configuration up front with a message instead of a
   // downstream TJ_CHECK abort: the same ValidateOptions surface the daemon
   // uses to turn bad client requests into error responses.
-  {
-    const Status valid_discovery = ValidateOptions(options);
-    if (!valid_discovery.ok()) {
-      std::fprintf(stderr, "invalid options: %s\n",
-                   valid_discovery.ToString().c_str());
-      return 2;
-    }
-    const Status valid_storage = ValidateOptions(storage);
-    if (!valid_storage.ok()) {
-      std::fprintf(stderr, "invalid options: %s\n",
-                   valid_storage.ToString().c_str());
-      return 2;
-    }
-  }
-  // At a zero floor the pruner scores every tracked column, so only a
-  // positive floor makes the banding matter.
-  if (options.pruner.min_containment > 0.0 &&
-      !LshIndex::GuaranteesRecall(options.pruner.lsh,
-                                  SignatureOptions().num_hashes,
-                                  options.pruner.min_containment)) {
-    std::fprintf(stderr,
-                 "note: lsh banding %zux%zu at floor %g is approximate; "
-                 "incremental and served shortlists may miss low-overlap "
-                 "pairs (128x1 is lossless)\n",
-                 options.pruner.lsh.bands, options.pruner.lsh.rows_per_band,
-                 options.pruner.min_containment);
-  }
+  const Status valid_pruner = ValidateOptions(options.pruner);
+  if (!valid_pruner.ok()) return cli::InvalidOptions(valid_pruner);
   if (!watch_dir.empty() && serve_socket.empty()) {
     std::fprintf(stderr, "--watch requires --serve\n");
     return Usage(argv[0]);
@@ -659,12 +576,20 @@ int main(int argc, char** argv) {
                  "mode; use --client\n");
     return Usage(argv[0]);
   }
-  if (storage.spill_enabled()) {
-    const Status spill_ready = EnsureSpillDir(storage.spill_dir);
-    if (!spill_ready.ok()) {
-      std::fprintf(stderr, "error: %s\n", spill_ready.ToString().c_str());
-      return 1;
-    }
+  const int prepared = cli::PrepareOptions(options.join, storage);
+  if (prepared != 0) return prepared;
+  // At a zero floor the pruner scores every tracked column, so only a
+  // positive floor makes the banding matter.
+  if (options.pruner.min_containment > 0.0 &&
+      !LshIndex::GuaranteesRecall(options.pruner.lsh,
+                                  SignatureOptions().num_hashes,
+                                  options.pruner.min_containment)) {
+    std::fprintf(stderr,
+                 "note: lsh banding %zux%zu at floor %g is approximate; "
+                 "incremental and served shortlists may miss low-overlap "
+                 "pairs (128x1 is lossless)\n",
+                 options.pruner.lsh.bands, options.pruner.lsh.rows_per_band,
+                 options.pruner.min_containment);
   }
 
   TableCatalog catalog(SignatureOptions(), storage);

@@ -2,8 +2,10 @@
 // CSV files whose join columns are formatted differently.
 //
 //   csv_join_tool <left.csv> <left-column> <right.csv> <right-column>
-//                 [--support F] [--sample N] [--threads N] [--rules out.tj]
-//                 [--out out.csv] [--golden pairs.csv]
+//                 [--sample N] [--rules out.tj] [--out out.csv]
+//                 [--golden pairs.csv] [--precheck]
+//                 [--threads N] [--support F] [--spill-dir DIR]
+//                 [--memory-budget BYTES] [--failpoints SPEC]
 //
 // The tool matches candidate rows with the n-gram matcher, discovers
 // transformations, applies those above the support threshold, equi-joins,
@@ -11,21 +13,20 @@
 // --rules, the applied transformations are also saved in the textual rule
 // format (reloadable via LoadTransformationsFromFile — the paper's §8
 // transfer workflow). With --golden (a two-column CSV of 0-based
-// left-row,right-row index pairs), the join is scored with P/R/F1.
+// left-row,right-row index pairs), the join is scored with P/R/F1. The
+// last five flags are shared with corpus_discovery_tool (tool_flags.h).
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
-#include "common/failpoint.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "core/serialization.h"
 #include "corpus/lsh_index.h"
 #include "corpus/signature.h"
 #include "join/join_engine.h"
 #include "table/csv.h"
-#include "table/spill_arena.h"
+#include "tool_flags.h"
 
 namespace {
 
@@ -33,30 +34,18 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <left.csv> <left-column> <right.csv> "
                "<right-column>\n"
-               "          [--support F] [--sample N] [--threads N] "
-               "[--rules out.tj] [--out out.csv] [--golden pairs.csv]\n"
-               "          [--spill-dir DIR] [--memory-budget BYTES]\n"
-               "          [--precheck] [--simd scalar|avx2|auto]\n"
-               "          [--failpoints SPEC]\n"
-               "       --simd: pin the kernel dispatch level ('auto' = best "
-               "the CPU supports; kernels are bit-identical across levels, "
-               "so this only changes speed)\n"
-               "       --precheck: sketch both join columns and report the "
-               "estimated n-gram containment plus whether their banded "
-               "MinHash sketches collide (what the corpus LSH probe would "
-               "see), then exit — 0 when they collide, 3 when they do not\n"
-               "       --threads N: worker threads for matching and "
-               "discovery (0 = all cores, default)\n"
-               "       --spill-dir DIR: stream both tables into mmap-backed "
-               "arenas under DIR (inputs larger than RAM)\n"
-               "       --memory-budget BYTES: with --spill-dir, release "
-               "resident pages after ingest so matching faults cells "
-               "in on demand (k/m/g suffixes ok)\n"
-               "       --failpoints SPEC: arm fault-injection sites, e.g. "
-               "'mmap/sync=p:0.5,errno:EIO' "
-               "(requires a -DTJ_FAILPOINTS=ON build)\n",
+               "          [--sample N] [--rules out.tj] [--out out.csv]\n"
+               "          [--golden pairs.csv] [--precheck]\n"
+               "          [--threads N] [--support F] [--spill-dir DIR]\n"
+               "          [--memory-budget BYTES] [--failpoints SPEC]\n"
+               "  --precheck: sketch both join columns and report the\n"
+               "      estimated n-gram containment plus whether their banded\n"
+               "      MinHash sketches collide (what the corpus LSH probe\n"
+               "      would see), then exit: 0 when they collide, 3 when\n"
+               "      they do not\n",
                argv0);
-  return 2;
+  std::fputs(tj::cli::kSharedUsage, stderr);
+  return tj::cli::kUsageExit;
 }
 
 }  // namespace
@@ -69,53 +58,26 @@ int main(int argc, char** argv) {
   const std::string left_column = argv[2];
   const std::string right_path = argv[3];
   const std::string right_column = argv[4];
-  double support = 0.05;
-  size_t sample = 0;
-  unsigned threads = 0;  // 0 = hardware concurrency
+  JoinOptions options;
+  options.matching = MatchingMode::kNgram;
+  options.discovery.num_threads = 0;  // all cores
   std::string rules_path;
   std::string out_path;
   std::string golden_path;
   bool precheck = false;
   StorageOptions storage;
   for (int i = 5; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--support") == 0 && i + 1 < argc) {
-      if (!ParseWhole(argv[++i], &support)) {
-        std::fprintf(stderr, "invalid --support value '%s'\n", argv[i]);
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--precheck") == 0) {
+    const cli::SharedFlag shared =
+        cli::ParseSharedFlag(argc, argv, &i, Usage,
+                             &options.discovery.num_threads, &options,
+                             &storage);
+    if (shared == cli::SharedFlag::kRejected) return cli::kUsageExit;
+    if (shared == cli::SharedFlag::kParsed) continue;
+    if (std::strcmp(argv[i], "--precheck") == 0) {
       precheck = true;
-    } else if (std::strcmp(argv[i], "--spill-dir") == 0 && i + 1 < argc) {
-      storage.spill_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--memory-budget") == 0 &&
-               i + 1 < argc) {
-      if (!ParseByteSize(argv[++i], &storage.memory_budget_bytes)) {
-        std::fprintf(stderr, "invalid --memory-budget value '%s'\n",
-                     argv[i]);
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--simd") == 0 && i + 1 < argc) {
-      simd::SimdLevel level;
-      if (!simd::ParseSimdLevel(argv[++i], &level)) {
-        std::fprintf(stderr, "--simd wants scalar|avx2|auto\n");
-        return Usage(argv[0]);
-      }
-      const simd::SimdLevel installed = simd::SetActiveLevel(level);
-      if (installed != level) {
-        std::fprintf(stderr, "note: --simd %s unsupported here; using %s\n",
-                     argv[i], simd::SimdLevelName(installed));
-      }
     } else if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-      if (!ParseWhole(argv[++i], &sample)) {
-        std::fprintf(stderr, "invalid --sample value '%s'\n", argv[i]);
-        return Usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      // Unsigned: from_chars then rejects any sign or padding, so "-0" is
-      // an error rather than all cores.
-      if (!ParseWhole(argv[++i], &threads) || threads > 1024) {
-        std::fprintf(stderr, "invalid --threads value '%s'\n", argv[i]);
-        return Usage(argv[0]);
+      if (!ParseWhole(argv[++i], &options.sample_pairs)) {
+        return cli::InvalidValue(Usage, argv[0], "--sample", argv[i]);
       }
     } else if (std::strcmp(argv[i], "--rules") == 0 && i + 1 < argc) {
       rules_path = argv[++i];
@@ -123,34 +85,13 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--golden") == 0 && i + 1 < argc) {
       golden_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--failpoints") == 0 && i + 1 < argc) {
-      if (!failpoint::CompiledIn()) {
-        std::fprintf(stderr,
-                     "--failpoints requires a -DTJ_FAILPOINTS=ON build\n");
-        return 2;
-      }
-      const Status armed = failpoint::ConfigureFromSpec(argv[++i]);
-      if (!armed.ok()) {
-        std::fprintf(stderr, "invalid --failpoints spec: %s\n",
-                     armed.ToString().c_str());
-        return 2;
-      }
     } else {
       return Usage(argv[0]);
     }
   }
-
-  if (storage.memory_budget_bytes > 0 && !storage.spill_enabled()) {
-    std::fprintf(stderr, "--memory-budget requires --spill-dir\n");
-    return Usage(argv[0]);
-  }
-  if (storage.spill_enabled()) {
-    const Status spill_ready = EnsureSpillDir(storage.spill_dir);
-    if (!spill_ready.ok()) {
-      std::fprintf(stderr, "error: %s\n", spill_ready.ToString().c_str());
-      return 1;
-    }
-  }
+  options.match_options.num_threads = options.discovery.num_threads;
+  const int prepared = cli::PrepareOptions(options, storage);
+  if (prepared != 0) return prepared;
 
   auto left = ReadCsvFile(left_path, CsvOptions(), storage);
   if (!left.ok()) {
@@ -250,12 +191,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  JoinOptions options;
-  options.matching = MatchingMode::kNgram;
-  options.min_join_support = support;
-  options.sample_pairs = sample;
-  options.discovery.num_threads = static_cast<int>(threads);
-  options.match_options.num_threads = static_cast<int>(threads);
   const JoinResult result = TransformJoin(pair, options);
 
   std::printf("learning pairs: %zu, discovery: %.2fs\n",

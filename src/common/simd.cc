@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/hash.h"
 
@@ -349,23 +348,6 @@ SimdLevel SetActiveLevel(SimdLevel level) {
   const Ops* ops = OpsFor(level);
   g_active_ops.store(ops, std::memory_order_release);
   return ops->level;
-}
-
-bool ParseSimdLevel(const char* text, SimdLevel* out) {
-  if (text == nullptr || out == nullptr) return false;
-  if (std::strcmp(text, "scalar") == 0) {
-    *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(text, "avx2") == 0) {
-    *out = SimdLevel::kAvx2;
-    return true;
-  }
-  if (std::strcmp(text, "auto") == 0) {
-    *out = BestSupportedLevel();
-    return true;
-  }
-  return false;
 }
 
 void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,

@@ -16,7 +16,8 @@
 // CPU reports it (and the build knows x86), scalar otherwise — and can be
 // pinned two ways:
 //   - `TJ_FORCE_SCALAR=1` in the environment forces scalar before main()
-//     runs (the CI flow runs the whole test suite under it);
+//     runs, for any binary (the CI flow runs the whole test suite under
+//     it; it is also the one way to pin the command-line tools);
 //   - `SetActiveLevel()` switches levels at runtime (clamped to what the
 //     CPU supports) so tests and benches can compare levels in-process.
 // Kernels are pure functions of their arguments; switching levels between
@@ -145,11 +146,6 @@ size_t CountEqualExcludingU64(const uint64_t* a, const uint64_t* b, size_t n,
 uint32_t CharsetMask(const char* s, size_t n);
 }  // namespace avx2
 #endif  // x86
-
-/// Parses "scalar"/"avx2"/"auto" (case-sensitive) for the CLI --simd
-/// flags. Returns false on anything else. "auto" yields
-/// BestSupportedLevel().
-bool ParseSimdLevel(const char* text, SimdLevel* out);
 
 }  // namespace simd
 }  // namespace tj

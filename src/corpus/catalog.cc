@@ -757,6 +757,16 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (parsed.ok()) parsed = cursor.Field("meanlen", &sig.mean_length);
       if (parsed.ok()) parsed = cursor.Field("charset", &sig.charset_mask);
       if (!parsed.ok()) return fail(parsed.message());
+      // Fields no fresh sketch can hold together: ComputeColumnSignature
+      // ORs only the six CharsetBit classes, and its mean is an exact
+      // length sum over the row count (0/0/0 for an empty column).
+      if ((sig.charset_mask & ~((kCharsetOther << 1) - 1)) != 0) {
+        return fail("charset= has bits beyond the character classes");
+      }
+      if (!(sig.min_length <= sig.mean_length &&
+            sig.mean_length <= sig.max_length)) {
+        return fail("expected minlen <= meanlen <= maxlen");
+      }
       if (skipping_block) {
         skipped_sig = std::move(sig);
         column_pending = true;

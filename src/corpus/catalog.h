@@ -300,7 +300,8 @@ class TableCatalog : public CorpusColumnSource {
   /// SignatureOptions, an unknown column, row-count drift, malformed or
   /// truncated input, and numbers no sketch holds — each integer is read
   /// at its field's width, meanlen must be finite and not negative, and
-  /// lowercase 0 or 1.
+  /// lowercase 0 or 1 — or fields that contradict each other: charset bits
+  /// above kCharsetOther, or lengths outside minlen <= meanlen <= maxlen.
   Status LoadSignatures(std::string_view text);
 
   /// Crash-safe save: serializes into `<path>.tmp`, fsyncs, then renames

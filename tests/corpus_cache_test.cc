@@ -1,10 +1,10 @@
 // Robustness tests for the signature cache and the CSV ingestion path that
 // feeds the catalog: malformed, truncated or v1-era cache files, and dumps
-// edited to hold numbers no sketch computes, must fail closed (error out
-// and install nothing — the caller rescans); v2 entries self-invalidate via
-// per-table content fingerprints; quoted table and column names round-trip
-// through the shared EscapeForDisplay decoder; and AddCsvDirectory survives
-// the awkward corners of real CSV files.
+// edited to hold numbers or field combinations no sketch computes, must
+// fail closed (error out and install nothing — the caller rescans); v2
+// entries self-invalidate via per-table content fingerprints; quoted table
+// and column names round-trip through the shared EscapeForDisplay decoder;
+// and AddCsvDirectory survives the awkward corners of real CSV files.
 
 #include <gtest/gtest.h>
 
@@ -71,6 +71,8 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
   catalog.ComputeSignatures();
   const std::string dump = catalog.SerializeSignatures();
   const uint64_t rows = std::stoull(dump.substr(dump.find("rows=") + 5));
+  const uint64_t maxlen =
+      std::stoull(dump.substr(dump.find("maxlen=") + 7));
   const std::string twenty_digits = "99999999999999999999";
 
   const std::vector<std::string> malformed = {
@@ -101,6 +103,14 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
       EditFirst(dump, "meanlen=", "-0x1p+2"),
       EditFirst(dump, "meanlen=", "0x1p+2x"),
       EditFirst(dump, "lowercase=", "2"),
+      // Fields that each parse but contradict the sketch: a charset bit
+      // past kCharsetOther, minlen above maxlen, a mean length past maxlen
+      // or below minlen (the first column's cells are not empty).
+      EditFirst(dump, "charset=", "64"),
+      EditFirst(dump, "charset=", "4294967295"),
+      EditFirst(dump, "minlen=", std::to_string(maxlen + 1)),
+      EditFirst(dump, "meanlen=", "0x1p+40"),
+      EditFirst(dump, "meanlen=", "0x0p+0"),
   };
   for (const std::string& text : malformed) {
     ASSERT_NE(text, dump);

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -486,8 +488,8 @@ TEST_F(ServerTest, WatchMirrorsDirectoryIntoServedState) {
   EXPECT_EQ(server_->current_snapshot()->num_tables(), tables0);
 }
 
-/// A "Key:   <number> ..." field of /proc/self/status (Threads, VmSize in
-/// kB); -1 when absent.
+/// A "Key:   <number> ..." field of /proc/self/status (e.g. Threads); -1
+/// when absent.
 long ProcStatusField(const std::string& key) {
   std::ifstream status("/proc/self/status");
   std::string line;
@@ -499,6 +501,21 @@ long ProcStatusField(const std::string& key) {
   return -1;
 }
 
+/// The [begin, end) address ranges listed in /proc/self/maps.
+std::vector<std::pair<unsigned long, unsigned long>> Mappings() {
+  std::vector<std::pair<unsigned long, unsigned long>> ranges;
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    unsigned long begin = 0;
+    unsigned long end = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx", &begin, &end) == 2) {
+      ranges.emplace_back(begin, end);
+    }
+  }
+  return ranges;
+}
+
 TEST_F(ServerTest, ClosedConnectionsReleaseTheirHandlerThreads) {
   // Every connection gets a handler thread; a finished one must be joined,
   // or its stack stays mapped and a long-lived daemon grows by a stack per
@@ -508,9 +525,28 @@ TEST_F(ServerTest, ClosedConnectionsReleaseTheirHandlerThreads) {
   StartServer();
   ASSERT_TRUE(Request("{\"op\":\"stats\"}").ok());
   const long threads_before = ProcStatusField("Threads");
-  const long vm_kb_before = ProcStatusField("VmSize");
   ASSERT_GT(threads_before, 0);
-  ASSERT_GT(vm_kb_before, 0);
+  // A handler that returns leaves the Threads count whether or not it is
+  // joined; what an unjoined one leaves behind is its stack mapping. A
+  // probe thread started the same way measures that mapping's size.
+  unsigned long stack_bytes = 0;
+  std::thread([&stack_bytes] {
+    // The frame, not a local: a sanitizer may move locals to a heap frame.
+    const auto address =
+        reinterpret_cast<unsigned long>(__builtin_frame_address(0));
+    for (const auto& [begin, end] : Mappings()) {
+      if (begin <= address && address < end) stack_bytes = end - begin;
+    }
+  }).join();
+  ASSERT_GT(stack_bytes, 0u);
+  const auto stacks_mapped = [stack_bytes] {
+    long count = 0;
+    for (const auto& [begin, end] : Mappings()) {
+      if (end - begin == stack_bytes) ++count;
+    }
+    return count;
+  };
+  const long stacks_before = stacks_mapped();
 
   for (int i = 0; i < 2000; ++i) {
     const auto stats = Request("{\"op\":\"stats\"}");
@@ -525,10 +561,11 @@ TEST_F(ServerTest, ClosedConnectionsReleaseTheirHandlerThreads) {
     threads_after = ProcStatusField("Threads");
   }
   EXPECT_LE(threads_after, threads_before + 2);
-  // Unjoined handlers would map ~2000 stacks (gigabytes of address space);
-  // the bound leaves room for the allocator's own caches.
-  const long vm_growth_mb = (ProcStatusField("VmSize") - vm_kb_before) / 1024;
-  EXPECT_LT(vm_growth_mb, 256);
+  // Unjoined handlers would leave ~2000 stacks mapped. glibc keeps up to
+  // 40 MiB of joined threads' stacks mapped for reuse, and the last
+  // handlers may still be live.
+  const long cached_stacks = static_cast<long>((40ul << 20) / stack_bytes);
+  EXPECT_LE(stacks_mapped(), stacks_before + cached_stacks + 2);
 }
 
 TEST_F(ServerTest, ConnectionsBeyondTheCapAreRefused) {
