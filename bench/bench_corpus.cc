@@ -8,9 +8,10 @@
 // times, and pairs/s, and (with --json PATH) emits a machine-readable
 // record so CI can track the perf trajectory.
 //
-// Environment: TJ_BENCH_SCALE scales the corpus size (1.0 = 10 joinable
-// pairs + 4 noise tables at 40 rows); TJ_NUM_THREADS sets the pair-level
-// thread count (0 = all cores).
+// Environment (parsed by SuiteOptionsFromEnv, like every report bench):
+// TJ_BENCH_SCALE scales the corpus size (1.0 = 10 joinable pairs + 4 noise
+// tables at 40 rows); TJ_NUM_THREADS sets the pair-level thread count
+// (0 = all cores).
 
 #include <unistd.h>
 
@@ -25,6 +26,7 @@
 
 #include "benchlib/report.h"
 #include "benchlib/storage_metrics.h"
+#include "benchlib/suite.h"
 #include "common/hash.h"
 #include "common/simd.h"
 #include "common/strings.h"
@@ -643,14 +645,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* scale_env = std::getenv("TJ_BENCH_SCALE");
-  const double scale = scale_env != nullptr ? std::atof(scale_env) : 1.0;
-  const char* threads_env = std::getenv("TJ_NUM_THREADS");
-  const int num_threads = threads_env != nullptr ? std::atoi(threads_env) : 1;
+  const SuiteOptions env = SuiteOptionsFromEnv();
+  const double scale = env.scale;
+  const int num_threads = env.num_threads;
 
   SynthCorpusOptions corpus_options;
-  corpus_options.num_joinable_pairs =
-      static_cast<size_t>(10 * (scale > 0 ? scale : 1.0));
+  corpus_options.num_joinable_pairs = static_cast<size_t>(10 * scale);
   if (corpus_options.num_joinable_pairs == 0) {
     corpus_options.num_joinable_pairs = 1;
   }

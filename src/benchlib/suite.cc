@@ -1,9 +1,11 @@
 #include "benchlib/suite.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/discovery.h"
@@ -38,19 +40,21 @@ std::vector<TablePair> SynthTables(size_t rows, bool long_rows, size_t count,
 }  // namespace
 
 SuiteOptions SuiteOptionsFromEnv() {
+  // A malformed, partial or out-of-range value keeps the default: a typo
+  // must not flip every bench to all cores (threads 0), and an infinite
+  // or NaN scale must never reach Scaled()'s cast to size_t.
   SuiteOptions options;
   if (const char* scale = std::getenv("TJ_BENCH_SCALE")) {
-    const double parsed = std::atof(scale);
-    if (parsed > 0.0) options.scale = parsed;
+    double parsed = 0.0;
+    if (ParseWhole(scale, &parsed) && std::isfinite(parsed) && parsed > 0.0 &&
+        parsed <= 1024.0) {
+      options.scale = parsed;
+    }
   }
   if (const char* threads = std::getenv("TJ_NUM_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(threads, &end, 10);
-    // Reject empty/non-numeric/absurd values so a typo keeps the serial
-    // default instead of silently flipping every bench to all-cores (0) or
-    // wrapping through the int cast.
-    if (end != threads && *end == '\0' && parsed >= 0 && parsed <= 1024) {
-      options.num_threads = static_cast<int>(parsed);
+    int parsed = 0;
+    if (ParseWhole(threads, &parsed) && parsed >= 0 && parsed <= 1024) {
+      options.num_threads = parsed;
     }
   }
   return options;

@@ -58,8 +58,9 @@ struct SuiteOptions {
   bool include_synth = true;
 };
 
-/// Reads TJ_BENCH_SCALE (default 1.0) and TJ_NUM_THREADS (default 1) from
-/// the environment.
+/// Reads TJ_BENCH_SCALE (default 1.0; a value must be finite, above 0 and
+/// at most 1024) and TJ_NUM_THREADS (default 1; a whole number in
+/// [0, 1024]) from the environment. Anything else keeps the default.
 SuiteOptions SuiteOptionsFromEnv();
 
 /// Builds the full dataset suite: web tables, spreadsheet, open data,

@@ -136,15 +136,9 @@ uint64_t TableFingerprint(const Table& table) {
 void TableCatalog::AdoptAndFreeze(Table* table) const {
   // Catalog tables land on the catalog's storage (spill files when
   // configured) and are frozen: their cell views stay valid until
-  // RemoveTable/UpdateTable replaces the entry, and the row matcher's
-  // per-column lowercase cache persists across every pair that touches the
-  // column. Mutation goes through UpdateTable with a fresh (copied) table.
+  // RemoveTable/UpdateTable replaces the entry. Mutation goes through
+  // UpdateTable with a fresh (copied) table.
   if (storage_.spill_enabled()) table->AdoptStorage(storage_);
-  // Budgeted catalogs hand every adopted column the shared resident-bytes
-  // cell, so allocations the catalog never sees from its own call sites
-  // (the row matcher's lowercase shadows) are counted the moment they are
-  // installed instead of drifting until the next signature-pass resync.
-  if (budget_active()) table->AttachResidentCounter(resident_bytes_);
   table->Freeze();
 }
 
@@ -206,10 +200,10 @@ Result<uint32_t> TableCatalog::UpdateTable(Table table) {
   entry.signatures.assign(table.num_columns(), std::nullopt);
   // Dropping the catalog's reference frees the old arena unless a snapshot
   // still pins it (SharedTable): any *view* into the old contents held by
-  // this thread (cell views, ExamplePairs, cached lowered columns) dangles
-  // from here on. Shortlists are safe — they hold ColumnRefs (ids +
-  // scores), not views — but callers must not hold cell views across an
-  // update (tests/storage_view_test.cc exercises this under ASan).
+  // this thread (cell views, ExamplePairs) dangles from here on. Shortlists
+  // are safe — they hold ColumnRefs (ids + scores), not views — but callers
+  // must not hold cell views across an update (tests/storage_view_test.cc
+  // exercises this under ASan).
   BumpResidentBytes(entry.table->ResidentBytes(), 0);
   entry.table = std::make_shared<Table>(std::move(table));
   AdoptAndFreeze(entry.table.get());
@@ -436,23 +430,30 @@ Status TableCatalog::EnsureTableResident(uint32_t t) const {
 
 void TableCatalog::BumpResidentBytes(size_t before, size_t after) const {
   if (!budget_active() || before == after) return;
+  std::atomic<size_t>& bytes = resident_bytes_.bytes;
   if (after > before) {
-    resident_bytes_->Add(after - before);
-  } else {
-    resident_bytes_->Sub(before - after);
+    bytes.fetch_add(after - before, std::memory_order_relaxed);
+    return;
+  }
+  // Clamped at zero: racing re-maps make the deltas approximate, so a
+  // subtraction must not wrap below 0.
+  const size_t delta = before - after;
+  size_t current = bytes.load(std::memory_order_relaxed);
+  while (!bytes.compare_exchange_weak(
+      current, current > delta ? current - delta : 0,
+      std::memory_order_relaxed)) {
   }
 }
 
 void TableCatalog::ResyncResidentBytes() const {
   if (!budget_active()) return;
-  resident_bytes_->Set(ResidentCellBytes());
+  resident_bytes_.bytes.store(ResidentCellBytes(), std::memory_order_relaxed);
 }
 
 void TableCatalog::EnforceMemoryBudget(ThreadPool* pool) const {
   if (!budget_active()) return;
   // The running counter replaces the per-call ResidentCellBytes() rescan
-  // that made budgeted ingest O(N^2) in catalog size. Columns credit their
-  // lowercase shadows to it at creation, so the only residual drift is the
+  // that made budgeted ingest O(N^2) in catalog size. Its only drift is the
   // upward slack of racing double-counted re-maps (resynced at every
   // ComputeSignatures) — enforcement may briefly overshoot the budget,
   // never evict too much.
@@ -606,8 +607,8 @@ void TableCatalog::ComputeSignatures(ThreadPool* pool) {
   // The sketch pass streams spilled columns block-wise, but re-mapped
   // tables may now exceed the budget again; settle it before returning.
   // This is also the counter's resync point: the exact scan here folds in
-  // any lowercase shadows or double-counted re-maps the incremental
-  // accounting missed since the last pass.
+  // any double-counted re-maps the incremental accounting missed since the
+  // last pass.
   ResyncResidentBytes();
   EnforceMemoryBudget(pool);
 }

@@ -95,36 +95,11 @@ class TableCatalog : public CorpusColumnSource {
                         StorageOptions storage = StorageOptions())
       : options_(options), storage_(std::move(storage)) {}
 
-  /// Movable (factory-style construction in tests and tools). The
-  /// resident-bytes counter is a shared cell, so the adopted tables'
-  /// shadow-allocation hooks keep writing to the same counter across the
-  /// move; the source is re-armed with a fresh cell so it stays usable as
-  /// an empty catalog. Moving is only safe while no reader races the
-  /// source, which a move already requires of every other member.
-  TableCatalog(TableCatalog&& other) noexcept
-      : options_(std::move(other.options_)),
-        storage_(std::move(other.storage_)),
-        tables_(std::move(other.tables_)),
-        num_live_(other.num_live_),
-        mutation_epoch_(other.mutation_epoch_),
-        touch_clock_(other.touch_clock_),
-        resident_bytes_(std::exchange(
-            other.resident_bytes_, std::make_shared<ResidentByteCounter>())),
-        table_index_(std::move(other.table_index_)) {}
-  TableCatalog& operator=(TableCatalog&& other) noexcept {
-    if (this != &other) {
-      options_ = std::move(other.options_);
-      storage_ = std::move(other.storage_);
-      tables_ = std::move(other.tables_);
-      num_live_ = other.num_live_;
-      mutation_epoch_ = other.mutation_epoch_;
-      touch_clock_ = other.touch_clock_;
-      resident_bytes_ = std::exchange(
-          other.resident_bytes_, std::make_shared<ResidentByteCounter>());
-      table_index_ = std::move(other.table_index_);
-    }
-    return *this;
-  }
+  /// Movable (factory-style construction in tests and tools); a move
+  /// hands the resident-bytes count over and leaves the source an empty
+  /// catalog. Moving is only safe while no reader races the source.
+  TableCatalog(TableCatalog&&) noexcept = default;
+  TableCatalog& operator=(TableCatalog&&) noexcept = default;
 
   /// Registers a table and returns its stable id. Fails on an empty or
   /// duplicate table name (names key the serialized signature cache, so
@@ -231,22 +206,20 @@ class TableCatalog : public CorpusColumnSource {
   // -------------------------------------------------------------------
 
   /// Cell bytes of live tables currently addressable in RAM (evicted
-  /// tables contribute 0; lowercase shadows included). Exact: scans every
-  /// live table.
+  /// tables contribute 0). Exact: scans every live table.
   size_t ResidentCellBytes() const;
   /// The running resident-bytes counter budget enforcement reads instead
   /// of rescanning every table per AddTable (the O(N^2) ingest debt from
   /// the spill work). Maintained incrementally at catalog-mediated
   /// residency transitions (add/update/remove, eviction, transparent
-  /// re-map on access); lowercase shadows the row matcher materializes
-  /// behind the catalog's back are credited by the columns themselves at
-  /// creation time (Column::AttachResidentCounter — the cell is shared
-  /// with every adopted column of a budgeted catalog). The exact scan at
-  /// every ComputeSignatures resyncs away the residual upward drift of
-  /// racing double-counted re-maps. Equals ResidentCellBytes() whenever
-  /// the catalog is quiesced after a signature pass. Always 0 when no
-  /// budget is active.
-  size_t CachedResidentBytes() const { return resident_bytes_->value(); }
+  /// re-map on access) — the only places a catalog column's resident bytes
+  /// change. The exact scan at every ComputeSignatures resyncs away the
+  /// residual upward drift of racing double-counted re-maps. Equals
+  /// ResidentCellBytes() whenever the catalog is quiesced. Always 0 when
+  /// no budget is active.
+  size_t CachedResidentBytes() const {
+    return resident_bytes_.bytes.load(std::memory_order_relaxed);
+  }
   /// Bytes held in spill files across live tables.
   size_t SpilledBytes() const;
   /// Re-maps an evicted table and marks it recently used (serial contexts;
@@ -344,13 +317,21 @@ class TableCatalog : public CorpusColumnSource {
   uint64_t mutation_epoch_ = 0;
   /// Monotonic touch clock feeding TableEntry::last_touch.
   mutable uint64_t touch_clock_ = 0;
-  /// Running resident-bytes estimate (see CachedResidentBytes). A shared
-  /// cell rather than a plain atomic member: adopted columns hold a
-  /// reference and credit their shadow allocations to it directly, and the
-  /// cell survives moves of the catalog (the columns keep writing to the
-  /// same counter). Never null.
-  mutable std::shared_ptr<ResidentByteCounter> resident_bytes_ =
-      std::make_shared<ResidentByteCounter>();
+  /// Running resident-bytes estimate (see CachedResidentBytes). Atomic:
+  /// concurrent readers re-mapping evicted tables bump it. A move takes
+  /// the count and zeroes the source, so the catalog's moves are defaulted.
+  struct ResidentCounter {
+    std::atomic<size_t> bytes{0};
+    ResidentCounter() = default;
+    ResidentCounter(ResidentCounter&& other) noexcept
+        : bytes(other.bytes.exchange(0, std::memory_order_relaxed)) {}
+    ResidentCounter& operator=(ResidentCounter&& other) noexcept {
+      bytes.store(other.bytes.exchange(0, std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+      return *this;
+    }
+  };
+  mutable ResidentCounter resident_bytes_;
   std::unordered_map<std::string, uint32_t, StringHash, StringEq>
       table_index_;
 };

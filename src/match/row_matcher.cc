@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 
 namespace tj {
@@ -25,20 +27,28 @@ struct ChunkHits {
 };
 
 /// Probes the target index with every gram of sizes [n0, nmax] of rows
-/// [begin, end) of `source` (already in query case), recording the hits in
-/// (start position, size) order. Each start position extends one FNV-1a
-/// state a byte at a time, so Mix64(state) is HashString of the current
-/// gram without rehashing it. Every prefix of an indexed gram that is at
-/// least n0 long is indexed too (it occurs in the same target row), so the
-/// first miss ends a start position's run: no longer gram from there can
-/// hit. Grams the target lacks have Rscore 0 and never become
-/// representatives, so nothing else is recorded.
-void ProbeRows(const Column& source, size_t begin, size_t end,
+/// [begin, end) of `source`, recording the hits in (start position, size)
+/// order. With `lowercase` set, each row is lowered first into a scratch
+/// string reused across the range, the way the index build lowers target
+/// rows. Each start position extends one FNV-1a state a byte at a time, so
+/// Mix64(state) is HashString of the current gram without rehashing it.
+/// Every prefix of an indexed gram that is at least n0 long is indexed too
+/// (it occurs in the same target row), so the first miss ends a start
+/// position's run: no longer gram from there can hit. Grams the target
+/// lacks have Rscore 0 and never become representatives, so nothing else
+/// is recorded.
+void ProbeRows(const Column& source, size_t begin, size_t end, bool lowercase,
                const NgramInvertedIndex& target_index, size_t n0, size_t nmax,
                ChunkHits* out) {
   out->row_ends.reserve(end - begin);
+  std::string lowered;
   for (size_t row = begin; row < end; ++row) {
-    const std::string_view text = source.Get(row);
+    std::string_view text = source.Get(row);
+    if (lowercase) {
+      lowered.clear();
+      AppendLowerAscii(text, &lowered);
+      text = lowered;
+    }
     const auto* bytes = reinterpret_cast<const unsigned char*>(text.data());
     for (size_t i = 0; i + n0 <= text.size(); ++i) {
       const size_t longest = std::min(nmax, text.size() - i);
@@ -56,41 +66,22 @@ void ProbeRows(const Column& source, size_t begin, size_t end,
   }
 }
 
-/// Index for `scan_column` (already in query case: lowered when the options
-/// say lowercase) — from the cache when engaged, privately built otherwise.
-/// The cache key carries the options' logical parameters (including the
-/// original `lowercase` flag), while the physical build always runs with
-/// lowercase=false on the pre-lowered column; both spellings produce
-/// bit-identical buffers, so cache hits are indistinguishable from builds.
-std::shared_ptr<const NgramInvertedIndex> AcquireScanIndex(
-    const Column& scan_column, const RowMatchOptions& options,
-    IndexCacheKey key, ThreadPool* pool) {
-  key.n0 = static_cast<uint32_t>(options.n0);
-  key.nmax = static_cast<uint32_t>(options.nmax);
-  key.lowercase = options.lowercase;
-  const auto build = [&] {
-    return NgramInvertedIndex::Build(scan_column, options.n0, options.nmax,
-                                     /*lowercase=*/false, pool);
-  };
-  if (options.index_cache != nullptr && key.engaged()) {
-    return options.index_cache->GetOrBuild(key, build);
-  }
-  return std::make_shared<const NgramInvertedIndex>(build());
-}
-
 }  // namespace
 
 std::shared_ptr<const NgramInvertedIndex> AcquireColumnIndex(
     const Column& column, const RowMatchOptions& options, IndexCacheKey key,
     ThreadPool* pool) {
-  if (!options.lowercase) {
-    return AcquireScanIndex(column, options, key, pool);
+  key.n0 = static_cast<uint32_t>(options.n0);
+  key.nmax = static_cast<uint32_t>(options.nmax);
+  key.lowercase = options.lowercase;
+  const auto build = [&] {
+    return NgramInvertedIndex::Build(column, options.n0, options.nmax,
+                                     options.lowercase, pool);
+  };
+  if (options.index_cache != nullptr && key.engaged()) {
+    return options.index_cache->GetOrBuild(key, build);
   }
-  if (column.frozen()) {
-    return AcquireScanIndex(column.LowercasedAscii(), options, key, pool);
-  }
-  const Column lowered = column.LowercasedAsciiCopy();
-  return AcquireScanIndex(lowered, options, key, pool);
+  return std::make_shared<const NgramInvertedIndex>(build());
 }
 
 double InverseRowFrequency(const NgramInvertedIndex& index,
@@ -109,34 +100,6 @@ double Rscore(const NgramInvertedIndex& source_index,
 RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
                                  const RowMatchOptions& options) {
   RowMatchResult result;
-
-  // Lowercase at the column grain instead of per row: the target index
-  // build and the source probe then read lowered views with zero per-row
-  // allocation (indexing the lowered column with lowercase off is
-  // byte-identical to lowering each row during the build). FROZEN columns —
-  // catalog entries, loaded CSVs, datagen output — cache the lowered shadow
-  // on the column (built once *ever* for columns matched repeatedly, e.g.
-  // across a corpus run's pairs); unfrozen columns get a transient copy
-  // scoped to this call, so a one-shot match does not retain a second
-  // arena.
-  std::optional<Column> lowered_source;
-  std::optional<Column> lowered_target;
-  const Column* scan_source = &source;
-  const Column* scan_target = &target;
-  if (options.lowercase) {
-    if (source.frozen()) {
-      scan_source = &source.LowercasedAscii();
-    } else {
-      lowered_source.emplace(source.LowercasedAsciiCopy());
-      scan_source = &*lowered_source;
-    }
-    if (target.frozen()) {
-      scan_target = &target.LowercasedAscii();
-    } else {
-      lowered_target.emplace(target.LowercasedAsciiCopy());
-      scan_target = &*lowered_target;
-    }
-  }
 
   // One pool serves the target index build and the source probe. Serial
   // when a shared pool was not given and num_threads resolves to 1, or when
@@ -163,7 +126,7 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
   // shared_ptr, so an eviction mid-scan cannot free it. The source side
   // needs no index: Algorithm 1 only ranks grams the target holds.
   const std::shared_ptr<const NgramInvertedIndex> target_index_ptr =
-      AcquireScanIndex(*scan_target, options, options.target_cache_key, pool);
+      AcquireColumnIndex(target, options, options.target_cache_key, pool);
   const NgramInvertedIndex& target_index = *target_index_ptr;
 
   // Pass 1: probe every source gram against the target index. The probe is
@@ -181,12 +144,13 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
     pool->ParallelFor(source.size(), num_chunks,
                       [&](int /*worker*/, size_t chunk, size_t begin,
                           size_t end) {
-                        ProbeRows(*scan_source, begin, end, target_index,
-                                  options.n0, options.nmax, &chunks[chunk]);
+                        ProbeRows(source, begin, end, options.lowercase,
+                                  target_index, options.n0, options.nmax,
+                                  &chunks[chunk]);
                       });
   } else {
-    ProbeRows(*scan_source, 0, source.size(), target_index, options.n0,
-              options.nmax, &chunks[0]);
+    ProbeRows(source, 0, source.size(), options.lowercase, target_index,
+              options.n0, options.nmax, &chunks[0]);
   }
 
   // Source row frequency df_s of every hit gram: the number of distinct
@@ -231,7 +195,7 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
       longest_hit == 0 ? 0 : longest_hit - options.n0 + 1;
   std::vector<double> best_score(num_sizes);
   std::vector<uint32_t> best_gram(num_sizes);
-  std::vector<uint32_t> seen_stamp(scan_target->size(), 0);
+  std::vector<uint32_t> seen_stamp(target.size(), 0);
   bool budget_exhausted = false;
   uint32_t row = 0;
   for (const ChunkHits& chunk : chunks) {

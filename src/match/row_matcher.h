@@ -80,8 +80,10 @@ struct RowMatchResult {
 /// Algorithm 1. Only the target column is indexed over [n0, nmax]; every
 /// source gram is probed against that index, and the source row frequency
 /// of Eq. 1 is counted for the grams that hit (a gram the target lacks
-/// scores 0 and is never a representative). `source` should be the more
-/// descriptive column (see PickSourceColumn).
+/// scores 0 and is never a representative). With options.lowercase set,
+/// both columns' rows are lowered as they are read; neither column is
+/// copied. `source` should be the more descriptive column (see
+/// PickSourceColumn).
 RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
                                  const RowMatchOptions& options);
 
@@ -89,10 +91,9 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
 /// — fetched from options.index_cache when `key` is engaged (the cache
 /// pre-warm path of corpus discovery), built privately otherwise. The
 /// key's n0/nmax/lowercase fields are filled from `options`; `pool` drives
-/// a private build (cached or not), nullptr = serial. Handles the lowering
-/// exactly like FindJoinablePairs (frozen columns index their cached
-/// lowercase shadow; unfrozen columns a transient copy), so a pre-warmed
-/// entry is bit-identical to the one a pair evaluation would install.
+/// a private build (cached or not), nullptr = serial. With
+/// options.lowercase set, the build lowers each row as it reads it, so a
+/// pre-warmed entry is the one a pair evaluation would install.
 std::shared_ptr<const NgramInvertedIndex> AcquireColumnIndex(
     const Column& column, const RowMatchOptions& options, IndexCacheKey key,
     ThreadPool* pool);

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <memory>
 
-#include "common/simd.h"
-#include "common/strings.h"
 #include "table/spill_arena.h"
 #include "table/storage_events.h"
 
@@ -76,7 +74,6 @@ Column::Column(const Column& other) { CopyFrom(other); }
 
 Column& Column::operator=(const Column& other) {
   if (this == &other) return *this;
-  DropLowercaseCache();
   arena_.reset();
   retired_arena_.reset();
   SyncBase();
@@ -89,8 +86,8 @@ void Column::CopyFrom(const Column& other) {
   // Copies compact: only live cell bytes are transferred, so dead space
   // orphaned by Set growth is reclaimed here (the copy-edit-UpdateTable
   // maintenance cycle stays O(live bytes) no matter how often it runs).
-  // Copies keep the backend kind but start unfrozen and cache-less: no
-  // outstanding views, mutable.
+  // Copies keep the backend kind but start unfrozen: no outstanding views,
+  // mutable.
   const Status resident = other.EnsureResident();
   // EnsureResident already falls back to the heap on a re-map failure; an
   // error here means the bytes are unreachable by mapping AND by reading
@@ -126,8 +123,6 @@ void Column::CopyFrom(const Column& other) {
   }
   SyncBase();
   frozen_ = false;
-  // A copy is a detached mutable column: nobody budgets it.
-  resident_counter_.reset();
 }
 
 Column::Column(Column&& other) noexcept
@@ -137,15 +132,12 @@ Column::Column(Column&& other) noexcept
       retired_arena_(std::move(other.retired_arena_)),
       base_(other.base_.exchange(nullptr, std::memory_order_relaxed)),
       slots_(std::move(other.slots_)),
-      frozen_(other.frozen_),
-      lowered_(other.lowered_.exchange(nullptr, std::memory_order_acq_rel)),
-      resident_counter_(std::move(other.resident_counter_)) {
+      frozen_(other.frozen_) {
   other.frozen_ = false;
 }
 
 Column& Column::operator=(Column&& other) noexcept {
   if (this == &other) return *this;
-  DropLowercaseCache();
   name_ = std::move(other.name_);
   spill_dir_ = std::move(other.spill_dir_);
   arena_ = std::move(other.arena_);
@@ -155,17 +147,7 @@ Column& Column::operator=(Column&& other) noexcept {
   slots_ = std::move(other.slots_);
   frozen_ = other.frozen_;
   other.frozen_ = false;
-  lowered_.store(other.lowered_.exchange(nullptr, std::memory_order_acq_rel),
-                 std::memory_order_release);
-  resident_counter_ = std::move(other.resident_counter_);
   return *this;
-}
-
-Column::~Column() { DropLowercaseCache(); }
-
-void Column::DropLowercaseCache() const {
-  if (lowered_.load(std::memory_order_relaxed) == nullptr) return;
-  delete lowered_.exchange(nullptr, std::memory_order_acq_rel);
 }
 
 // True when `value`'s bytes live inside [base, base + size).
@@ -236,8 +218,6 @@ void Column::Append(std::string_view value) {
   slot.length = static_cast<uint32_t>(value.size());
   AppendToArena(value);
   slots_.push_back(slot);
-  // Dropped last: `value` may view the cached lowered shadow.
-  DropLowercaseCache();
 }
 
 void Column::ReserveChars(size_t bytes) {
@@ -270,8 +250,6 @@ void Column::Set(size_t row, std::string_view value) {
     slot.length = static_cast<uint32_t>(value.size());
     AppendToArena(value);
   }
-  // Dropped last: `value` may view the cached lowered shadow.
-  DropLowercaseCache();
 }
 
 Status Column::Evict() const {
@@ -281,9 +259,7 @@ Status Column::Evict() const {
   // Eviction needs the freeze contract: an unfrozen column may have a
   // mutator about to grow the unmapped buffer.
   TJ_CHECK(frozen_);
-  DropLowercaseCache();
-  // On failure (sync error) the arena stays resident — only the lowercase
-  // cache was dropped, and that is a rebuildable optimization.
+  // On failure (sync error) the arena stays resident and views stay valid.
   const Status evicted = arena_->Evict();
   SyncBase();
   return evicted;
@@ -321,8 +297,6 @@ Status Column::EnsureResident() const {
 
 void Column::ReleasePages() const {
   if (arena_ != nullptr) arena_->ReleasePages();
-  const Column* shadow = lowered_.load(std::memory_order_acquire);
-  if (shadow != nullptr) shadow->ReleasePages();
 }
 
 void Column::ReleaseArenaRange(size_t begin, size_t end) const {
@@ -380,65 +354,6 @@ void Column::AdoptStorage(const StorageOptions& storage) {
   }
   arena_ = std::move(fresh);
   SyncBase();
-  DropLowercaseCache();
-}
-
-Column Column::LowercasedAsciiCopy() const {
-  const Status resident = EnsureResident();
-  // Like CopyFrom: EnsureResident only fails after the heap rescue failed
-  // too, leaving nothing to lowercase from.
-  TJ_CHECK(resident.ok());
-  Column lowered;
-  lowered.name_ = name_;
-  lowered.spill_dir_ = spill_dir_;
-  lowered.slots_ = slots_;
-  if (arena_ != nullptr && arena_->size() > 0) {
-    // Same backend kind: a spilled column's shadow spills too, so releasing
-    // the column's pages can release the shadow's as well.
-    lowered.arena_ = arena_->CloneEmpty();
-    const Status sized = lowered.arena_->Resize(arena_->size());
-    if (!sized.ok()) {
-      std::fprintf(stderr,
-                   "warning: column '%s': cannot size lowercase shadow "
-                   "(%s); using heap arena\n",
-                   name_.c_str(), sized.ToString().c_str());
-      RecordHeapFallbackColumn();
-      RecordSpillErrorRecovered();
-      lowered.arena_ = std::make_unique<HeapArena>();
-      (void)lowered.arena_->Resize(arena_->size());
-    }
-    // Fused lowercase-copy: one pass over the arena (SIMD under dispatch)
-    // instead of memcpy followed by an in-place lowering pass.
-    simd::LowerAscii(arena_->data(), lowered.arena_->data(), arena_->size());
-  }
-  lowered.SyncBase();
-  lowered.frozen_ = true;
-  return lowered;
-}
-
-const Column& Column::LowercasedAscii() const {
-  const Column* cached = lowered_.load(std::memory_order_acquire);
-  if (cached != nullptr) return *cached;
-
-  auto fresh = std::make_unique<Column>(LowercasedAsciiCopy());
-
-  const Column* expected = nullptr;
-  if (lowered_.compare_exchange_strong(expected, fresh.get(),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-    // The shadow is an allocation the column's owner never sees from its
-    // own call sites: credit it to the budget counter at the moment it
-    // becomes reachable. Only the CAS winner counts — losers discard their
-    // copy — and only creation needs a hook; every drop path (eviction,
-    // mutation, removal) is already bracketed by owner-side ResidentBytes()
-    // reads that include the shadow.
-    if (resident_counter_ != nullptr) {
-      resident_counter_->Add(fresh->ResidentBytes());
-    }
-    return *fresh.release();
-  }
-  // Another thread installed an identical shadow first; use theirs.
-  return *expected;
 }
 
 double Column::AverageLength() const {
@@ -450,21 +365,6 @@ double Column::AverageLength() const {
 size_t Column::CellBytes() const {
   size_t total = 0;
   for (const Slot& s : slots_) total += s.length;
-  return total;
-}
-
-size_t Column::ResidentBytes() const {
-  size_t total =
-      arena_ != nullptr && arena_->resident() ? arena_->size() : 0;
-  const Column* shadow = lowered_.load(std::memory_order_acquire);
-  if (shadow != nullptr) total += shadow->ResidentBytes();
-  return total;
-}
-
-size_t Column::SpilledBytes() const {
-  size_t total = arena_ != nullptr ? arena_->SpilledBytes() : 0;
-  const Column* shadow = lowered_.load(std::memory_order_acquire);
-  if (shadow != nullptr) total += shadow->SpilledBytes();
   return total;
 }
 

@@ -24,17 +24,20 @@
 //    column TJ_CHECK-fails on `Append`/`Set`, so views into it can be handed
 //    out (e.g. as ExamplePairs) without defensive copies.
 //  * MOVING a column (or a Table holding it) keeps all views valid — the
-//    arena buffer (heap allocation or mmap mapping) migrates wholesale; the
-//    frozen flag and the lowercase cache move with it.
+//    arena buffer (heap allocation or mmap mapping) migrates wholesale, and
+//    the frozen flag moves with it.
 //  * COPYING a column deep-copies — and COMPACTS — the arena: only live
 //    cell bytes transfer, so dead space orphaned by growing `Set`s is
 //    reclaimed. The copy keeps the original's backend kind (a spilled
 //    column's copy spills to a fresh file in the same directory) but starts
-//    *unfrozen* and without the lowercase cache: it has no outstanding
-//    views, so the holder may mutate it freely.
+//    *unfrozen*: it has no outstanding views, so the holder may mutate it
+//    freely.
 //  * Self-aliasing mutation is allowed: `Set`/`Append` may be fed a view
-//    into this column's own arena (or its lowered shadow) — e.g.
-//    col.Append(col.Get(j)) — and handle the reallocation safely.
+//    into this column's own arena — e.g. col.Append(col.Get(j)) — and
+//    handle the reallocation safely.
+//  * A column holds its cell bytes once, as given. Readers that match
+//    without regard to case (the n-gram index build, the row matcher's
+//    probe) lower each row into their own scratch as they read it.
 //  * `Evict()` (frozen, spilled columns only) syncs the arena to its spill
 //    file and unmaps it: views are invalidated like a mutation and `Get()`
 //    TJ_CHECK-fails until `EnsureResident()` re-maps the file (at a new
@@ -44,8 +47,8 @@
 //    arena WITHOUT unmapping: all views stay valid and dropped pages fault
 //    back in transparently. Safe under concurrent readers — this is the
 //    lever that bounds RSS while a frozen corpus is being scanned.
-//  * Destroying the column invalidates its views, cache included, and
-//    removes its spill file.
+//  * Destroying the column invalidates its views and removes its spill
+//    file.
 
 #ifndef TJ_TABLE_COLUMN_H_
 #define TJ_TABLE_COLUMN_H_
@@ -89,33 +92,6 @@ struct StorageOptions {
 /// creation stays lazy (and fallible) at first use. Defaults always
 /// validate.
 Status ValidateOptions(const StorageOptions& options);
-
-/// Shared running resident-bytes cell, owned by whoever accounts a set of
-/// columns against a RAM budget (TableCatalog). A column holding a
-/// reference reports allocations the owner cannot see from its own call
-/// sites — today that is exactly the lazily materialized lowercase shadow
-/// (LowercasedAscii), which the row matcher builds behind the catalog's
-/// back. shared_ptr so the cell outlives any move of the owning catalog
-/// while attached columns keep writing to the same counter.
-struct ResidentByteCounter {
-  std::atomic<size_t> bytes{0};
-
-  void Add(size_t delta) {
-    if (delta != 0) bytes.fetch_add(delta, std::memory_order_relaxed);
-  }
-  /// Clamped at zero: concurrent double-counted re-maps can leave the
-  /// counter slightly above reality, so a subtraction may try to cross 0.
-  void Sub(size_t delta) {
-    if (delta == 0) return;
-    size_t current = bytes.load(std::memory_order_relaxed);
-    while (!bytes.compare_exchange_weak(
-        current, current > delta ? current - delta : 0,
-        std::memory_order_relaxed)) {
-    }
-  }
-  void Set(size_t value) { bytes.store(value, std::memory_order_relaxed); }
-  size_t value() const { return bytes.load(std::memory_order_relaxed); }
-};
 
 /// The byte store behind a Column's arena: one contiguous, grow-only
 /// buffer. Implementations: the heap arena (column.cc, default) and the
@@ -171,7 +147,7 @@ class ArenaBackend {
 
   /// A fresh, empty backend of the same kind (a spill arena clones to a new
   /// file in its directory, falling back to the heap if the file cannot be
-  /// created). Used by copies and the lowercase shadow.
+  /// created). Used by copies.
   virtual std::unique_ptr<ArenaBackend> CloneEmpty() const = 0;
 };
 
@@ -195,7 +171,6 @@ class Column {
   Column& operator=(const Column& other);
   Column(Column&& other) noexcept;
   Column& operator=(Column&& other) noexcept;
-  ~Column();
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
@@ -254,10 +229,10 @@ class Column {
     return arena_ == nullptr || arena_->resident();
   }
   /// Frozen spilled columns only: sync to the spill file and unmap.
-  /// Invalidates views and drops the lowercase cache; no-op on heap
-  /// columns. Must not race with readers. When the sync fails the column
-  /// STAYS resident (possibly-unsynced pages are never dropped) and the
-  /// error is returned — budget enforcement skips such tables.
+  /// Invalidates views; no-op on heap columns. Must not race with readers.
+  /// When the sync fails the column STAYS resident (possibly-unsynced pages
+  /// are never dropped) and the error is returned — budget enforcement
+  /// skips such tables.
   Status Evict() const;
   /// Re-maps an evicted arena (no-op when resident). Views handed out
   /// before the eviction stay dead — re-read through Get(). When the
@@ -266,52 +241,22 @@ class Column {
   /// only if that read fails too does this return the error and leave the
   /// column evicted. Safe to race with itself.
   Status EnsureResident() const;
-  /// Writes back and drops resident pages of a spilled arena (and of its
-  /// cached lowercase shadow) without unmapping: views stay valid, dropped
-  /// pages fault back on access. Safe under concurrent readers; no-op on
-  /// heap columns.
+  /// Writes back and drops resident pages of a spilled arena without
+  /// unmapping: views stay valid, dropped pages fault back on access. Safe
+  /// under concurrent readers; no-op on heap columns.
   void ReleasePages() const;
-  /// Range variant over arena byte offsets [begin, end), shadow excluded —
-  /// the window lever of the streamed scans (ForEachCellStreamed). Arena
-  /// offsets follow append order, so on compacted columns (ingested,
-  /// adopted, copied) the scanned prefix is exactly [0, processed bytes).
+  /// Range variant over arena byte offsets [begin, end) — the window lever
+  /// of the streamed scans (ForEachCellStreamed). Arena offsets follow
+  /// append order, so on compacted columns (ingested, adopted, copied) the
+  /// scanned prefix is exactly [0, processed bytes).
   void ReleaseArenaRange(size_t begin, size_t end) const;
 
   /// Rebuilds the column's byte store on the backend `storage` selects,
   /// compacting like a copy. No-op when the backend kind already matches.
-  /// Like a mutation, this invalidates outstanding views and the lowercase
-  /// cache — but unlike one it is allowed on a frozen column (the frozen
-  /// flag is preserved); callers re-acquire views afterwards.
+  /// Like a mutation, this invalidates outstanding views — but unlike one
+  /// it is allowed on a frozen column (the frozen flag is preserved);
+  /// callers re-acquire views afterwards.
   void AdoptStorage(const StorageOptions& storage);
-
-  /// ASCII-lowercased shadow of this column, built once and cached (same
-  /// name, same slot layout, lowered arena — on the same backend kind, so
-  /// a spilled column's shadow spills too). The canonical storage for the
-  /// "index and query one lowered form repeatedly" pattern of the row
-  /// matcher: the cache makes the per-row lowercase allocation disappear
-  /// entirely on columns that are matched more than once (corpus catalogs).
-  ///
-  /// Thread-safe on a column that is not being mutated (concurrent callers
-  /// race to install the same bytes; losers discard theirs). The cache is
-  /// dropped by any mutation or eviction and not carried by copies; the
-  /// returned reference lives exactly as long as this column (moves keep it
-  /// alive).
-  const Column& LowercasedAscii() const;
-
-  /// One-shot variant: the same lowered shadow returned by value, without
-  /// installing (or consulting) the cache. For transient columns that are
-  /// matched once — the caller owns the copy and its lifetime.
-  Column LowercasedAsciiCopy() const;
-
-  /// Hooks this column's owner-invisible allocations into a shared budget
-  /// counter: from here on, installing the lowercase shadow adds its
-  /// resident bytes to `counter` at creation time (drops need no hook —
-  /// every drop path is bracketed by the owner's own before/after
-  /// ResidentBytes() reads, which include the shadow). Carried by moves,
-  /// shed by copies (a copy is a detached mutable column).
-  void AttachResidentCounter(std::shared_ptr<ResidentByteCounter> counter) {
-    resident_counter_ = std::move(counter);
-  }
 
   /// Mean cell length in characters; 0 for an empty column. The row matcher
   /// uses this to pick the more descriptive column as the source (§4.2.1).
@@ -321,17 +266,21 @@ class Column {
   size_t CellBytes() const;
   /// Arena buffer bytes actually held, dead space from Set growth included.
   size_t ArenaBytes() const { return arena_ != nullptr ? arena_->size() : 0; }
-  /// RAM footprint of the storage (arena + slot capacity), cache excluded;
-  /// an evicted spill arena contributes 0.
+  /// RAM footprint of the storage (arena + slot capacity); an evicted spill
+  /// arena contributes 0.
   size_t FootprintBytes() const {
     return (arena_ != nullptr ? arena_->FootprintBytes() : 0) +
            slots_.capacity() * sizeof(Slot);
   }
-  /// Arena bytes currently addressable in RAM (0 while evicted), lowercase
-  /// shadow included. The catalog's budget accounting reads this.
-  size_t ResidentBytes() const;
-  /// Bytes held in spill files (arena + shadow); 0 for heap columns.
-  size_t SpilledBytes() const;
+  /// Arena bytes currently addressable in RAM (0 while evicted). The
+  /// catalog's budget accounting reads this.
+  size_t ResidentBytes() const {
+    return arena_ != nullptr && arena_->resident() ? arena_->size() : 0;
+  }
+  /// Bytes held in the spill file; 0 for heap columns.
+  size_t SpilledBytes() const {
+    return arena_ != nullptr ? arena_->SpilledBytes() : 0;
+  }
 
  private:
   struct Slot {
@@ -353,7 +302,6 @@ class Column {
   void AppendToArena(std::string_view value);
   /// Compacting deep copy (live cell bytes only); leaves *this unfrozen.
   void CopyFrom(const Column& other);
-  void DropLowercaseCache() const;
   /// Degradation lever: copies the arena's bytes (offsets preserved) onto a
   /// fresh heap arena and swaps it in, retiring the failed spill backend.
   /// Returns the read error (column unchanged) when even the byte rescue
@@ -381,11 +329,6 @@ class Column {
   mutable std::atomic<const char*> base_{nullptr};
   std::vector<Slot> slots_;
   bool frozen_ = false;
-  /// Lazily built lowercase shadow (heap-owned; freed by dtor/mutation).
-  mutable std::atomic<const Column*> lowered_{nullptr};
-  /// Budget counter to credit shadow allocations to (see
-  /// AttachResidentCounter); null for unaccounted columns.
-  std::shared_ptr<ResidentByteCounter> resident_counter_;
 };
 
 /// Creates a backend per `spill_dir`: a spill arena inside the directory

@@ -17,7 +17,7 @@ namespace {
 constexpr size_t kMinSpillCapacity = 1 << 16;  // 64 KiB
 
 /// Process-wide spill-file sequence — names stay unique across columns,
-/// clones, and concurrent lowercase-shadow builds.
+/// clones and threads.
 std::atomic<uint64_t> g_spill_sequence{0};
 
 std::string NextSpillPath(const std::string& dir) {

@@ -111,12 +111,6 @@ class Table {
   void AdoptStorage(const StorageOptions& storage) {
     for (Column& c : columns_) c.AdoptStorage(storage);
   }
-  /// Hooks every column's owner-invisible allocations (lowercase shadows)
-  /// into a shared budget counter (see Column::AttachResidentCounter).
-  void AttachResidentCounter(
-      const std::shared_ptr<ResidentByteCounter>& counter) {
-    for (Column& c : columns_) c.AttachResidentCounter(counter);
-  }
   /// Arena bytes currently addressable in RAM across all columns.
   size_t ResidentBytes() const {
     size_t total = 0;

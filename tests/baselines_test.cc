@@ -1,18 +1,168 @@
 // Tests for the three baselines: naive enumeration (§3.1), Auto-Join
-// (§3.2), and the Auto-FuzzyJoin simulation.
+// (§3.2), and the Auto-FuzzyJoin simulation. The naive enumerator lives
+// here, file-local: it is a ground-truth oracle for the main algorithm on
+// tiny inputs, not part of the library.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "baselines/autojoin.h"
 #include "baselines/fuzzyjoin.h"
-#include "baselines/naive.h"
+#include "core/coverage.h"
 #include "core/discovery.h"
+#include "core/example.h"
+#include "core/set_cover.h"
+#include "core/stats.h"
 #include "match/metrics.h"
+#include "text/tokenizer.h"
 
 namespace tj {
 namespace {
 
 // ---- Naive ----
+
+// Naive brute-force baseline (paper §3.1): exhaustively enumerate every
+// transformation (sequences of units with every parameter assignment) that
+// maps each source to its target, then compute coverage. Exponential in
+// the row length — usable only on tiny inputs.
+
+struct NaiveOptions {
+  /// Maximum units per transformation.
+  int max_units = 4;
+  /// Global cap on enumerated transformations (sets `truncated` when hit).
+  size_t max_transformations = 200000;
+};
+
+struct NaiveResult {
+  UnitInterner units;
+  TransformationStore store;
+  CoverageIndex coverage;
+  std::vector<RankedTransformation> top;
+  bool truncated = false;
+};
+
+/// Longest common prefix of a and b.
+size_t CommonPrefix(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// Exhaustive per-row DFS: at each target offset, try every unit whose
+/// output is a non-empty prefix of the remaining target.
+class RowEnumerator {
+ public:
+  RowEnumerator(std::string_view source, std::string_view target,
+                const NaiveOptions& options, UnitInterner* interner,
+                TransformationStore* store, bool* truncated)
+      : source_(source),
+        target_(target),
+        options_(options),
+        interner_(interner),
+        store_(store),
+        truncated_(truncated) {}
+
+  void Run() { Dfs(0); }
+
+ private:
+  void EmitCandidate(Unit unit, size_t produced_len, size_t offset) {
+    if (*truncated_) return;
+    current_.push_back(interner_->Intern(unit));
+    Dfs(offset + produced_len);
+    current_.pop_back();
+  }
+
+  void Dfs(size_t offset) {
+    if (*truncated_) return;
+    if (offset == target_.size()) {
+      if (store_->size() >= options_.max_transformations) {
+        *truncated_ = true;
+        return;
+      }
+      store_->Intern(Transformation::Normalized(current_, interner_));
+      return;
+    }
+    if (current_.size() >= static_cast<size_t>(options_.max_units)) return;
+    const std::string_view rest = target_.substr(offset);
+
+    // Literal: every non-empty prefix of the remaining target.
+    for (size_t len = 1; len <= rest.size(); ++len) {
+      EmitCandidate(Unit::MakeLiteral(std::string(rest.substr(0, len))), len,
+                    offset);
+    }
+
+    // Substr(s, e): every source start with every matching extension.
+    for (size_t s = 0; s < source_.size(); ++s) {
+      const size_t max_len = CommonPrefix(source_.substr(s), rest);
+      for (size_t len = 1; len <= max_len; ++len) {
+        EmitCandidate(Unit::MakeSubstr(static_cast<int32_t>(s),
+                                       static_cast<int32_t>(s + len)),
+                      len, offset);
+      }
+    }
+
+    // Split(c, i) and SplitSubstr(c, i, s, e) over every distinct source
+    // character and every piece.
+    bool seen[256] = {false};
+    for (char c : source_) {
+      auto& flag = seen[static_cast<unsigned char>(c)];
+      if (flag) continue;
+      flag = true;
+      const std::vector<std::string_view> pieces = SplitByChar(source_, c);
+      for (size_t i = 0; i < pieces.size(); ++i) {
+        const std::string_view piece = pieces[i];
+        if (!piece.empty() && rest.substr(0, piece.size()) == piece) {
+          EmitCandidate(Unit::MakeSplit(c, static_cast<int32_t>(i)),
+                        piece.size(), offset);
+        }
+        for (size_t s = 0; s < piece.size(); ++s) {
+          const size_t max_len = CommonPrefix(piece.substr(s), rest);
+          for (size_t len = 1; len <= max_len; ++len) {
+            // Skip the full-piece case already emitted as Split.
+            if (s == 0 && len == piece.size()) continue;
+            EmitCandidate(
+                Unit::MakeSplitSubstr(c, static_cast<int32_t>(i),
+                                      static_cast<int32_t>(s),
+                                      static_cast<int32_t>(s + len)),
+                len, offset);
+          }
+        }
+      }
+    }
+  }
+
+  const std::string_view source_;
+  const std::string_view target_;
+  const NaiveOptions& options_;
+  UnitInterner* interner_;
+  TransformationStore* store_;
+  bool* truncated_;
+  std::vector<UnitId> current_;
+};
+
+/// Enumerate-and-cover: every row's transformations, then their coverage
+/// and the top 10 by coverage.
+NaiveResult NaiveEnumerate(const std::vector<ExamplePair>& rows,
+                           const NaiveOptions& options) {
+  NaiveResult result;
+  for (const ExamplePair& row : rows) {
+    RowEnumerator enumerator(row.source, row.target, options, &result.units,
+                             &result.store, &result.truncated);
+    enumerator.Run();
+    if (result.truncated) break;
+  }
+  DiscoveryOptions coverage_options;  // defaults: neg cache on
+  DiscoveryStats stats;
+  result.coverage = ComputeCoverage(result.store, result.units, rows,
+                                    coverage_options, &stats);
+  result.top = TopKByCoverage(result.coverage, 10, 1);
+  return result;
+}
 
 TEST(Naive, FindsCoveringTransformationOnTinyInput) {
   const std::vector<ExamplePair> rows = {

@@ -44,10 +44,24 @@ TEST(Format, Helpers) {
 TEST(Suite, EnvScaleIsParsed) {
   ::setenv("TJ_BENCH_SCALE", "0.5", 1);
   EXPECT_DOUBLE_EQ(SuiteOptionsFromEnv().scale, 0.5);
-  ::setenv("TJ_BENCH_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(SuiteOptionsFromEnv().scale, 1.0);
+  // Malformed, partial, infinite, out-of-range and NaN scales keep 1.0.
+  for (const char* bad : {"garbage", "0.5x", "inf", "1e400", "nan", "0",
+                          "-1", "1025"}) {
+    ::setenv("TJ_BENCH_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(SuiteOptionsFromEnv().scale, 1.0) << bad;
+  }
   ::unsetenv("TJ_BENCH_SCALE");
   EXPECT_DOUBLE_EQ(SuiteOptionsFromEnv().scale, 1.0);
+
+  ::setenv("TJ_NUM_THREADS", "4", 1);
+  EXPECT_EQ(SuiteOptionsFromEnv().num_threads, 4);
+  // Only a whole number in [0, 1024] replaces the serial default.
+  for (const char* bad : {"abc", "4x", "2000", "-1", ""}) {
+    ::setenv("TJ_NUM_THREADS", bad, 1);
+    EXPECT_EQ(SuiteOptionsFromEnv().num_threads, 1) << bad;
+  }
+  ::unsetenv("TJ_NUM_THREADS");
+  EXPECT_EQ(SuiteOptionsFromEnv().num_threads, 1);
 }
 
 TEST(Suite, BuildsAllSevenDatasets) {

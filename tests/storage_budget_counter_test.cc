@@ -4,7 +4,8 @@
 //  * without an active budget the counter stays 0 (never maintained);
 //  * with a budget, the counter equals the exact scan at every quiesce
 //    point — after ingest + ComputeSignatures, after Remove/Update, after
-//    explicit enforcement, and after transparent re-maps on access;
+//    explicit enforcement, after transparent re-maps on access, and after
+//    a serial discovery run;
 //  * enforcement itself still works: resident bytes end up at or below the
 //    budget whenever there are evictable tables.
 
@@ -16,8 +17,8 @@
 #include <string>
 
 #include "corpus/catalog.h"
+#include "corpus/corpus_discovery.h"
 #include "datagen/corpus.h"
-#include "table/column.h"
 
 namespace tj {
 namespace {
@@ -103,49 +104,31 @@ TEST_F(BudgetCounterTest, CounterMatchesExactScanAtQuiescePoints) {
   EXPECT_EQ(catalog.CachedResidentBytes(), catalog.ResidentCellBytes());
 }
 
-// Regression: lowercase shadow columns are allocated lazily inside const
-// accessors (Column::LowercasedAscii, built by the row matcher behind the
-// catalog's back), so no AddTable/Remove/Update bracket ever sees them.
-// They used to bypass the running counter entirely — the counter drifted
-// low by the shadow bytes while ResidentCellBytes() (and budget pressure)
-// included them. Shadows must be credited when created, and every drop
-// path must keep the counter exact without a resync.
-TEST_F(BudgetCounterTest, LowercaseShadowsAreCountedWithoutResync) {
-  TableCatalog catalog(SignatureOptions(), Budgeted(64 << 10));
+// Case-insensitive discovery reads catalog columns in place: it must add
+// no spill bytes and no resident bytes the catalog does not see, so the
+// counter still equals the exact scan after a discovery run with no resync.
+// Serial, so no two pairs race to re-map the same evicted table (a race
+// the next signature pass resyncs away).
+TEST_F(BudgetCounterTest, DiscoveryLeavesSpillAndCounterUnchanged) {
+  TableCatalog catalog(SignatureOptions(), Budgeted(8 << 10));
   const SynthCorpus corpus = Corpus(13);
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
   }
   catalog.ComputeSignatures();
   ASSERT_EQ(catalog.CachedResidentBytes(), catalog.ResidentCellBytes());
-  const size_t before_shadows = catalog.CachedResidentBytes();
+  const size_t spilled = catalog.SpilledBytes();
+  ASSERT_GT(spilled, 0u);
 
-  // Build shadows the way the row matcher does: straight through the const
-  // column accessor, no catalog mutation, no resync anywhere after this.
-  for (uint32_t t = 0; t < catalog.num_slots(); ++t) {
-    if (!catalog.IsLive(t)) continue;
-    const Table& table = catalog.table(t);
-    for (uint32_t c = 0; c < table.num_columns(); ++c) {
-      (void)table.column(c).LowercasedAscii();
-    }
-  }
-  EXPECT_GT(catalog.ResidentCellBytes(), before_shadows)
-      << "shadows allocated no bytes; test is vacuous";
-  EXPECT_EQ(catalog.CachedResidentBytes(), catalog.ResidentCellBytes());
+  CorpusDiscoveryOptions options;
+  options.num_threads = 1;
+  ASSERT_TRUE(options.join.match_options.lowercase);
+  const CorpusDiscoveryResult result =
+      DiscoverJoinableColumns(&catalog, options);
+  ASSERT_FALSE(result.results.empty()) << "no pair evaluated; vacuous";
+  EXPECT_EQ(result.failed_pairs, 0u);
 
-  // Re-requesting existing shadows must not double-count.
-  (void)catalog.table(0).column(0).LowercasedAscii();
-  EXPECT_EQ(catalog.CachedResidentBytes(), catalog.ResidentCellBytes());
-
-  // Dropping a shadow-bearing table keeps the counter exact (the remove
-  // path subtracts owner-side ResidentBytes(), which includes the shadow —
-  // a creation-credited shadow must not be subtracted twice).
-  const std::string victim = catalog.table_name(0);
-  ASSERT_TRUE(catalog.RemoveTable(victim).ok());
-  EXPECT_EQ(catalog.CachedResidentBytes(), catalog.ResidentCellBytes());
-
-  // Eviction releases shadow pages along with the column's; still exact.
-  catalog.EnforceMemoryBudget();
+  EXPECT_EQ(catalog.SpilledBytes(), spilled);
   EXPECT_EQ(catalog.CachedResidentBytes(), catalog.ResidentCellBytes());
 }
 

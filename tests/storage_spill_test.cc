@@ -21,6 +21,7 @@
 #include "corpus/corpus_discovery.h"
 #include "corpus/signature.h"
 #include "datagen/corpus.h"
+#include "match/row_matcher.h"
 #include "table/csv.h"
 #include "table/spill_arena.h"
 #include "table/table.h"
@@ -190,19 +191,56 @@ TEST_F(SpillTest, ReleasePagesKeepsViewsValid) {
   EXPECT_EQ(tail, "tail-cell");
 }
 
-TEST_F(SpillTest, LowercaseShadowIsSpilledAndDroppedOnEvict) {
-  Column c = Column::WithStorage("c", Storage());
-  c.Append("MiXeD Case 42");
-  c.Freeze();
-  const Column& lowered = c.LowercasedAscii();
-  EXPECT_EQ(lowered.Get(0), "mixed case 42");
-  EXPECT_TRUE(lowered.spilled());  // shadow follows the backend kind
-  EXPECT_EQ(&c.LowercasedAscii(), &lowered);
+TEST_F(SpillTest, CaseInsensitiveMatchLeavesSpilledColumnsUnchanged) {
+  // The matcher lowers rows as it reads them: on frozen, spilled,
+  // mixed-case columns it must find the heap copies' pairs and add no
+  // bytes — no spill file, no resident arena — to either column.
+  const std::vector<std::string> source_cells = {
+      "Alice SMITH 1042", "bob JONES 77", "CAROL white 9", "Dan Brown 31"};
+  const std::vector<std::string> target_cells = {
+      "smith, ALICE", "Jones, Bob", "WHITE, carol", "brown, dan"};
+  const auto spilled = [&](const std::vector<std::string>& cells) {
+    Column column = Column::WithStorage("c", Storage());
+    for (const std::string& cell : cells) column.Append(cell);
+    column.Freeze();
+    return column;
+  };
+  Column heap_source("c", source_cells);
+  Column heap_target("c", target_cells);
+  heap_source.Freeze();
+  heap_target.Freeze();
+  const Column source = spilled(source_cells);
+  const Column target = spilled(target_cells);
+  ASSERT_TRUE(source.spilled());
+  ASSERT_TRUE(target.spilled());
+  const size_t files = SpillFileCount();
+  const size_t source_spilled = source.SpilledBytes();
+  const size_t target_spilled = target.SpilledBytes();
+  const size_t source_resident = source.ResidentBytes();
+  const size_t target_resident = target.ResidentBytes();
 
-  c.Evict();  // drops the shadow with the mapping
-  c.EnsureResident();
-  const Column& rebuilt = c.LowercasedAscii();
-  EXPECT_EQ(rebuilt.Get(0), "mixed case 42");
+  RowMatchOptions options;
+  options.lowercase = true;
+  for (const int threads : {1, 4}) {
+    options.num_threads = threads;
+    const RowMatchResult on_heap =
+        FindJoinablePairs(heap_source, heap_target, options);
+    const RowMatchResult on_spill = FindJoinablePairs(source, target, options);
+    // Every name pairs with its own row only because case is ignored.
+    const std::vector<RowPair> own_rows = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
+    EXPECT_TRUE(on_heap.pairs == own_rows) << threads;
+    EXPECT_TRUE(on_spill.pairs == on_heap.pairs) << threads;
+    EXPECT_EQ(on_spill.unmatched_source_rows, 0u);
+
+    EXPECT_EQ(source.SpilledBytes(), source_spilled);
+    EXPECT_EQ(target.SpilledBytes(), target_spilled);
+    EXPECT_EQ(source.ResidentBytes(), source_resident);
+    EXPECT_EQ(target.ResidentBytes(), target_resident);
+    EXPECT_EQ(SpillFileCount(), files);
+  }
+  options.lowercase = false;
+  EXPECT_LT(FindJoinablePairs(source, target, options).pairs.size(),
+            source_cells.size());
 }
 
 TEST_F(SpillTest, AdoptStorageRoundTripPreservesContentAndFreeze) {

@@ -1,7 +1,6 @@
 // View-lifetime tests for the arena storage core (table/column.h): moves
-// keep cell views valid, copies are independent and mutable, the lowercase
-// cache obeys the stability rules, ExamplePair views survive everything
-// discovery does with them, and TableCatalog::UpdateTable never leaves a
+// keep cell views valid, copies are independent and mutable, ExamplePair
+// views survive everything discovery does with them, and TableCatalog::UpdateTable never leaves a
 // live shortlist reading stale bytes. The dangling-view failure modes these
 // tests guard are silent in a plain build — run them under the sanitizer
 // config too (cmake -DTJ_SANITIZE=ON).
@@ -95,8 +94,8 @@ TEST(ColumnViews, CopyCompactsDeadArenaSpace) {
 }
 
 TEST(ColumnViews, SelfAliasingMutationIsSafe) {
-  // Set/Append fed views into the column's own arena (or its lowered
-  // shadow) must survive the reallocation they themselves trigger.
+  // Set/Append fed views into the column's own arena must survive the
+  // reallocation they themselves trigger.
   Column c("c", {"source-cell-contents", "x"});
   c.Set(1, c.Get(0));  // grow from own arena
   EXPECT_EQ(c.Get(1), "source-cell-contents");
@@ -107,11 +106,6 @@ TEST(ColumnViews, SelfAliasingMutationIsSafe) {
 
   c.Set(0, c.Get(0).substr(0, 6));  // overlapping in-place shrink
   EXPECT_EQ(c.Get(0), "source");
-
-  Column upper("u", {"MIXED Case"});
-  upper.Append(upper.LowercasedAscii().Get(0));  // view into the cache
-  EXPECT_EQ(upper.Get(1), "mixed case");
-  EXPECT_EQ(upper.Get(0), "MIXED Case");
 }
 
 TEST(ColumnViews, FrozenColumnRejectsMutation) {
@@ -119,25 +113,6 @@ TEST(ColumnViews, FrozenColumnRejectsMutation) {
   c.Freeze();
   EXPECT_DEATH(c.Append("y"), "frozen");
   EXPECT_DEATH(c.Set(0, "y"), "frozen");
-}
-
-TEST(ColumnViews, LowercaseCacheIsStableAndInvalidated) {
-  Column c("c", {"MiXeD", "ALL CAPS 42"});
-  const Column& lowered = c.LowercasedAscii();
-  EXPECT_EQ(lowered.Get(0), "mixed");
-  EXPECT_EQ(lowered.Get(1), "all caps 42");
-  EXPECT_TRUE(lowered.frozen());
-  // Second call returns the same cached object.
-  EXPECT_EQ(&c.LowercasedAscii(), &lowered);
-
-  // Mutation drops the cache; the next call reflects the new content.
-  c.Set(0, "NEW");
-  const Column& relowered = c.LowercasedAscii();
-  EXPECT_EQ(relowered.Get(0), "new");
-
-  // The cache moves with the column.
-  const Column moved = std::move(c);
-  EXPECT_EQ(&moved.LowercasedAscii(), &relowered);
 }
 
 TEST(TableViews, MoveKeepsViewsValid) {
