@@ -205,7 +205,7 @@ SpillOutcome RunSpilled(const tj::SynthCorpusOptions& corpus_options,
       std::max<size_t>(outcome.total_cell_bytes / 4, 1);
   outcome.budget_bytes = storage.memory_budget_bytes;
 
-  tj::TableCatalog catalog(tj::SignatureOptions(), storage);
+  tj::TableCatalog catalog(storage);
   for (tj::Table& table : corpus.tables) {
     auto added = catalog.AddTable(std::move(table));
     if (!added.ok()) {
@@ -308,13 +308,12 @@ IncrementalOutcome MeasureIncrementalAdd(const tj::SynthCorpus& corpus,
 /// joinable pairs, ingested through the LSH-banded incremental pruner.
 /// Measures how many exact pair scores the bucket probes cost versus the
 /// linear-scan count an exhaustive incremental build pays, then verifies
-/// the probed shortlist is bit-identical to a full ShortlistPairs scan and
-/// that lossless banding missed nothing (exit 1 on either failure).
+/// the probed shortlist is bit-identical to a full ShortlistPairs scan
+/// (exit 1 otherwise).
 struct LshScaleOutcome {
   size_t tables = 0;
   size_t probe_pairs = 0;       // cumulative exact scores via bucket probes
   size_t linear_pairs = 0;      // exhaustive incremental total: N*(N-1)/2
-  size_t missed_pairs = 0;      // full-scan survivors outside the buckets
   size_t add_pairs_scored = 0;  // scores for ONE add at full corpus size
   size_t add_linear_pairs = 0;  // what that add costs exhaustively
   double ingest_seconds = 0.0;  // adds + sketches + probed fold-ins
@@ -323,7 +322,7 @@ struct LshScaleOutcome {
 
 std::string ScaleCellText(size_t table, size_t row) {
   // Pseudorandom base-36 cells: noise tables must share (almost) no
-  // 4-grams, or every sketch collides in some band and the probe
+  // 4-grams, or every sketch collides in some bucket and the probe
   // degenerates to a full scan. (Sketches lowercase their input, so a
   // mixed-case alphabet would not widen the gram space.)
   uint64_t a = tj::Mix64(table * 1315423911u + row);
@@ -398,8 +397,7 @@ LshScaleOutcome RunLshScale(double scale, int num_threads) {
   outcome.ingest_seconds = ingest_watch.ElapsedSeconds();
 
   // Acceptance: the probed shortlist must be bit-identical to the full
-  // scan, and lossless banding (128x1 at a positive floor) must have
-  // missed nothing the full scan kept.
+  // scan, so the probe missed nothing the full scan kept.
   tj::Stopwatch scan_watch;
   const tj::PairPrunerResult full =
       tj::ShortlistPairs(catalog, options, &pool);
@@ -423,17 +421,6 @@ LshScaleOutcome RunLshScale(double scale, int num_threads) {
       std::fprintf(stderr, "lsh-probed shortlist diverges at rank %zu\n", i);
       std::exit(1);
     }
-    if (!tj::LshIndex::BandsCollide(
-            options.lsh, catalog.signature(full.shortlist[i].a),
-            catalog.signature(full.shortlist[i].b))) {
-      ++outcome.missed_pairs;
-    }
-  }
-  if (outcome.missed_pairs > 0) {
-    std::fprintf(stderr,
-                 "lossless banding missed %zu full-scan survivors\n",
-                 outcome.missed_pairs);
-    std::exit(1);
   }
   return outcome;
 }
@@ -809,7 +796,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nlsh scale (%zu tables): probes scored %zu of %zu linear-scan "
       "pairs (%.3fx), one full-size add scored %zu of %zu (%.3fx), "
-      "0 missed, ingest %s, full-scan check %s\n",
+      "ingest %s, full-scan check %s\n",
       lsh.tables, lsh.probe_pairs, lsh.linear_pairs,
       lsh.linear_pairs > 0 ? static_cast<double>(lsh.probe_pairs) /
                                  static_cast<double>(lsh.linear_pairs)
@@ -939,15 +926,13 @@ int main(int argc, char** argv) {
                  "  \"lsh_scale_tables\": %zu,\n"
                  "  \"lsh_probe_pairs\": %zu,\n"
                  "  \"lsh_linear_pairs\": %zu,\n"
-                 "  \"lsh_missed_pairs\": %zu,\n"
                  "  \"add_pairs_scored_10k\": %zu,\n"
                  "  \"add_linear_pairs_10k\": %zu,\n"
                  "  \"lsh_ingest_seconds\": %.6f,\n"
                  "  \"lsh_fullscan_seconds\": %.6f,\n",
                  lsh.tables, lsh.probe_pairs, lsh.linear_pairs,
-                 lsh.missed_pairs, lsh.add_pairs_scored,
-                 lsh.add_linear_pairs, lsh.ingest_seconds,
-                 lsh.fullscan_seconds);
+                 lsh.add_pairs_scored, lsh.add_linear_pairs,
+                 lsh.ingest_seconds, lsh.fullscan_seconds);
     WriteStorageJsonTail(f, storage);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

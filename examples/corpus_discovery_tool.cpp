@@ -22,8 +22,8 @@
 // repeated runs over a mutating repository stay incremental.
 //
 // --add/--remove/--update apply catalog maintenance on top of the loaded
-// directory through the incremental pruner: each op probes the banded LSH
-// index with the touched table's sketches and scores only the colliding
+// directory through the incremental pruner: each op probes the LSH index
+// with the touched table's sketches and scores only the colliding
 // column pairs instead of rebuilding the whole shortlist, and prints the
 // per-op scoring cost.
 //
@@ -72,7 +72,6 @@ int Usage(const char* argv0) {
       "          [--max-candidates N] [--top K]\n"
       "          [--signatures cache.tj] [--out results.csv]\n"
       "          [--index-cache-budget BYTES]\n"
-      "          [--lsh-bands N] [--lsh-rows N]\n"
       "          [--add FILE]... [--remove NAME]... [--update FILE]...\n"
       "          [--threads N] [--support F] [--spill-dir DIR]\n"
       "          [--memory-budget BYTES] [--failpoints SPEC]\n"
@@ -90,11 +89,6 @@ int Usage(const char* argv0) {
       "  --add F / --remove NAME / --update F: incremental catalog\n"
       "      maintenance; only the touched table's pairs whose sketches\n"
       "      share an LSH bucket are rescored (every pair at floor 0)\n"
-      "  --lsh-bands N / --lsh-rows N: LSH banding geometry that --add,\n"
-      "      --update and --serve probe (bands x rows per band, rows at\n"
-      "      most 128; the default 128x1 is lossless at any positive\n"
-      "      --min-containment; coarser settings trade recall for fewer\n"
-      "      probes)\n"
       "  --serve SOCKET: run as tjd, answering joinable/transform-join/\n"
       "      add/update/remove/stats requests over the unix socket\n"
       "      (length-prefixed JSON frames; snapshot-isolated epochs;\n"
@@ -525,17 +519,6 @@ int main(int argc, char** argv) {
         return cli::InvalidValue(Usage, argv[0], "--max-candidates",
                                  argv[i]);
       }
-    } else if (std::strcmp(argv[i], "--lsh-bands") == 0 && i + 1 < argc) {
-      if (!ParseWhole(argv[++i], &options.pruner.lsh.bands)) {
-        return cli::InvalidValue(Usage, argv[0], "--lsh-bands", argv[i]);
-      }
-    } else if (std::strcmp(argv[i], "--lsh-rows") == 0 && i + 1 < argc) {
-      // A band wider than the sketch leaves no band to index, so every
-      // incremental fold-in would find no partner.
-      if (!ParseWhole(argv[++i], &options.pruner.lsh.rows_per_band) ||
-          options.pruner.lsh.rows_per_band > SignatureOptions().num_hashes) {
-        return cli::InvalidValue(Usage, argv[0], "--lsh-rows", argv[i]);
-      }
     } else if (std::strcmp(argv[i], "--top") == 0 && i + 1 < argc) {
       if (!ParseWhole(argv[++i], &top)) {
         return cli::InvalidValue(Usage, argv[0], "--top", argv[i]);
@@ -578,21 +561,8 @@ int main(int argc, char** argv) {
   }
   const int prepared = cli::PrepareOptions(options.join, storage);
   if (prepared != 0) return prepared;
-  // At a zero floor the pruner scores every tracked column, so only a
-  // positive floor makes the banding matter.
-  if (options.pruner.min_containment > 0.0 &&
-      !LshIndex::GuaranteesRecall(options.pruner.lsh,
-                                  SignatureOptions().num_hashes,
-                                  options.pruner.min_containment)) {
-    std::fprintf(stderr,
-                 "note: lsh banding %zux%zu at floor %g is approximate; "
-                 "incremental and served shortlists may miss low-overlap "
-                 "pairs (128x1 is lossless)\n",
-                 options.pruner.lsh.bands, options.pruner.lsh.rows_per_band,
-                 options.pruner.min_containment);
-  }
 
-  TableCatalog catalog(SignatureOptions(), storage);
+  TableCatalog catalog(storage);
   const auto loaded_dir = catalog.AddCsvDirectory(dir);
   if (!loaded_dir.ok()) {
     std::fprintf(stderr, "error loading %s: %s\n", dir.c_str(),

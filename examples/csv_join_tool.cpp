@@ -23,7 +23,7 @@
 #include "common/strings.h"
 #include "core/serialization.h"
 #include "corpus/lsh_index.h"
-#include "corpus/signature.h"
+#include "corpus/pair_pruner.h"
 #include "join/join_engine.h"
 #include "table/csv.h"
 #include "tool_flags.h"
@@ -39,10 +39,10 @@ int Usage(const char* argv0) {
                "          [--threads N] [--support F] [--spill-dir DIR]\n"
                "          [--memory-budget BYTES] [--failpoints SPEC]\n"
                "  --precheck: sketch both join columns and report the\n"
-               "      estimated n-gram containment plus whether their banded\n"
+               "      estimated n-gram containment plus whether their\n"
                "      MinHash sketches collide (what the corpus LSH probe\n"
-               "      would see), then exit: 0 when they collide, 3 when\n"
-               "      they do not\n",
+               "      would see), then exit: 0 when the corpus pruner would\n"
+               "      keep the pair, 3 when it would drop it\n",
                argv0);
   std::fputs(tj::cli::kSharedUsage, stderr);
   return tj::cli::kUsageExit;
@@ -120,16 +120,20 @@ int main(int argc, char** argv) {
 
   if (precheck) {
     // The corpus pruning view of this pair, without running the join: the
-    // same sketches TableCatalog::ComputeSignatures builds and the same
-    // banded-collision test the LSH probe path uses to shortlist partners.
-    const SignatureOptions sig_options;
+    // same sketches TableCatalog::ComputeSignatures builds, the LSH probe
+    // the incremental pruner runs, and the pruner's own gates at their
+    // defaults for the verdict.
     const ColumnSignature sig_left =
-        ComputeColumnSignature(left->column(*left_idx), sig_options);
+        ComputeColumnSignature(left->column(*left_idx));
     const ColumnSignature sig_right =
-        ComputeColumnSignature(right->column(*right_idx), sig_options);
+        ComputeColumnSignature(right->column(*right_idx));
     const double containment = EstimateNgramContainment(sig_left, sig_right);
-    const bool collide =
-        LshIndex::BandsCollide(LshOptions(), sig_left, sig_right);
+    LshIndex probe;
+    probe.Insert(ColumnRef{}, sig_left);
+    const bool collide = !probe.Probe(sig_right).empty();
+    const bool keep =
+        ScoreSignaturePair(sig_left, sig_right, PairPrunerOptions())
+            .has_value();
     std::printf("precheck %s.%s vs %s.%s\n", left_path.c_str(),
                 left_column.c_str(), right_path.c_str(),
                 right_column.c_str());
@@ -140,12 +144,13 @@ int main(int argc, char** argv) {
     std::printf("  estimated containment: %.4f\n", containment);
     std::printf("  lsh bands collide (128x1): %s\n",
                 collide ? "yes" : "no");
-    std::printf("  verdict: %s\n",
-                collide ? "worth joining (a corpus probe would surface "
-                          "this pair)"
-                        : "unpromising (a corpus probe would never score "
-                          "this pair)");
-    return collide ? 0 : 3;
+    std::printf(
+        "  verdict: %s\n",
+        keep      ? "worth joining (a corpus probe would surface this pair)"
+        : collide ? "unpromising (the corpus pruner would drop this pair)"
+                  : "unpromising (a corpus probe would never score this "
+                    "pair)");
+    return keep ? 0 : 3;
   }
 
   // The more descriptive column becomes the transformation source (§4.2.1).

@@ -62,18 +62,6 @@ struct SimEntry {
 
 }  // namespace
 
-std::string_view SimilarityKindName(SimilarityKind kind) {
-  switch (kind) {
-    case SimilarityKind::kTokenJaccard:
-      return "TokenJaccard";
-    case SimilarityKind::kQgramJaccard:
-      return "QgramJaccard";
-    case SimilarityKind::kEditSimilarity:
-      return "EditSimilarity";
-  }
-  return "Unknown";
-}
-
 FuzzyJoinResult RunAutoFuzzyJoin(const Column& source, const Column& target,
                                  const FuzzyJoinOptions& options) {
   FuzzyJoinResult result;

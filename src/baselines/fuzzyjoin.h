@@ -25,8 +25,6 @@ enum class SimilarityKind {
   kEditSimilarity  // 1 - Levenshtein/maxlen
 };
 
-std::string_view SimilarityKindName(SimilarityKind kind);
-
 struct FuzzyJoinOptions {
   /// Configurations below this estimated precision are rejected (AFJ's
   /// precision-target knob; 0.9 default).

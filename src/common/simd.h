@@ -64,7 +64,7 @@ SimdLevel SetActiveLevel(SimdLevel level);
 /// MinHash slot update: for each of the n slots,
 ///   h = Mix64(base ^ slot_seeds[i]); minhash[i] = min(minhash[i], h).
 /// The inner loop of ComputeColumnSignature — called once per distinct
-/// gram with n = SignatureOptions::num_hashes (128 by default).
+/// gram with n = kSketchSlots (128).
 void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,
                    uint64_t* minhash, size_t n);
 
@@ -76,12 +76,6 @@ void LowerAscii(const char* src, char* dst, size_t n);
 /// Number of positions where a[i] == b[i]. The sketch match count of
 /// EstimateJaccard.
 size_t CountEqualU64(const uint64_t* a, const uint64_t* b, size_t n);
-
-/// Number of positions where a[i] == b[i] and a[i] != excluded. The
-/// LshIndex band comparison at rows_per_band == 1: matching non-empty
-/// slots are exactly colliding non-degenerate bands.
-size_t CountEqualExcludingU64(const uint64_t* a, const uint64_t* b, size_t n,
-                              uint64_t excluded);
 
 /// OR of the per-byte charset-class bits over s[0..n): the charset_mask
 /// accumulation of ComputeColumnSignature. Bit values are pinned to
@@ -127,8 +121,6 @@ void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,
                    uint64_t* minhash, size_t n);
 void LowerAscii(const char* src, char* dst, size_t n);
 size_t CountEqualU64(const uint64_t* a, const uint64_t* b, size_t n);
-size_t CountEqualExcludingU64(const uint64_t* a, const uint64_t* b, size_t n,
-                              uint64_t excluded);
 uint32_t CharsetMask(const char* s, size_t n);
 }  // namespace scalar
 
@@ -141,8 +133,6 @@ void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,
                    uint64_t* minhash, size_t n);
 void LowerAscii(const char* src, char* dst, size_t n);
 size_t CountEqualU64(const uint64_t* a, const uint64_t* b, size_t n);
-size_t CountEqualExcludingU64(const uint64_t* a, const uint64_t* b, size_t n,
-                              uint64_t excluded);
 uint32_t CharsetMask(const char* s, size_t n);
 }  // namespace avx2
 #endif  // x86

@@ -149,4 +149,19 @@ void Result<T>::CheckOk() const {
     if (!_tj_status.ok()) return _tj_status;      \
   } while (false)
 
+/// Evaluates `rexpr` (a Result<T>) and propagates its error Status from the
+/// current function; otherwise moves the value into `lhs`, a declaration
+/// (`T x`, `auto x`) or an assignable lvalue. Expands to statements, so it
+/// must stand in a block, not as the lone body of an unbraced if/else.
+#define TJ_ASSIGN_OR_RETURN(lhs, rexpr) \
+  TJ_ASSIGN_OR_RETURN_IMPL_(TJ_CONCAT_(_tj_result_, __COUNTER__), lhs, rexpr)
+
+#define TJ_ASSIGN_OR_RETURN_IMPL_(tmp, lhs, rexpr) \
+  auto tmp = (rexpr);                              \
+  if (!tmp.ok()) return tmp.status();              \
+  lhs = std::move(tmp).value()
+
+#define TJ_CONCAT_(a, b) TJ_CONCAT_INNER_(a, b)
+#define TJ_CONCAT_INNER_(a, b) a##b
+
 #endif  // TJ_COMMON_STATUS_H_

@@ -79,11 +79,6 @@ inline bool Contains(std::string_view haystack, std::string_view needle) {
   return haystack.find(needle) != std::string_view::npos;
 }
 
-/// True if `haystack` contains character `c`.
-inline bool ContainsChar(std::string_view haystack, char c) {
-  return haystack.find(c) != std::string_view::npos;
-}
-
 }  // namespace tj
 
 #endif  // TJ_COMMON_STRINGS_H_

@@ -58,12 +58,11 @@ class Cursor {
 
   /// Parses a quoted string that must hold exactly one character.
   Result<char> ParseQuotedChar() {
-    auto s = ParseQuoted();
-    if (!s.ok()) return s.status();
-    if (s->size() != 1) {
+    TJ_ASSIGN_OR_RETURN(const std::string s, ParseQuoted());
+    if (s.size() != 1) {
       return Status::InvalidArgument("expected single-character delimiter");
     }
-    return (*s)[0];
+    return s[0];
   }
 
   Result<Unit> ParseUnit();
@@ -78,62 +77,48 @@ class Cursor {
 Result<Unit> Cursor::ParseUnit() {
   SkipSpace();
   if (ConsumeWord("Literal(")) {
-    auto str = ParseQuoted();
-    if (!str.ok()) return str.status();
+    TJ_ASSIGN_OR_RETURN(std::string str, ParseQuoted());
     if (!Consume(')')) return Status::InvalidArgument("expected ')'");
-    return Unit::MakeLiteral(std::move(*str));
+    return Unit::MakeLiteral(std::move(str));
   }
   // Note: "SplitSubstr(" must be tried before "Split(".
   if (ConsumeWord("SplitSubstr(")) {
-    auto c = ParseQuotedChar();
-    if (!c.ok()) return c.status();
+    TJ_ASSIGN_OR_RETURN(const char c, ParseQuotedChar());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto i = ParseInt();
-    if (!i.ok()) return i.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t i, ParseInt());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto s = ParseInt();
-    if (!s.ok()) return s.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t s, ParseInt());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto e = ParseInt();
-    if (!e.ok()) return e.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t e, ParseInt());
     if (!Consume(')')) return Status::InvalidArgument("expected ')'");
-    return Unit::MakeSplitSubstr(*c, *i, *s, *e);
+    return Unit::MakeSplitSubstr(c, i, s, e);
   }
   if (ConsumeWord("Split(")) {
-    auto c = ParseQuotedChar();
-    if (!c.ok()) return c.status();
+    TJ_ASSIGN_OR_RETURN(const char c, ParseQuotedChar());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto i = ParseInt();
-    if (!i.ok()) return i.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t i, ParseInt());
     if (!Consume(')')) return Status::InvalidArgument("expected ')'");
-    return Unit::MakeSplit(*c, *i);
+    return Unit::MakeSplit(c, i);
   }
   if (ConsumeWord("Substr(")) {
-    auto s = ParseInt();
-    if (!s.ok()) return s.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t s, ParseInt());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto e = ParseInt();
-    if (!e.ok()) return e.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t e, ParseInt());
     if (!Consume(')')) return Status::InvalidArgument("expected ')'");
-    return Unit::MakeSubstr(*s, *e);
+    return Unit::MakeSubstr(s, e);
   }
   if (ConsumeWord("TwoCharSplitSubstr(")) {
-    auto c1 = ParseQuotedChar();
-    if (!c1.ok()) return c1.status();
+    TJ_ASSIGN_OR_RETURN(const char c1, ParseQuotedChar());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto c2 = ParseQuotedChar();
-    if (!c2.ok()) return c2.status();
+    TJ_ASSIGN_OR_RETURN(const char c2, ParseQuotedChar());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto i = ParseInt();
-    if (!i.ok()) return i.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t i, ParseInt());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto s = ParseInt();
-    if (!s.ok()) return s.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t s, ParseInt());
     if (!Consume(',')) return Status::InvalidArgument("expected ','");
-    auto e = ParseInt();
-    if (!e.ok()) return e.status();
+    TJ_ASSIGN_OR_RETURN(const int32_t e, ParseInt());
     if (!Consume(')')) return Status::InvalidArgument("expected ')'");
-    return Unit::MakeTwoCharSplitSubstr(*c1, *c2, *i, *s, *e);
+    return Unit::MakeTwoCharSplitSubstr(c1, c2, i, s, e);
   }
   return Status::InvalidArgument("unknown unit at offset " +
                                  std::to_string(pos()));
@@ -143,8 +128,7 @@ Result<Unit> Cursor::ParseUnit() {
 
 Result<Unit> ParseUnit(std::string_view text) {
   Cursor cursor(text);
-  auto unit = cursor.ParseUnit();
-  if (!unit.ok()) return unit.status();
+  TJ_ASSIGN_OR_RETURN(Unit unit, cursor.ParseUnit());
   cursor.SkipSpace();
   if (!cursor.AtEnd()) {
     return Status::InvalidArgument("trailing characters after unit");
@@ -163,9 +147,8 @@ Result<Transformation> ParseTransformation(std::string_view text,
   cursor.SkipSpace();
   if (!cursor.Consume('>')) {
     for (;;) {
-      auto unit = cursor.ParseUnit();
-      if (!unit.ok()) return unit.status();
-      ids.push_back(interner->Intern(*unit));
+      TJ_ASSIGN_OR_RETURN(const Unit unit, cursor.ParseUnit());
+      ids.push_back(interner->Intern(unit));
       cursor.SkipSpace();
       if (cursor.Consume('>')) break;
       if (!cursor.Consume(',')) {

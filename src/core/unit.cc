@@ -5,22 +5,6 @@
 
 namespace tj {
 
-std::string_view UnitKindName(UnitKind kind) {
-  switch (kind) {
-    case UnitKind::kLiteral:
-      return "Literal";
-    case UnitKind::kSubstr:
-      return "Substr";
-    case UnitKind::kSplit:
-      return "Split";
-    case UnitKind::kSplitSubstr:
-      return "SplitSubstr";
-    case UnitKind::kTwoCharSplitSubstr:
-      return "TwoCharSplitSubstr";
-  }
-  return "Unknown";
-}
-
 Unit Unit::MakeLiteral(std::string str) {
   Unit u;
   u.kind = UnitKind::kLiteral;

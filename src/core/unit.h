@@ -27,8 +27,6 @@ enum class UnitKind : uint8_t {
   kTwoCharSplitSubstr = 4  // TwoCharSplitSubstr(c1, c2, i, s, e)
 };
 
-std::string_view UnitKindName(UnitKind kind);
-
 /// A value-semantic transformation unit. Construct through the factory
 /// functions; compare/hash for deduplication; Eval to apply.
 struct Unit {

@@ -586,7 +586,7 @@ void TableCatalog::ComputeSignatures(ThreadPool* pool) {
       return;
     }
     tables_[ref.table].signatures[ref.column] =
-        ComputeColumnSignature(**resident, options_);
+        ComputeColumnSignature(**resident);
   };
   if (pool != nullptr && pool->size() > 1 && missing.size() > 1 &&
       !InParallelFor()) {
@@ -628,11 +628,9 @@ const ColumnSignature& TableCatalog::signature(ColumnRef ref) const {
 std::string TableCatalog::SerializeSignatures() const {
   std::string out(kSignatureHeader);
   out += "\n";
-  out += StrPrintf("options ngram=%llu hashes=%llu seed=%llu lowercase=%d\n",
-                   static_cast<unsigned long long>(options_.ngram),
-                   static_cast<unsigned long long>(options_.num_hashes),
-                   static_cast<unsigned long long>(options_.seed),
-                   options_.lowercase ? 1 : 0);
+  out += StrPrintf("options ngram=%zu hashes=%zu seed=%llu lowercase=1\n",
+                   kSketchNgram, kSketchSlots,
+                   static_cast<unsigned long long>(kSketchSeed));
   for (const TableEntry& entry : tables_) {
     if (!entry.live) continue;
     bool any = false;
@@ -718,10 +716,9 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (parsed.ok()) parsed = cursor.Field("seed", &seed);
       if (parsed.ok()) parsed = cursor.Field("lowercase", &lowercase);
       if (!parsed.ok()) return fail(parsed.message());
-      if (lowercase > 1) return fail("lowercase= must be 0 or 1");
-      if (ngram != options_.ngram || hashes != options_.num_hashes ||
-          seed != options_.seed || (lowercase == 1) != options_.lowercase) {
-        return fail("sketch parameters disagree with this catalog's options");
+      if (ngram != kSketchNgram || hashes != kSketchSlots ||
+          seed != kSketchSeed || lowercase != 1) {
+        return fail("sketch parameters disagree with the sketch geometry");
       }
       saw_options = true;
       continue;
@@ -749,8 +746,6 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       auto name = cursor.ParseQuoted();
       if (!name.ok()) return fail(name.status().message());
       ColumnSignature sig;
-      sig.ngram = options_.ngram;
-      sig.seed = options_.seed;
       Status parsed = cursor.Field("rows", &sig.num_rows);
       if (parsed.ok()) parsed = cursor.Field("distinct", &sig.distinct_ngrams);
       if (parsed.ok()) parsed = cursor.Field("minlen", &sig.min_length);
@@ -797,16 +792,25 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       ColumnSignature& sig =
           skipping_block ? skipped_sig : staged.back().second;
       if (!sig.minhash.empty()) return fail("duplicate minhash line");
-      sig.minhash.reserve(options_.num_hashes);
+      sig.minhash.reserve(kSketchSlots);
       while (!cursor.AtEnd()) {
         uint64_t h = 0;
         const Status parsed = cursor.Number(&h);
         if (!parsed.ok()) return fail(parsed.message());
         sig.minhash.push_back(h);
       }
-      if (sig.minhash.size() != options_.num_hashes) {
+      if (sig.minhash.size() != kSketchSlots) {
         return fail(StrPrintf("expected %zu minhash slots, got %zu",
-                              options_.num_hashes, sig.minhash.size()));
+                              kSketchSlots, sig.minhash.size()));
+      }
+      // A fresh sketch's every distinct gram lowers every slot, so its
+      // slots are all empty (no grams) or none is. A mix would split the
+      // batch scan, which counts matching empty slots, from the LSH probe,
+      // which skips them.
+      const auto empty_slots = static_cast<size_t>(std::count(
+          sig.minhash.begin(), sig.minhash.end(), kEmptyMinhashSlot));
+      if (empty_slots != (sig.distinct_ngrams == 0 ? kSketchSlots : 0)) {
+        return fail("minhash slots disagree with distinct=");
       }
       column_pending = false;
       continue;
@@ -822,7 +826,7 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
         "line");
   }
   for (const auto& [ref, sig] : staged) {
-    if (sig.minhash.size() != options_.num_hashes) {
+    if (sig.minhash.size() != kSketchSlots) {
       return Status::InvalidArgument(
           "signatures: column '" +
           tables_[ref.table].table->column(ref.column).name() +

@@ -91,9 +91,8 @@ class TableCatalog : public CorpusColumnSource {
   /// evict cold frozen tables (least recently registered/touched first)
   /// whenever the resident cell bytes exceed the budget. Evicted tables
   /// are transparently re-mapped by table()/column() on access.
-  explicit TableCatalog(SignatureOptions options = SignatureOptions(),
-                        StorageOptions storage = StorageOptions())
-      : options_(options), storage_(std::move(storage)) {}
+  explicit TableCatalog(StorageOptions storage = StorageOptions())
+      : storage_(std::move(storage)) {}
 
   /// Movable (factory-style construction in tests and tools); a move
   /// hands the resident-bytes count over and leaves the source an empty
@@ -198,7 +197,6 @@ class TableCatalog : public CorpusColumnSource {
   /// Column metadata without touching residency (see table_name).
   const std::string& column_name(ColumnRef ref) const override;
 
-  const SignatureOptions& signature_options() const { return options_; }
   const StorageOptions& storage_options() const { return storage_; }
 
   // -------------------------------------------------------------------
@@ -269,12 +267,14 @@ class TableCatalog : public CorpusColumnSource {
   ///
   /// Anything else fails closed and installs nothing, forcing a rescan: a
   /// header other than "# tj-signatures v2" (the fingerprint-less v1 format
-  /// included), sketch parameters that differ from this catalog's
-  /// SignatureOptions, an unknown column, row-count drift, malformed or
+  /// included), an options line other than the one sketch geometry
+  /// (signature.h), an unknown column, row-count drift, malformed or
   /// truncated input, and numbers no sketch holds — each integer is read
-  /// at its field's width, meanlen must be finite and not negative, and
-  /// lowercase 0 or 1 — or fields that contradict each other: charset bits
-  /// above kCharsetOther, or lengths outside minlen <= meanlen <= maxlen.
+  /// at its field's width, and meanlen must be finite and not negative —
+  /// or fields that contradict each other: charset bits above
+  /// kCharsetOther, lengths outside minlen <= meanlen <= maxlen, or minhash
+  /// slots that disagree with distinct= (an empty slot when distinct > 0,
+  /// a non-empty one when it is 0).
   Status LoadSignatures(std::string_view text);
 
   /// Crash-safe save: serializes into `<path>.tmp`, fsyncs, then renames
@@ -310,7 +310,6 @@ class TableCatalog : public CorpusColumnSource {
   /// Resets the counter to the exact scan (serial contexts only).
   void ResyncResidentBytes() const;
 
-  SignatureOptions options_;
   StorageOptions storage_;
   std::vector<TableEntry> tables_;
   size_t num_live_ = 0;

@@ -3,55 +3,33 @@
 #include <algorithm>
 
 #include "common/hash.h"
-#include "common/simd.h"
 
 namespace tj {
 namespace {
 
-/// Seed separating banded bucket keys from every other HashCombine chain in
-/// the codebase ("tjlsh"). A stray cross-domain collision would only cost
-/// one extra exact ScoreColumnPair, but keeping the domains distinct makes
+/// Seed separating bucket keys from every other HashCombine chain in the
+/// codebase ("tjlsh"). A stray cross-domain collision would only cost one
+/// extra exact ScoreColumnPair, but keeping the domains distinct makes
 /// bucket statistics meaningful.
 constexpr uint64_t kLshSeed = 0x746a6c7368ULL;
 
 }  // namespace
 
-Status ValidateOptions(const LshOptions& options) {
-  if (options.bands == 0) {
-    return Status::InvalidArgument("lsh bands must be >= 1");
-  }
-  if (options.rows_per_band == 0) {
-    return Status::InvalidArgument("lsh rows_per_band must be >= 1");
-  }
-  return Status::OK();
-}
-
-std::vector<uint64_t> LshIndex::BandKeys(
-    const ColumnSignature& signature) const {
+std::vector<uint64_t> LshIndex::BucketKeys(const ColumnSignature& signature) {
   std::vector<uint64_t> keys;
-  const size_t num_hashes = signature.minhash.size();
-  const size_t usable =
-      std::min(options_.bands, num_hashes / options_.rows_per_band);
-  keys.reserve(usable);
-  for (size_t band = 0; band < usable; ++band) {
-    uint64_t key = HashCombine(kLshSeed, band);
-    bool all_empty = true;
-    for (size_t row = 0; row < options_.rows_per_band; ++row) {
-      const uint64_t slot = signature.minhash[band * options_.rows_per_band +
-                                              row];
-      if (slot != kEmptyMinhashSlot) all_empty = false;
-      key = HashCombine(key, slot);
-    }
-    // A band of all-empty slots carries no evidence; bucketing it would make
-    // every sparse sketch collide with every other in that band.
-    if (!all_empty) keys.push_back(key);
+  keys.reserve(signature.minhash.size());
+  for (size_t slot = 0; slot < signature.minhash.size(); ++slot) {
+    const uint64_t value = signature.minhash[slot];
+    // An empty slot carries no evidence; bucketing it would make every
+    // sparse sketch collide with every other in that slot.
+    if (value == kEmptyMinhashSlot) continue;
+    keys.push_back(HashCombine(HashCombine(kLshSeed, slot), value));
   }
   return keys;
 }
 
 void LshIndex::Insert(ColumnRef ref, const ColumnSignature& signature) {
-  if (signature.distinct_ngrams == 0) return;
-  std::vector<uint64_t> keys = BandKeys(signature);
+  std::vector<uint64_t> keys = BucketKeys(signature);
   if (keys.empty()) return;
   for (uint64_t key : keys) buckets_[key].push_back(ref);
   keys_[ref] = std::move(keys);
@@ -76,7 +54,7 @@ void LshIndex::RemoveTable(uint32_t table_id) {
 std::vector<ColumnRef> LshIndex::Probe(
     const ColumnSignature& signature) const {
   std::vector<ColumnRef> hits;
-  for (uint64_t key : BandKeys(signature)) {
+  for (uint64_t key : BucketKeys(signature)) {
     auto bucket = buckets_.find(key);
     if (bucket == buckets_.end()) continue;
     hits.insert(hits.end(), bucket->second.begin(), bucket->second.end());
@@ -89,42 +67,6 @@ std::vector<ColumnRef> LshIndex::Probe(
 void LshIndex::Clear() {
   buckets_.clear();
   keys_.clear();
-}
-
-bool LshIndex::BandsCollide(const LshOptions& options,
-                            const ColumnSignature& a,
-                            const ColumnSignature& b) {
-  if (a.distinct_ngrams == 0 || b.distinct_ngrams == 0) return false;
-  if (a.minhash.size() != b.minhash.size()) return false;
-  const size_t usable =
-      std::min(options.bands, a.minhash.size() / options.rows_per_band);
-  if (options.rows_per_band == 1) {
-    // One-slot bands (the default, lossless geometry): a band collides iff
-    // its slot matches and is non-empty, so the scan is exactly "any equal
-    // non-empty slot in the first `usable`" — one vectorized compare pass.
-    return simd::CountEqualExcludingU64(a.minhash.data(), b.minhash.data(),
-                                        usable, kEmptyMinhashSlot) > 0;
-  }
-  for (size_t band = 0; band < usable; ++band) {
-    bool match = true;
-    bool all_empty = true;
-    for (size_t row = 0; row < options.rows_per_band; ++row) {
-      const size_t i = band * options.rows_per_band + row;
-      if (a.minhash[i] != b.minhash[i]) {
-        match = false;
-        break;
-      }
-      if (a.minhash[i] != kEmptyMinhashSlot) all_empty = false;
-    }
-    if (match && !all_empty) return true;
-  }
-  return false;
-}
-
-bool LshIndex::GuaranteesRecall(const LshOptions& options, size_t num_hashes,
-                                double min_containment) {
-  return options.rows_per_band == 1 && options.bands >= num_hashes &&
-         min_containment > 0.0;
 }
 
 }  // namespace tj

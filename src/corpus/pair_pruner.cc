@@ -44,6 +44,21 @@ PairPrunerResult FinalizeShortlist(std::vector<ColumnPairCandidate> survivors,
 
 }  // namespace
 
+std::optional<double> ScoreSignaturePair(const ColumnSignature& a,
+                                         const ColumnSignature& b,
+                                         const PairPrunerOptions& options) {
+  if (a.num_rows < options.min_rows || b.num_rows < options.min_rows) {
+    return std::nullopt;
+  }
+  if (options.require_charset_overlap &&
+      (a.charset_mask & b.charset_mask) == 0) {
+    return std::nullopt;
+  }
+  const double score = EstimateNgramContainment(a, b);
+  if (score < options.min_containment) return std::nullopt;
+  return score;
+}
+
 bool ScoreColumnPair(const TableCatalog& catalog, ColumnRef a, ColumnRef b,
                      const PairPrunerOptions& options,
                      ColumnPairCandidate* out) {
@@ -53,19 +68,12 @@ bool ScoreColumnPair(const TableCatalog& catalog, ColumnRef a, ColumnRef b,
   if (!catalog.HasSignature(a) || !catalog.HasSignature(b)) return false;
   const ColumnSignature& sig_a = catalog.signature(a);
   const ColumnSignature& sig_b = catalog.signature(b);
-  if (sig_a.num_rows < options.min_rows ||
-      sig_b.num_rows < options.min_rows) {
-    return false;
-  }
-  if (options.require_charset_overlap &&
-      (sig_a.charset_mask & sig_b.charset_mask) == 0) {
-    return false;
-  }
-  const double score = EstimateNgramContainment(sig_a, sig_b);
-  if (score < options.min_containment) return false;
+  const std::optional<double> score =
+      ScoreSignaturePair(sig_a, sig_b, options);
+  if (!score.has_value()) return false;
   out->a = a;
   out->b = b;
-  out->score = score;
+  out->score = *score;
   // mean_length is the exact AverageLength of the column, so this hint
   // reproduces PickSourceColumn's choice without touching the cells.
   out->a_is_source = sig_a.mean_length >= sig_b.mean_length;
@@ -158,8 +166,8 @@ void IncrementalPairPruner::OnTableAdded(const TableCatalog& catalog,
     ColumnRef mine;
     ColumnRef partner;
   };
-  // A zero floor keeps zero-score pairs, which share no bucket under any
-  // banding, so there every tracked column is a candidate.
+  // A zero floor keeps zero-score pairs, which share no bucket, so there
+  // every tracked column is a candidate.
   const bool score_all = options_.min_containment <= 0.0;
   std::map<uint32_t, std::vector<Collision>> by_partner;
   for (uint32_t cn = 0; cn < num_new_columns; ++cn) {
@@ -264,24 +272,7 @@ Status ValidateOptions(const PairPrunerOptions& options) {
     return Status::InvalidArgument(
         "PairPrunerOptions::min_containment must be in [0, 1]");
   }
-  return ValidateOptions(options.lsh);
-}
-
-size_t CountLshMissedPairs(const TableCatalog& catalog,
-                           const PairPrunerOptions& options,
-                           ThreadPool* pool) {
-  // Truncation must not hide survivors the probe failed to reach.
-  PairPrunerOptions untruncated = options;
-  untruncated.max_candidates = 0;
-  const PairPrunerResult full = ShortlistPairs(catalog, untruncated, pool);
-  size_t missed = 0;
-  for (const ColumnPairCandidate& c : full.shortlist) {
-    if (!LshIndex::BandsCollide(options.lsh, catalog.signature(c.a),
-                                catalog.signature(c.b))) {
-      ++missed;
-    }
-  }
-  return missed;
+  return Status::OK();
 }
 
 }  // namespace tj

@@ -10,17 +10,17 @@
 //  * ShortlistPairs — one-shot scan of the whole catalog, and the
 //    reference the incremental pruner is tested against.
 //  * IncrementalPairPruner — a live shortlist maintained across catalog
-//    AddTable/RemoveTable/UpdateTable operations. Adding a table probes a
-//    banded LSH index (lsh_index.h) with the table's sketches and scores
-//    only the colliding columns, and with the lossless default banding
-//    every snapshot is bit-identical to a from-scratch ShortlistPairs over
-//    the same catalog state.
+//    AddTable/RemoveTable/UpdateTable operations. Adding a table probes an
+//    LSH index (lsh_index.h) with the table's sketches and scores only the
+//    colliding columns, and every snapshot is bit-identical to a
+//    from-scratch ShortlistPairs over the same catalog state.
 
 #ifndef TJ_CORPUS_PAIR_PRUNER_H_
 #define TJ_CORPUS_PAIR_PRUNER_H_
 
 #include <cstddef>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "corpus/catalog.h"
@@ -47,16 +47,6 @@ struct PairPrunerOptions {
 
   /// Keep at most this many top-ranked candidates (0 = unlimited).
   size_t max_candidates = 0;
-
-  /// Banding of the IncrementalPairPruner's candidate index (lsh_index.h).
-  /// OnTableAdded probes the band buckets and exact-scores only colliding
-  /// pairs. With the lossless default banding
-  /// (LshIndex::GuaranteesRecall(lsh, num_hashes, min_containment) true) the
-  /// shortlist stays bit-identical to the exhaustive scan; a coarser one
-  /// keeps only the survivors whose sketches collide. Ignored at a zero
-  /// floor (every tracked column is scored) and by the one-shot
-  /// ShortlistPairs, which is the exhaustive reference by definition.
-  LshOptions lsh;
 };
 
 /// One surviving cross-table column pair. `a` < `b` in catalog order; the
@@ -92,10 +82,19 @@ struct PairPrunerResult {
   }
 };
 
+/// The gates on one pair of sketches: both columns hold at least min_rows
+/// rows, their charsets overlap (when required), and the estimated n-gram
+/// containment clears the floor. Returns that containment when the pair
+/// survives.
+std::optional<double> ScoreSignaturePair(const ColumnSignature& a,
+                                         const ColumnSignature& b,
+                                         const PairPrunerOptions& options);
+
 /// Scores one cross-table column pair (a < b in catalog order) against the
 /// gates. Returns true and fills `out` when the pair survives. Both scan
 /// front ends call exactly this, so incremental and from-scratch scores are
-/// identical by construction. Requires both columns' signatures (TJ_CHECK).
+/// identical by construction. A column without a signature (its sketch
+/// could not be read) fails the gates.
 bool ScoreColumnPair(const TableCatalog& catalog, ColumnRef a, ColumnRef b,
                      const PairPrunerOptions& options,
                      ColumnPairCandidate* out);
@@ -108,30 +107,15 @@ PairPrunerResult ShortlistPairs(const TableCatalog& catalog,
                                 const PairPrunerOptions& options,
                                 ThreadPool* pool = nullptr);
 
-/// Validates a PairPrunerOptions (containment floor in range, gates sane,
-/// LSH banding non-degenerate) with an InvalidArgument instead of
-/// downstream misbehavior. Defaults always validate.
+/// Validates a PairPrunerOptions (containment floor in range) with an
+/// InvalidArgument instead of downstream misbehavior. Defaults always
+/// validate.
 Status ValidateOptions(const PairPrunerOptions& options);
-
-/// Recall diagnostic for a banding choice: the number of pairs the
-/// exhaustive scan keeps at `options`' floor whose sketches do NOT collide
-/// in any band — pairs the IncrementalPairPruner's probe misses at a
-/// positive floor (at a zero floor it scores every tracked column instead).
-/// Zero whenever LshIndex::GuaranteesRecall holds for the catalog's
-/// signature width; coarser bandings trade this count for fewer probe
-/// collisions. Counted over the full (untruncated) survivor set, so
-/// max_candidates does not hide misses.
-size_t CountLshMissedPairs(const TableCatalog& catalog,
-                           const PairPrunerOptions& options,
-                           ThreadPool* pool = nullptr);
 
 /// Live shortlist over a mutating catalog. Survivor candidates are held in
 /// one vector that table-level removal filters; Snapshot() re-ranks them
 /// (cheap — scoring dominates) and returns a result bit-identical to
-/// ShortlistPairs on the catalog's current live state whenever
-/// LshIndex::GuaranteesRecall holds or the floor is zero. Under a coarser
-/// banding it returns exactly the ShortlistPairs survivors whose sketches
-/// LshIndex::BandsCollide (CountLshMissedPairs counts the rest).
+/// ShortlistPairs on the catalog's current live state.
 ///
 /// The caller drives maintenance: after catalog.AddTable + the catalog's
 /// ComputeSignatures, call OnTableAdded with the new id; after
@@ -140,7 +124,7 @@ size_t CountLshMissedPairs(const TableCatalog& catalog,
 class IncrementalPairPruner {
  public:
   explicit IncrementalPairPruner(PairPrunerOptions options = {})
-      : options_(options), lsh_(options.lsh) {}
+      : options_(options) {}
 
   const PairPrunerOptions& options() const { return options_; }
 
@@ -149,11 +133,11 @@ class IncrementalPairPruner {
   /// have run.
   void Rebuild(const TableCatalog& catalog, ThreadPool* pool = nullptr);
 
-  /// Probes the band-bucket index with each of `table_id`'s sketches,
-  /// exact-scores only the tracked columns colliding in >= 1 bucket, merges
-  /// the survivors in, then indexes the table's sketches. At a zero floor no
-  /// banding is lossless (the floor keeps zero-score pairs that share no
-  /// bucket), so every tracked column is scored instead. In parallel over
+  /// Probes the LSH index with each of `table_id`'s sketches, exact-scores
+  /// only the tracked columns colliding in >= 1 bucket, merges the
+  /// survivors in, then indexes the table's sketches. A zero floor keeps
+  /// zero-score pairs, which share no bucket, so there every tracked column
+  /// is scored instead. In parallel over
   /// partner tables when `pool` is given (each partner's survivors land in
   /// their own slot, so results are identical for every pool size).
   /// Requires the table's signatures.
@@ -179,7 +163,7 @@ class IncrementalPairPruner {
   /// 10k-table bench reports against the exhaustive scan's quadratic count.
   size_t cumulative_scored_pairs() const { return cumulative_scored_pairs_; }
 
-  /// The band-bucket index of every tracked column with a non-empty sketch
+  /// The LSH index of every tracked column with a non-empty sketch
   /// (stats surfaces read its bucket and entry counts).
   const LshIndex& lsh_index() const { return lsh_; }
 

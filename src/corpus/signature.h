@@ -14,17 +14,16 @@
 #ifndef TJ_CORPUS_SIGNATURE_H_
 #define TJ_CORPUS_SIGNATURE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "table/column.h"
 
 namespace tj {
 
 /// Character-class bits recorded in ColumnSignature::charset_mask. Classes
-/// are computed on the same normalized text the sketch sees (i.e. after
-/// lowercasing when SignatureOptions::lowercase is set).
+/// are computed on the same lowercased text the sketch sees.
 enum CharsetBit : uint32_t {
   kCharsetLower = 1u << 0,
   kCharsetUpper = 1u << 1,
@@ -34,23 +33,20 @@ enum CharsetBit : uint32_t {
   kCharsetOther = 1u << 5,  // non-ASCII / control bytes
 };
 
-struct SignatureOptions {
-  /// Sketched n-gram length. 4 matches the row matcher's n0 default: a pair
-  /// with no shared 4-grams can have no representative gram of any size.
-  size_t ngram = 4;
+// The one sketch geometry. Rows are always ASCII-lowercased before
+// sketching, mirroring the row matcher's default normalization.
 
-  /// MinHash slots. 128 gives a Jaccard standard error of ~0.044 at J=0.25
-  /// — far finer than the default containment floor needs.
-  size_t num_hashes = 128;
+/// Sketched n-gram length. 4 matches the row matcher's n0 default: a pair
+/// with no shared 4-grams can have no representative gram of any size.
+inline constexpr size_t kSketchNgram = 4;
 
-  /// Base seed of the slot hash family. Fixed so sketches are reproducible
-  /// and comparable across runs and machines.
-  uint64_t seed = 0x746a636f72707573ULL;  // "tjcorpus"
+/// MinHash slots. 128 gives a Jaccard standard error of ~0.044 at J=0.25
+/// — far finer than the default containment floor needs.
+inline constexpr size_t kSketchSlots = 128;
 
-  /// ASCII-lowercase rows before sketching, mirroring the row matcher's
-  /// default normalization.
-  bool lowercase = true;
-};
+/// Base seed of the slot hash family. Fixed so sketches are reproducible
+/// and comparable across runs and machines.
+inline constexpr uint64_t kSketchSeed = 0x746a636f72707573ULL;  // "tjcorpus"
 
 /// Value returned by empty MinHash slots (no grams hashed).
 inline constexpr uint64_t kEmptyMinhashSlot = ~0ULL;
@@ -64,30 +60,21 @@ struct ColumnSignature {
   uint32_t max_length = 0;
   double mean_length = 0.0;
   uint32_t charset_mask = 0;  // OR of CharsetBit over all cells
-
-  // Sketch parameters echoed so mismatched sketches are never compared.
-  uint64_t ngram = 0;
-  uint64_t seed = 0;
-  std::vector<uint64_t> minhash;  // num_hashes slots
-
-  /// True when the two sketches were built with the same parameters and can
-  /// be compared slot-by-slot.
-  bool ComparableWith(const ColumnSignature& other) const {
-    return ngram == other.ngram && seed == other.seed &&
-           minhash.size() == other.minhash.size();
-  }
+  /// kSketchSlots slots: all empty when distinct_ngrams is 0, none empty
+  /// otherwise. Every distinct gram lowers every slot, so a slot stays
+  /// empty only if each gram hashes to ~0 there (2^-64 per gram).
+  std::vector<uint64_t> minhash;
 
   bool operator==(const ColumnSignature& other) const;
 };
 
 /// Scans the column once and builds its signature. Deterministic: depends
-/// only on the cell values and the options.
-ColumnSignature ComputeColumnSignature(const Column& column,
-                                       const SignatureOptions& options);
+/// only on the cell values.
+ColumnSignature ComputeColumnSignature(const Column& column);
 
 /// MinHash estimate of the Jaccard similarity of the two distinct-gram
-/// sets: matching slots / total slots. Requires ComparableWith; returns 0
-/// when either column sketched no grams.
+/// sets: matching slots / total slots. 0 when either column sketched no
+/// grams.
 double EstimateJaccard(const ColumnSignature& a, const ColumnSignature& b);
 
 /// Estimated containment of the smaller distinct-gram set in the larger:
@@ -98,11 +85,6 @@ double EstimateJaccard(const ColumnSignature& a, const ColumnSignature& b);
 /// vocabulary sizes differ widely.
 double EstimateNgramContainment(const ColumnSignature& a,
                                 const ColumnSignature& b);
-
-/// Validates a SignatureOptions — InvalidArgument instead of downstream
-/// misbehavior (a 0-gram sketch hashes nothing; 0 slots estimate nothing).
-/// Defaults always validate.
-Status ValidateOptions(const SignatureOptions& options);
 
 }  // namespace tj
 

@@ -50,9 +50,8 @@ Status ServeClient::Connect(const std::string& socket_path) {
 }
 
 Result<JsonValue> ServeClient::Call(const JsonValue& request) {
-  Result<std::string> raw = CallRaw(request.Serialize());
-  if (!raw.ok()) return raw.status();
-  return JsonValue::Parse(*raw);
+  TJ_ASSIGN_OR_RETURN(const std::string raw, CallRaw(request.Serialize()));
+  return JsonValue::Parse(raw);
 }
 
 Result<std::string> ServeClient::CallRaw(std::string_view payload) {

@@ -44,8 +44,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> ParseDocument() {
-    auto value = ParseValue(0);
-    if (!value.ok()) return value.status();
+    TJ_ASSIGN_OR_RETURN(JsonValue value, ParseValue(0));
     SkipSpace();
     if (pos_ != text_.size()) {
       return Fail("trailing bytes after JSON value");
@@ -181,20 +180,17 @@ class Parser {
         case 'b': out.push_back('\b'); break;
         case 'f': out.push_back('\f'); break;
         case 'u': {
-          auto hex = ParseHex4();
-          if (!hex.ok()) return hex.status();
-          uint32_t cp = *hex;
+          TJ_ASSIGN_OR_RETURN(uint32_t cp, ParseHex4());
           if (cp >= 0xD800 && cp <= 0xDBFF) {
             // High surrogate: a \uXXXX low surrogate must follow.
             if (!ConsumeLiteral("\\u")) {
               return Fail("unpaired high surrogate");
             }
-            auto low = ParseHex4();
-            if (!low.ok()) return low.status();
-            if (*low < 0xDC00 || *low > 0xDFFF) {
+            TJ_ASSIGN_OR_RETURN(const uint32_t low, ParseHex4());
+            if (low < 0xDC00 || low > 0xDFFF) {
               return Fail("invalid low surrogate");
             }
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (*low - 0xDC00);
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
           } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
             return Fail("unpaired low surrogate");
           }
@@ -217,9 +213,8 @@ class Parser {
       return array;
     }
     while (true) {
-      auto item = ParseValue(depth + 1);
-      if (!item.ok()) return item.status();
-      array.Append(*std::move(item));
+      TJ_ASSIGN_OR_RETURN(JsonValue item, ParseValue(depth + 1));
+      array.Append(std::move(item));
       SkipSpace();
       if (pos_ >= text_.size()) return Fail("unterminated array");
       if (text_[pos_] == ',') {
@@ -247,16 +242,14 @@ class Parser {
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Fail("expected object key string");
       }
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
+      TJ_ASSIGN_OR_RETURN(const JsonValue key, ParseString());
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != ':') {
         return Fail("expected ':' after object key");
       }
       ++pos_;
-      auto value = ParseValue(depth + 1);
-      if (!value.ok()) return value.status();
-      object.Set(key->AsString(), *std::move(value));
+      TJ_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
+      object.Set(key.AsString(), std::move(value));
       SkipSpace();
       if (pos_ >= text_.size()) return Fail("unterminated object");
       if (text_[pos_] == ',') {

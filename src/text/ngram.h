@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <string_view>
-#include <vector>
 
 namespace tj {
 
@@ -20,9 +19,6 @@ void ForEachNgram(std::string_view s, size_t n, F f) {
     f(s.substr(i, n));
   }
 }
-
-/// All distinct n-grams of length n in s, in first-occurrence order.
-std::vector<std::string_view> DistinctNgrams(std::string_view s, size_t n);
 
 }  // namespace tj
 

@@ -125,8 +125,6 @@ TEST(Strings, EscapeForDisplay) {
 TEST(Strings, ContainsHelpers) {
   EXPECT_TRUE(Contains("hello world", "lo wo"));
   EXPECT_FALSE(Contains("hello", "world"));
-  EXPECT_TRUE(ContainsChar("abc", 'b'));
-  EXPECT_FALSE(ContainsChar("abc", 'z'));
 }
 
 }  // namespace

@@ -73,6 +73,7 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
   const uint64_t rows = std::stoull(dump.substr(dump.find("rows=") + 5));
   const uint64_t maxlen =
       std::stoull(dump.substr(dump.find("maxlen=") + 7));
+  ASSERT_GT(std::stoull(dump.substr(dump.find("distinct=") + 9)), 0u);
   const std::string twenty_digits = "99999999999999999999";
 
   const std::vector<std::string> malformed = {
@@ -111,6 +112,12 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
       EditFirst(dump, "minlen=", std::to_string(maxlen + 1)),
       EditFirst(dump, "meanlen=", "0x1p+40"),
       EditFirst(dump, "meanlen=", "0x0p+0"),
+      // Minhash slots that contradict distinct=: grams counted but a slot
+      // left empty, or no grams counted but slots set (the first column
+      // sketched grams, so its slots are all set). Either would let the
+      // batch scan and the LSH probe disagree on the pair.
+      EditFirst(dump, "minhash ", std::to_string(kEmptyMinhashSlot)),
+      EditFirst(dump, "distinct=", "0"),
   };
   for (const std::string& text : malformed) {
     ASSERT_NE(text, dump);

@@ -33,10 +33,22 @@ std::pair<std::string, std::string> NameOf(const TableCatalog& catalog,
           catalog.column(ref).name()};
 }
 
+/// The LSH probe's collision predicate, from first principles: some slot
+/// holds the same non-empty value in both sketches (empty slots are never
+/// bucketed, and a column that sketched no grams has only empty ones).
+bool SketchesCollide(const ColumnSignature& a, const ColumnSignature& b) {
+  for (size_t i = 0; i < a.minhash.size(); ++i) {
+    if (a.minhash[i] != kEmptyMinhashSlot && a.minhash[i] == b.minhash[i]) {
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Rebuilds a brand-new catalog holding only the live tables, in id order
 /// (which is registration order — ids are never reused).
 TableCatalog FreshCatalog(const TableCatalog& live) {
-  TableCatalog fresh(live.signature_options());
+  TableCatalog fresh;
   for (uint32_t t = 0; t < live.num_slots(); ++t) {
     if (!live.IsLive(t)) continue;
     auto added = fresh.AddTable(live.table(t));
@@ -329,16 +341,14 @@ TEST(IncrementalPruner, AddScoresOnlyTheNewTablesPairs) {
   IncrementalPairPruner pruner;
   pruner.Rebuild(catalog);
   // Pairs of `table`'s columns with lower-id tables' columns whose sketches
-  // share a band bucket: exactly what folding `table` in must score.
+  // share an LSH bucket: exactly what folding `table` in must score.
   const auto colliding_pairs = [&](uint32_t table) {
     size_t count = 0;
     for (const ColumnRef x : catalog.AllColumns()) {
       if (x.table != table) continue;
       for (const ColumnRef y : catalog.AllColumns()) {
         if (y.table < table &&
-            LshIndex::BandsCollide(pruner.options().lsh,
-                                   catalog.signature(x),
-                                   catalog.signature(y))) {
+            SketchesCollide(catalog.signature(x), catalog.signature(y))) {
           ++count;
         }
       }

@@ -315,7 +315,7 @@ TEST_F(FaultInjectionTest, BudgetEnforcementSkipsTablesWhoseSyncFails) {
     TJ_CHECK(table.AddColumn(std::move(c)).ok());
     return table;
   };
-  TableCatalog catalog(SignatureOptions(), Storage(/*budget=*/1));
+  TableCatalog catalog(Storage(/*budget=*/1));
   const auto cold = catalog.AddTable(make_table("cold"));
   const auto hot = catalog.AddTable(make_table("hot"));
   ASSERT_TRUE(cold.ok() && hot.ok());
@@ -461,7 +461,7 @@ TEST_F(FaultInjectionTest, DiscoverySurvivesFaultSweepAndHealsIdentically) {
     storage.spill_dir =
         (dir_ / ("sweep_t" + std::to_string(threads))).string();
     storage.memory_budget_bytes = std::max<size_t>(total_cells / 4, 1);
-    TableCatalog catalog(SignatureOptions(), storage);
+    TableCatalog catalog(storage);
     const auto loaded = catalog.AddCsvDirectory(csv_dir.string());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded->skipped, 0u);  // faults degrade, they don't drop data

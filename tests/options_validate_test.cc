@@ -116,20 +116,6 @@ TEST(ValidateOptionsTest, StorageBudgetNeedsSpillDir) {
   ExpectRejected(ValidateOptions(budget_no_spill), "memory_budget_bytes");
 }
 
-TEST(ValidateOptionsTest, SignatureBounds) {
-  EXPECT_TRUE(ValidateOptions(SignatureOptions()).ok());
-  {
-    SignatureOptions o;
-    o.ngram = 0;
-    ExpectRejected(ValidateOptions(o), "ngram");
-  }
-  {
-    SignatureOptions o;
-    o.num_hashes = 0;
-    ExpectRejected(ValidateOptions(o), "num_hashes");
-  }
-}
-
 TEST(ValidateOptionsTest, PairPrunerContainmentRange) {
   EXPECT_TRUE(ValidateOptions(PairPrunerOptions()).ok());
   for (const double bad : {-0.1, 1.1, kNaN}) {

@@ -91,7 +91,7 @@ TEST_F(ScaleIngestTest, BudgetedLshIngestStaysSublinear) {
   StorageOptions storage;
   storage.spill_dir = dir_.string();
   storage.memory_budget_bytes = 256 * 1024;
-  TableCatalog catalog(SignatureOptions(), storage);
+  TableCatalog catalog(storage);
 
   for (size_t i = 0; i < kTables; ++i) {
     auto added = catalog.AddTable(MakeTinyTable(i));
@@ -132,15 +132,6 @@ TEST_F(ScaleIngestTest, BudgetedLshIngestStaysSublinear) {
     if (c.b.table == c.a.table + 1 && c.a.table % kJoinEvery == 0) ++planted;
   }
   EXPECT_EQ(planted, kTables / kJoinEvery);
-
-  // Lossless banding at the default floor: the guarantee predicate must
-  // hold for this configuration, so nothing the full scan would keep can
-  // escape the buckets. (The exhaustive CountLshMissedPairs cross-check
-  // lives in the corpus suite and the bench — a 50M-pair full scan is not
-  // smoke-test material.)
-  ASSERT_TRUE(LshIndex::GuaranteesRecall(
-      options.lsh, catalog.signature_options().num_hashes,
-      options.min_containment));
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST_F(ServeFaultsTest, SweepThenHealServesFaultFreeBytes) {
 
   // --- The daemon under fault: spilled + budgeted catalog, so queries
   // constantly re-map evicted columns through the faulted seams.
-  TableCatalog catalog(SignatureOptions(), SpilledBudgetedStorage());
+  TableCatalog catalog(SpilledBudgetedStorage());
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
   }
@@ -225,7 +225,7 @@ TEST_F(ServeFaultsTest, SweepThenHealServesFaultFreeBytes) {
 
 TEST_F(ServeFaultsTest, SnapshotReadsDegradeToStatusUnderReadFaults) {
   const SynthCorpus corpus = Corpus();
-  TableCatalog catalog(SignatureOptions(), SpilledBudgetedStorage());
+  TableCatalog catalog(SpilledBudgetedStorage());
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
   }

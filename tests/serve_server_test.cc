@@ -298,7 +298,7 @@ TEST_F(ServerTest, ConcurrentReadersSeeOnlyWholeEpochsOnSpilledCatalog) {
   storage.spill_dir = dir_ + "/spill";
   storage.memory_budget_bytes = std::max<size_t>(cell_bytes / 4, 1);
   ASSERT_TRUE(fs::create_directories(storage.spill_dir));
-  catalog_ = TableCatalog(SignatureOptions(), storage);
+  catalog_ = TableCatalog(storage);
   LoadCorpus(corpus);
   StartServer();
   // A mutation batch enforces the budget; with no query in flight nothing

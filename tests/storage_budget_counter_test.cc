@@ -70,7 +70,7 @@ TEST_F(BudgetCounterTest, CounterStaysZeroWithoutBudget) {
 }
 
 TEST_F(BudgetCounterTest, CounterMatchesExactScanAtQuiescePoints) {
-  TableCatalog catalog(SignatureOptions(), Budgeted(32 << 10));
+  TableCatalog catalog(Budgeted(32 << 10));
   const SynthCorpus corpus = Corpus();
 
   // After every AddTable (each runs enforcement off the counter).
@@ -110,7 +110,7 @@ TEST_F(BudgetCounterTest, CounterMatchesExactScanAtQuiescePoints) {
 // Serial, so no two pairs race to re-map the same evicted table (a race
 // the next signature pass resyncs away).
 TEST_F(BudgetCounterTest, DiscoveryLeavesSpillAndCounterUnchanged) {
-  TableCatalog catalog(SignatureOptions(), Budgeted(8 << 10));
+  TableCatalog catalog(Budgeted(8 << 10));
   const SynthCorpus corpus = Corpus(13);
   for (const Table& table : corpus.tables) {
     ASSERT_TRUE(catalog.AddTable(table).ok());
@@ -136,7 +136,7 @@ TEST_F(BudgetCounterTest, EnforcementStillEvictsDownToBudget) {
   // A budget far below the corpus size: after ingest the resident bytes
   // must sit at or below it (modulo the single spared newest table).
   const size_t budget = 8 << 10;
-  TableCatalog catalog(SignatureOptions(), Budgeted(budget));
+  TableCatalog catalog(Budgeted(budget));
   const SynthCorpus corpus = Corpus(9);
   size_t max_single_table = 0;
   for (const Table& table : corpus.tables) {

@@ -273,9 +273,8 @@ TEST_F(SpillTest, FingerprintAndSignatureAreBackendInvariant) {
   spilled.Freeze();
 
   EXPECT_EQ(TableFingerprint(heap), TableFingerprint(spilled));
-  const SignatureOptions options;
-  EXPECT_TRUE(ComputeColumnSignature(heap.column(0), options) ==
-              ComputeColumnSignature(spilled.column(0), options));
+  EXPECT_TRUE(ComputeColumnSignature(heap.column(0)) ==
+              ComputeColumnSignature(spilled.column(0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +384,7 @@ TEST_F(SpillTest, CatalogEvictsColdTablesAndRemapsOnAccess) {
   // Each table carries ~40 KiB of cells; a 64 KiB budget can hold one or
   // two, so earlier tables must be evicted as later ones register.
   StorageOptions storage = Storage(/*budget=*/64 << 10);
-  TableCatalog catalog(SignatureOptions(), storage);
+  TableCatalog catalog(storage);
   std::vector<std::string> values;
   for (int i = 0; i < 400; ++i) {
     values.push_back("cell-payload-" + std::to_string(i) +
@@ -504,7 +503,7 @@ TEST_F(SpillTest, SpilledDiscoveryMatchesInMemoryAtEveryThreadCount) {
                             .string();
     // A budget of a quarter of the corpus forces eviction churn mid-run.
     storage.memory_budget_bytes = std::max<size_t>(total_cells / 4, 1);
-    TableCatalog spilled(SignatureOptions(), storage);
+    TableCatalog spilled(storage);
     ASSERT_TRUE(spilled.AddCsvDirectory(csv_dir.string()).ok());
     EXPECT_GT(spilled.SpilledBytes(), 0u);
     const CorpusDiscoveryResult spilled_result =

@@ -118,12 +118,6 @@ TEST(Ngram, ForEachNgramDegenerateCases) {
   EXPECT_EQ(count, 0);
 }
 
-TEST(Ngram, DistinctNgramsDeduplicates) {
-  const auto grams = DistinctNgrams("aaaa", 2);
-  ASSERT_EQ(grams.size(), 1u);
-  EXPECT_EQ(grams[0], "aa");
-}
-
 TEST(EditDistance, KnownValues) {
   EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
   EXPECT_EQ(EditDistance("", "abc"), 3u);
