@@ -2,18 +2,22 @@
 // rows; row length fixed at 28 as in the paper).
 //
 // Series are the paper's four modules: applying transformations, duplicate
-// removal (generation + hash-consing), placeholder generation, and unit
-// extraction. Paper shape: applying dominates and grows superlinearly; the
-// pruning keeps the curve near-linear.
+// removal, placeholder generation, and unit extraction. dedup_s times the
+// Cartesian product appended to the store; the seal that drops duplicates
+// runs inside coverage's trie build, so it is part of apply_s. Paper shape:
+// applying dominates and grows superlinearly; the pruning keeps the curve
+// near-linear.
 //
 // apply_s is the default prefix-trie walk; paper_apply_s re-runs coverage
 // with the paper's row-major scan on the same rows and store. The bench
 // exits nonzero if the two coverage indexes differ.
 //
 // With --json PATH it also writes one record per row count: rows,
-// transformations, apply_s, paper_apply_s, and each path's unit_evals (memo
-// misses: the walk's falls below the scan's as the root dispatch skips
-// children whose head byte cannot start the target).
+// transformations, apply_s, paper_apply_s, dedup_s, generation_s (dedup_s
+// plus placeholder and unit extraction time: the whole generation pass),
+// and each path's unit_evals (memo misses: the walk's falls below the
+// scan's as the root dispatch skips children whose head byte cannot start
+// the target).
 
 #include <cstdio>
 #include <cstring>
@@ -29,12 +33,14 @@
 namespace tj {
 namespace {
 
-/// One row count's coverage record for --json.
-struct CoveragePoint {
+/// One row count's record for --json.
+struct Point {
   size_t rows;
   size_t transformations;
   double apply_s;
   double paper_apply_s;
+  double dedup_s;
+  double generation_s;
   uint64_t unit_evals;
   uint64_t paper_unit_evals;
 };
@@ -46,7 +52,7 @@ int Run(const std::string& json_path) {
                                 "placeholder_s", "unit_extraction_s",
                                 "total_s"});
   int mismatches = 0;
-  std::vector<CoveragePoint> points;
+  std::vector<Point> points;
   const size_t row_counts[] = {100, 250, 500, 1000, 2000};
   for (size_t rows : row_counts) {
     const auto scaled =
@@ -61,7 +67,7 @@ int Run(const std::string& json_path) {
     const std::vector<ExamplePair> examples = MakeExamplePairs(
         ds.pair.SourceColumn(), ds.pair.TargetColumn(),
         ds.pair.golden.pairs());
-    const DiscoveryResult result =
+    DiscoveryResult result =  // its sealed store is re-read below
         DiscoverTransformations(examples, DiscoveryOptions());
     DiscoveryOptions paper;
     paper.paper_coverage_scan = true;
@@ -81,9 +87,12 @@ int Run(const std::string& json_path) {
                      result.stats.time_placeholder_gen,
                      result.stats.time_unit_extraction,
                      result.stats.time_total});
-    points.push_back({scaled, result.store.size(), result.stats.time_apply,
-                      paper_stats.time_apply, result.stats.unit_evals,
-                      paper_stats.unit_evals});
+    const DiscoveryStats& stats = result.stats;
+    points.push_back({scaled, result.store.size(), stats.time_apply,
+                      paper_stats.time_apply, stats.time_duplicate_removal,
+                      stats.time_placeholder_gen + stats.time_unit_extraction +
+                          stats.time_duplicate_removal,
+                      stats.unit_evals, paper_stats.unit_evals});
   }
   series.Print();
   std::printf("\n");
@@ -102,13 +111,14 @@ int Run(const std::string& json_path) {
                  "  \"points\": [",
                  suite_options.scale, mismatches == 0 ? "true" : "false");
     for (size_t i = 0; i < points.size(); ++i) {
-      const CoveragePoint& p = points[i];
+      const Point& p = points[i];
       std::fprintf(f,
                    "%s\n    {\"rows\": %zu, \"transformations\": %zu, "
                    "\"apply_s\": %.6f, \"paper_apply_s\": %.6f, "
+                   "\"dedup_s\": %.6f, \"generation_s\": %.6f, "
                    "\"unit_evals\": %llu, \"paper_unit_evals\": %llu}",
                    i == 0 ? "" : ",", p.rows, p.transformations, p.apply_s,
-                   p.paper_apply_s,
+                   p.paper_apply_s, p.dedup_s, p.generation_s,
                    static_cast<unsigned long long>(p.unit_evals),
                    static_cast<unsigned long long>(p.paper_unit_evals));
     }

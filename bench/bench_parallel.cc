@@ -29,8 +29,10 @@ struct Workload {
   DiscoveryResult base;  // store + interner generated once, serially
 };
 
-const Workload& CoverageWorkload() {
-  static const Workload* workload = [] {
+/// Mutable because ComputeCoverage takes the store; it is sealed by the
+/// discovery run, so every later call only reads it.
+Workload& CoverageWorkload() {
+  static Workload* workload = [] {
     auto* w = new Workload();
     w->dataset = GenerateSynth(SynthN(300, 5));
     const SynthDataset& ds = w->dataset;
@@ -46,7 +48,7 @@ const Workload& CoverageWorkload() {
 }
 
 void BM_CoverageThreads(benchmark::State& state) {
-  const Workload& w = CoverageWorkload();
+  Workload& w = CoverageWorkload();
   DiscoveryOptions options;
   options.num_threads = static_cast<int>(state.range(0));
   size_t covering_pairs = 0;

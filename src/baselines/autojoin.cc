@@ -240,8 +240,7 @@ AutoJoinResult RunAutoJoin(const std::vector<ExamplePair>& rows,
     Transformation t = Transformation::Normalized(*units, &result.units);
     if (t.empty()) continue;
     if (!found_hashes.insert(t.Hash()).second) continue;
-    const auto [id, fresh] = result.store.Intern(std::move(t));
-    if (fresh) result.found.push_back(id);
+    result.found.push_back(result.store.Append(t.units()));
   }
 
   result.timed_out = search.timed_out();

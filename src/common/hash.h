@@ -1,8 +1,8 @@
 // Hashing primitives: 64-bit mixing, combination, and byte hashing.
 //
-// Used for transformation hash-consing, the per-row negative-unit caches, and
-// the n-gram inverted index. The functions are deterministic across runs so
-// experiment output is reproducible.
+// Used for transformation and unit hashing, the per-row negative-unit caches,
+// and the n-gram inverted index. The functions are deterministic across runs
+// so experiment output is reproducible.
 
 #ifndef TJ_COMMON_HASH_H_
 #define TJ_COMMON_HASH_H_

@@ -121,6 +121,8 @@ class Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  /// `*std::move(r)` moves the value out instead of copying it.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -335,27 +335,36 @@ struct UnitTrie {
     const uint32_t* run = shared_terminals.data() + (term & ~kShared);
     for (uint32_t k = 1; k <= run[0]; ++k) fn(run[k]);
   }
+
+  /// Maps every terminal id through `new_id` (no kShared fields).
+  void Renumber(const std::vector<TransformationId>& new_id) {
+    for (uint32_t& term : terminal) {
+      if (term != kNoTerminal) term = new_id[term];
+    }
+    if (root_terminal != kNoTerminal) root_terminal = new_id[root_terminal];
+  }
 };
 
 /// Builds the trie top-down. At each node a stable counting pass groups the
 /// node's ids on their next unit; each sequence is read from the store's
 /// arena twice per level (count, then scatter), never once per comparison
-/// as a sort would.
+/// as a sort would. The passes are stable, so the ids ending at one node
+/// ascend: with `keep` (the seal) the node keeps the smallest and sets it
+/// in `keep`; without it (enable_dedup off) all ids stay terminals.
 class TrieBuilder {
  public:
   TrieBuilder(const TransformationStore& store, const UnitInterner& interner,
-              UnitTrie* trie)
-      : store_(store), interner_(interner), trie_(trie) {}
+              DynamicBitset* keep, UnitTrie* trie)
+      : store_(store), interner_(interner), keep_(keep), trie_(trie) {}
 
   /// False when some sequence is deeper than UnitTrie::kMaxDepth (never
-  /// generated: skeletons have at most 2 * max_placeholders + 1 blocks).
+  /// generated: skeletons have at most 2 * max_placeholders + 1 blocks);
+  /// `keep` is still filled, but depth bytes wrap, so do not walk it.
   bool Build() {
     const size_t num_t = store_.size();
     TJ_CHECK(num_t < UnitTrie::kShared);
     for (TransformationId t = 0; t < num_t; ++t) {
-      const size_t size = store_.Units(t).size();
-      if (size > UnitTrie::kMaxDepth) return false;
-      trie_->max_depth = std::max(trie_->max_depth, size);
+      trie_->max_depth = std::max(trie_->max_depth, store_.Units(t).size());
     }
     count_.assign(interner_.size() + 1, 0);
     ids_.resize(num_t);
@@ -396,7 +405,7 @@ class TrieBuilder {
       trie_->end[node] = static_cast<uint32_t>(trie_->unit.size());
       groups.back().end = trie_->end[node];
     }
-    return true;
+    return trie_->max_depth <= UnitTrie::kMaxDepth;
   }
 
  private:
@@ -418,7 +427,8 @@ class TrieBuilder {
   /// The terminal field for the ids in ids_[lo, hi).
   uint32_t Terminals(size_t lo, size_t hi) {
     if (hi - lo == 0) return UnitTrie::kNoTerminal;
-    if (hi - lo == 1) return ids_[lo];
+    if (keep_ != nullptr) keep_->Set(ids_[lo]);
+    if (hi - lo == 1 || keep_ != nullptr) return ids_[lo];
     const auto run = static_cast<uint32_t>(trie_->shared_terminals.size());
     trie_->shared_terminals.push_back(static_cast<uint32_t>(hi - lo));
     trie_->shared_terminals.insert(trie_->shared_terminals.end(),
@@ -471,6 +481,7 @@ class TrieBuilder {
       uint32_t last = node;
       for (size_t k = d; k < u.size(); ++k) last = AddNode(u[k], k + 1);
       trie_->terminal[last] = id;
+      if (keep_ != nullptr) keep_->Set(id);
       const auto chain_end = static_cast<uint32_t>(trie_->unit.size());
       for (uint32_t i = node + 1; i < chain_end; ++i) {
         trie_->end[i] = chain_end;
@@ -498,6 +509,7 @@ class TrieBuilder {
 
   const TransformationStore& store_;
   const UnitInterner& interner_;
+  DynamicBitset* keep_;
   UnitTrie* trie_;
   std::vector<uint32_t> count_;    // per key, zero between passes
   std::vector<uint32_t> ids_;      // transformation ids, regrouped per level
@@ -577,27 +589,37 @@ void WalkRowRange(const UnitTrie& trie, size_t num_t,
 
 }  // namespace
 
-CoverageIndex ComputeCoverage(const TransformationStore& store,
+CoverageIndex ComputeCoverage(TransformationStore& store,
                               const UnitInterner& interner,
                               const std::vector<ExamplePair>& rows,
                               const DiscoveryOptions& options,
                               DiscoveryStats* stats) {
   ScopedTimer total(&stats->time_apply);
   CoverageIndex index;
-  const size_t num_t = store.size();
-  index.offsets_.assign(num_t + 1, 0);
-  if (num_t == 0) return index;
 
   // The trie needs the memo (it is what the walk reads); without the
   // negative cache, and whenever the paper's counters are wanted, the
   // row-major scan runs over the store's arena directly. The trie is built
-  // once here, serially, and shared read-only by the row shards below.
+  // once here, serially, and shared read-only by the row shards below; it
+  // also seals the store, which the scan then reads.
+  const bool walk = !options.paper_coverage_scan && options.enable_neg_cache;
+  const bool seal = options.enable_dedup && !store.sealed();
   std::optional<UnitTrie> trie;
-  if (!options.paper_coverage_scan && options.enable_neg_cache) {
+  if (walk || seal) {
     ScopedTimer build_timer(&stats->cpu_apply);
     trie.emplace();
-    if (!TrieBuilder(store, interner, &*trie).Build()) trie.reset();
+    DynamicBitset keep(seal ? store.size() : 0);
+    TrieBuilder builder(store, interner, seal ? &keep : nullptr, &*trie);
+    if (!builder.Build() || !walk) trie.reset();
+    if (seal) {
+      const std::vector<TransformationId> new_ids = store.Seal(keep);
+      if (trie) trie->Renumber(new_ids);
+      stats->unique_transformations = store.size();
+    }
   }
+  const size_t num_t = store.size();
+  index.offsets_.assign(num_t + 1, 0);
+  if (num_t == 0) return index;
 
   const auto evaluate = [&](size_t begin, size_t end, RowUnitCache* cache,
                             std::vector<CoveringPair>* covering,

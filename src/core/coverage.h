@@ -1,7 +1,8 @@
 // Coverage computation (paper §4.1.5): which input rows each unique
 // transformation covers, as a CSR index from transformation id to rows.
 // Units are evaluated at most once per row through a per-row memo whose
-// failed entries are the paper's negative-unit cache.
+// failed entries are the paper's negative-unit cache. The trie build also
+// seals the store: duplicate removal, the paper's first pruning strategy.
 
 #ifndef TJ_CORE_COVERAGE_H_
 #define TJ_CORE_COVERAGE_H_
@@ -43,7 +44,7 @@ class CoverageIndex {
   bool operator==(const CoverageIndex&) const = default;
 
  private:
-  friend CoverageIndex ComputeCoverage(const TransformationStore&,
+  friend CoverageIndex ComputeCoverage(TransformationStore&,
                                        const UnitInterner&,
                                        const std::vector<ExamplePair>&,
                                        const DiscoveryOptions&,
@@ -70,7 +71,11 @@ class CoverageIndex {
 /// through Unit::Eval, skipped when one of its units is already known bad
 /// (the paper's second pruning strategy). Both produce the same index at
 /// every thread count; DiscoveryStats documents how their counters differ.
-CoverageIndex ComputeCoverage(const TransformationStore& store,
+/// With options.enable_dedup an unsealed `store` is first sealed by the
+/// trie build (TransformationStore::Seal; identical sequences end at one
+/// node) and stats->unique_transformations set to its size; the scan, and a
+/// store too deep to walk, then drop the trie. A sealed store is only read.
+CoverageIndex ComputeCoverage(TransformationStore& store,
                               const UnitInterner& interner,
                               const std::vector<ExamplePair>& rows,
                               const DiscoveryOptions& options,

@@ -14,7 +14,7 @@ namespace tj {
 namespace {
 
 /// One generation shard: transformations for a contiguous row range,
-/// interned into shard-local stores.
+/// appended to a shard-local store over a shard-local unit interner.
 struct GenerationShard {
   UnitInterner units;
   TransformationStore store;
@@ -22,13 +22,13 @@ struct GenerationShard {
 };
 
 /// Runs per-row generation over contiguous row shards in parallel, then
-/// merge-interns the shards in row order into `result`.
+/// concatenates the shards in row order into `result`.
 ///
 /// Determinism: re-interning a shard's unit table in local id order replays
 /// the units in exactly the first-encounter order a serial run would have
 /// seen for those rows, so by induction over shards the merged interner,
-/// the merged store (under both dedup settings), and every id assignment
-/// are identical to the serial path for any shard count.
+/// and the remapped shard arenas appended in row order, are identical to
+/// the serial path's for any shard count.
 void GenerateInParallel(const std::vector<ExamplePair>& rows,
                         const DiscoveryOptions& options, int num_threads,
                         DiscoveryResult* result) {
@@ -39,7 +39,7 @@ void GenerateInParallel(const std::vector<ExamplePair>& rows,
   ThreadPool& pool = pool_ref.get();
   // Over-decompose so the ticket scheduler can balance rows with expensive
   // generation; the merge below is boundary-independent, so extra shards
-  // only cost re-interning each shard's (deduplicated) store once.
+  // only cost one more unit-table remap each.
   const size_t num_shards =
       std::min(rows.size(), static_cast<size_t>(pool.size()) * 4);
   std::vector<GenerationShard> shards(num_shards);
@@ -67,7 +67,7 @@ void GenerateInParallel(const std::vector<ExamplePair>& rows,
     for (TransformationId t = 0; t < shard_size; ++t) {
       mapped.clear();
       for (const UnitId id : shard.store.Units(t)) mapped.push_back(remap[id]);
-      result->store.InternUnits(mapped, options.enable_dedup);
+      result->store.Append(mapped);
     }
     result->stats += shard.stats;
   }
@@ -150,7 +150,7 @@ DiscoveryResult DiscoverTransformations(const std::vector<ExamplePair>& rows,
   }
   result.stats.unique_transformations = result.store.size();
 
-  // Phase 4: coverage with the negative-unit cache.
+  // Phase 4: the seal, then coverage with the negative-unit cache.
   result.coverage = ComputeCoverage(result.store, result.units, rows, options,
                                     &result.stats);
 

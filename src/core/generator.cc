@@ -84,7 +84,7 @@ void GenerateTransformationsForRow(std::string_view source,
     return unit_memo.emplace(key, std::move(candidates)).first->second;
   };
 
-  // Phase 3: Cartesian product + hash-consing, bounded per row.
+  // Phase 3: Cartesian product, appended to the store, bounded per row.
   //
   // Literal fusion is resolved per skeleton, not per tuple. Each slot offers
   // at most one literal (a literal block's unit, or the Literal(text) a
@@ -159,7 +159,7 @@ void GenerateTransformationsForRow(std::string_view source,
                                         : fused_unit(i, j));
         i = j;
       }
-      store->InternUnits(normalized, options.enable_dedup);
+      store->Append(normalized);
       ++stats->generated_transformations;
       if (--remaining == 0) {
         capped = true;

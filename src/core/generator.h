@@ -1,6 +1,7 @@
 // Per-row transformation generation (paper §4.1.4): enumerate skeletons,
-// replace each placeholder with its candidate units, and intern the Cartesian
-// product of the candidate sets into the transformation store.
+// replace each placeholder with its candidate units, and append the
+// Cartesian product of the candidate sets, duplicates included, to the
+// transformation store (ComputeCoverage's seal drops the duplicates).
 
 #ifndef TJ_CORE_GENERATOR_H_
 #define TJ_CORE_GENERATOR_H_
@@ -15,7 +16,7 @@
 namespace tj {
 
 /// Generates all candidate transformations for one (source, target) row and
-/// interns them into `store`. Phase wall-times and generation counters are
+/// appends them to `store`. Phase wall-times and generation counters are
 /// accumulated into `stats` (placeholder generation, unit extraction,
 /// duplicate removal — the Figure 4 module breakdown).
 void GenerateTransformationsForRow(std::string_view source,

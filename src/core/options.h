@@ -28,7 +28,7 @@ struct DiscoveryOptions {
   /// §4.1.3, Lemma 4 case 1). Ablation toggle.
   bool tokenize_placeholders = true;
 
-  /// Hash-consing of generated transformations (pruning strategy 1).
+  /// Duplicate removal (pruning strategy 1), by ComputeCoverage's seal.
   /// Ablation toggle: when false duplicates are stored and evaluated.
   bool enable_dedup = true;
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "common/strings.h"
@@ -176,6 +177,7 @@ std::string SerializeTransformations(
 
 Result<TransformationSet> ParseTransformationSet(std::string_view text) {
   TransformationSet set;
+  std::set<std::vector<UnitId>> seen;  // a repeated rule keeps its first line
   size_t begin = 0;
   size_t line_number = 0;
   while (begin <= text.size()) {
@@ -193,8 +195,9 @@ Result<TransformationSet> ParseTransformationSet(std::string_view text) {
       return Status::InvalidArgument(
           StrPrintf("line %zu: %s", line_number, t.status().message().c_str()));
     }
-    const auto [id, fresh] = set.store.Intern(std::move(*t));
-    if (fresh) set.ids.push_back(id);
+    if (seen.insert(t->units()).second) {
+      set.ids.push_back(set.store.Append(t->units()));
+    }
     if (end == text.size()) break;
   }
   return set;

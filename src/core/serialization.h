@@ -31,7 +31,8 @@ Result<Transformation> ParseTransformation(std::string_view text,
                                            UnitInterner* interner);
 
 /// A parsed rule set: the units, the transformations, and their ids in
-/// insertion order.
+/// file order. A rule repeated in the file is stored once, at its first
+/// line.
 struct TransformationSet {
   UnitInterner units;
   TransformationStore store;

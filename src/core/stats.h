@@ -16,9 +16,10 @@ struct DiscoveryStats {
   uint64_t placeholders = 0;
 
   // --- Generation / dedup (pruning strategy 1) ---
-  /// Cartesian-product insert attempts ("Generated trans." in Table 4).
+  /// Cartesian-product tuples generated ("Generated trans." in Table 4).
   uint64_t generated_transformations = 0;
-  /// Distinct transformations after hash-consing ("Trans. to try").
+  /// Distinct transformations, set by ComputeCoverage's seal ("Trans. to
+  /// try"); without enable_dedup, every generated copy.
   uint64_t unique_transformations = 0;
   /// Rows that hit max_transformations_per_row.
   uint64_t rows_capped = 0;
@@ -56,11 +57,11 @@ struct DiscoveryStats {
   // measured generation wall time).
   double time_placeholder_gen = 0;   // LCP build + skeleton enumeration
   double time_unit_extraction = 0;   // candidate units per placeholder
-  // Cartesian product, literal fusion (once per skeleton and slot range)
-  // and hash-consing into the store's arena; in parallel runs also the
-  // merge of the shard stores.
+  // dedup_s: the Cartesian product and literal fusion (once per skeleton
+  // and slot range) appended to the store's arena, plus the shard
+  // concatenation in parallel runs; the seal itself is part of apply_s.
   double time_duplicate_removal = 0;
-  double time_apply = 0;             // coverage computation
+  double time_apply = 0;             // coverage: build, seal, walk/scan
   double time_solution = 0;          // top-k + greedy set cover
   double time_total = 0;
 

@@ -70,12 +70,8 @@ std::string Transformation::ToString(const UnitInterner& interner) const {
 }
 
 uint64_t Transformation::Hash() const {
-  return HashUnits(units_.data(), units_.size());
-}
-
-uint64_t Transformation::HashUnits(const UnitId* units, size_t n) {
   uint64_t h = Mix64(0x7472616e73ULL);  // "trans"
-  for (size_t i = 0; i < n; ++i) h = HashCombine(h, units[i]);
+  for (const UnitId unit : units_) h = HashCombine(h, unit);
   return h;
 }
 

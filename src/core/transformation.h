@@ -16,7 +16,7 @@ namespace tj {
 
 /// An immutable sequence of interned units. Construct via Normalized() so
 /// adjacent literal units are merged, which keeps structurally identical
-/// transformations hash-equal for dedup.
+/// transformations equal for dedup.
 class Transformation {
  public:
   Transformation() = default;
@@ -51,9 +51,6 @@ class Transformation {
   std::string ToString(const UnitInterner& interner) const;
 
   uint64_t Hash() const;
-
-  /// Hash of a raw unit sequence; Hash() == HashUnits(units_.data(), size()).
-  static uint64_t HashUnits(const UnitId* units, size_t n);
 
   bool operator==(const Transformation& other) const {
     return units_ == other.units_;

@@ -1,30 +1,23 @@
-// TransformationStore: hash-consing store for transformations.
+// TransformationStore: the generated transformations.
 //
-// Duplicate removal is the paper's first pruning strategy (§4.1.5): the same
-// transformation is generated independently by many rows, and only one copy
-// is kept. The store also counts insert attempts so the duplicate ratio of
-// Table 4 falls out for free.
+// Duplicate removal is the paper's first pruning strategy (§4.1.5): the
+// same transformation is generated independently by many rows, and only one
+// copy is kept. Generation appends every sequence; ComputeCoverage's trie
+// build, whose counting pass groups identical sequences, then seals the
+// store: each distinct sequence keeps its first id, renumbered densely.
 //
-// Layout. Every unit sequence lives in one CSR arena: transformation `id`
-// is units_[offsets_[id], offsets_[id + 1]). A new sequence costs an append
-// to two vectors, never a heap block of its own, and a coverage pass reads
-// the sequences as two contiguous streams. Dedup is an open-addressed,
-// linear-probe table of 8-byte slots, each an id and a 32-bit hash tag; a
-// probe compares tags and reads the arena only on a tag match, and a growth
-// rehash reads only the slot array.
-//
-// Access. Units(id) is a view into the arena, valid until the next insert
-// (which may reallocate it). Get(id) copies the sequence into a
-// Transformation, for callers that keep it or call its methods.
+// Every unit sequence lives in one CSR arena: transformation `id` is
+// units_[offsets_[id], offsets_[id + 1]). Units(id) is a view into it, valid
+// until the next Append or Seal; Get(id) returns a copy.
 
 #ifndef TJ_CORE_TRANSFORMATION_STORE_H_
 #define TJ_CORE_TRANSFORMATION_STORE_H_
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/logging.h"
 #include "core/transformation.h"
 
@@ -32,7 +25,7 @@ namespace tj {
 
 using TransformationId = uint32_t;
 
-/// Append-only deduplicating store. Ids are dense in insertion order.
+/// Append-only store. Ids are dense in append order.
 class TransformationStore {
  public:
   TransformationStore() = default;
@@ -42,19 +35,11 @@ class TransformationStore {
   TransformationStore(TransformationStore&&) = default;
   TransformationStore& operator=(TransformationStore&&) = default;
 
-  /// Interns `t`; returns its id and whether it was newly inserted. When
-  /// `dedup` is false (ablation mode) every call inserts a fresh copy.
-  std::pair<TransformationId, bool> Intern(const Transformation& t,
-                                           bool dedup = true) {
-    return InternUnits(t.units(), dedup);
-  }
+  /// Appends a (normalized) unit sequence and returns its id. `units` must
+  /// not view this store's own arena.
+  TransformationId Append(std::span<const UnitId> units);
 
-  /// Interns a raw (already normalized) unit sequence; same contract as
-  /// Intern. `units` must not view this store's own arena.
-  std::pair<TransformationId, bool> InternUnits(std::span<const UnitId> units,
-                                                bool dedup = true);
-
-  /// The unit sequence of `id`: a view valid until the next insert.
+  /// The unit sequence of `id`: a view valid until the next Append or Seal.
   std::span<const UnitId> Units(TransformationId id) const {
     TJ_DCHECK(id < size());
     return {units_.data() + offsets_[id], units_.data() + offsets_[id + 1]};
@@ -66,33 +51,26 @@ class TransformationStore {
     return Transformation(std::vector<UnitId>(units.begin(), units.end()));
   }
 
-  /// Number of stored (unique, unless dedup was disabled) transformations.
+  /// Number of stored transformations (distinct ones once sealed).
   size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
 
-  /// Total Intern() calls on this store. For a store filled by a serial
-  /// discovery run this equals the paper's "generated transformations";
-  /// under parallel discovery the merge re-interns shard-deduplicated
-  /// stores, so use DiscoveryStats::generated_transformations (exact for
-  /// every thread count) for that figure instead.
-  uint64_t insert_attempts() const { return insert_attempts_; }
+  /// True when no Append happened since construction or the last Seal.
+  bool sealed() const { return sealed_; }
+
+  /// Seal's new number for a dropped id.
+  static constexpr TransformationId kDropped = ~TransformationId{0};
+
+  /// Drops every id not set in `keep` (each must repeat the sequence of a
+  /// smaller kept id) and compacts the arena in place, renumbering the kept
+  /// ids densely in ascending order. Returns every old id's new number.
+  std::vector<TransformationId> Seal(const DynamicBitset& keep);
 
  private:
-  /// One open-addressing slot. The tag is the low half of the sequence's
-  /// hash and also picks the home slot, so a rehash needs nothing else.
-  struct Slot {
-    uint32_t id_plus_one = 0;  // 0 = empty
-    uint32_t tag = 0;
-  };
-
-  /// Rebuilds the slot table at `new_size` (a power of two).
-  void Rehash(size_t new_size);
-
   // CSR arena: offsets_ is size() + 1 long once the first sequence lands
   // (empty before, and after a move).
   std::vector<uint32_t> offsets_;
   std::vector<UnitId> units_;
-  std::vector<Slot> slots_;
-  uint64_t insert_attempts_ = 0;
+  bool sealed_ = true;
 };
 
 }  // namespace tj

@@ -84,7 +84,7 @@ class RowEnumerator {
         *truncated_ = true;
         return;
       }
-      store_->Intern(Transformation::Normalized(current_, interner_));
+      store_->Append(Transformation::Normalized(current_, interner_).units());
       return;
     }
     if (current_.size() >= static_cast<size_t>(options_.max_units)) return;
@@ -146,7 +146,7 @@ class RowEnumerator {
 };
 
 /// Enumerate-and-cover: every row's transformations, then their coverage
-/// and the top 10 by coverage.
+/// (which drops the duplicates) and the top 10 by coverage.
 NaiveResult NaiveEnumerate(const std::vector<ExamplePair>& rows,
                            const NaiveOptions& options) {
   NaiveResult result;

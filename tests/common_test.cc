@@ -60,6 +60,28 @@ TEST(Result, MoveOutValue) {
   EXPECT_EQ(moved, "payload");
 }
 
+/// Counts its copies in *copies; moves are not counted.
+struct CopyProbe {
+  explicit CopyProbe(int* counter) : copies(counter) {}
+  CopyProbe(const CopyProbe& other) : copies(other.copies) { ++*copies; }
+  CopyProbe(CopyProbe&&) = default;
+  CopyProbe& operator=(const CopyProbe&) = delete;
+  CopyProbe& operator=(CopyProbe&&) = default;
+  int* copies;
+};
+
+TEST(Result, DereferencingAnRvalueMovesTheValue) {
+  int copies = 0;
+  const auto take = [](CopyProbe probe) { return probe.copies; };
+  Result<CopyProbe> r = CopyProbe(&copies);
+  EXPECT_EQ(copies, 0);
+  EXPECT_EQ(take(*std::move(r)), &copies);
+  EXPECT_EQ(copies, 0);
+  Result<CopyProbe> kept = CopyProbe(&copies);
+  take(*kept);  // an lvalue still copies
+  EXPECT_EQ(copies, 1);
+}
+
 Status FailIfNegative(int x) {
   if (x < 0) return Status::InvalidArgument("negative");
   return Status::OK();

@@ -1,12 +1,16 @@
-// Identity suite for transformation generation: GenerateTransformationsForRow
-// resolves literal fusion once per skeleton and interns into the store's
-// CSR arena. The oracle below is the per-tuple path it replaces — odometer,
-// then Transformation::Normalized on every tuple, then
-// TransformationStore::Intern — and the two must agree id by id: the same
-// unit interner, the same stored sequences, the same counters. Checked on
-// Synth-N and Synth-NL (40 and 200 rows, dedup on and off, serial and
-// 2/4/8 threads) and on hand-built rows that hit the fusion corner cases.
-// Run with `ctest -L coverage`, in plain and ASan+UBSan builds.
+// Identity suite for transformation generation and the seal:
+// GenerateTransformationsForRow resolves literal fusion once per skeleton
+// and appends to the store's CSR arena, and ComputeCoverage's trie build
+// seals the store. The oracle below is the per-tuple path — odometer, then
+// Transformation::Normalized on every tuple — feeding a hash-consing store
+// that keeps the semantics of the store before the seal existed: an id per
+// distinct sequence in first-insertion order (per insertion with dedup
+// off). Before the seal the store must hold every generated sequence in
+// generation order; after it, the oracle's ids, id by id, with the same
+// unit interner and counters. Checked on Synth-N and Synth-NL (40 and 200
+// rows, dedup on and off, serial and 2/4/8 threads) and on hand-built rows
+// that hit the fusion corner cases. Run with `ctest -L coverage`, in plain
+// and ASan+UBSan builds.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/coverage.h"
 #include "core/discovery.h"
 #include "core/generator.h"
 #include "core/skeleton.h"
@@ -27,11 +32,33 @@
 namespace tj {
 namespace {
 
+/// Hash-consing store: a sequence's first insertion takes the next id and
+/// later ones return it; with dedup off every insertion takes a new id.
+class HashConsingStore {
+ public:
+  void Intern(const std::vector<UnitId>& units, bool dedup) {
+    if (dedup && !ids_.try_emplace(units, sequences_.size()).second) return;
+    sequences_.push_back(units);
+  }
+
+  size_t size() const { return sequences_.size(); }
+  /// Sequence `id` at index `id`.
+  const std::vector<std::vector<UnitId>>& sequences() const {
+    return sequences_;
+  }
+
+ private:
+  std::map<std::vector<UnitId>, TransformationId> ids_;
+  std::vector<std::vector<UnitId>> sequences_;
+};
+
 /// The per-tuple generation path, plus two probes that show which fusion
 /// cases a row set reached.
 struct OracleRun {
   UnitInterner units;
-  TransformationStore store;
+  /// Every normalized tuple in generation order: the unsealed arena.
+  std::vector<std::vector<UnitId>> generated;
+  HashConsingStore store;
   DiscoveryStats stats;
   /// Most slots fused into one literal by any tuple.
   size_t longest_fused_run = 0;
@@ -93,8 +120,9 @@ void OracleGenerateRow(std::string_view source, std::string_view target,
         run_length = is_literal(tuple.back()) ? run_length + 1 : 0;
         run->longest_fused_run = std::max(run->longest_fused_run, run_length);
       }
-      run->store.Intern(Transformation::Normalized(tuple, &run->units),
-                        options.enable_dedup);
+      run->generated.push_back(
+          Transformation::Normalized(tuple, &run->units).units());
+      run->store.Intern(run->generated.back(), options.enable_dedup);
       ++run->stats.generated_transformations;
       if (--remaining == 0) {
         capped = true;
@@ -121,25 +149,31 @@ OracleRun OracleGenerate(const std::vector<ExamplePair>& rows,
   return run;
 }
 
-/// Same interner and same stored sequences, id by id; Units and Get agree.
+/// `store` holds `want`'s sequences, id by id; Units and Get agree.
+void ExpectSequences(const std::vector<std::vector<UnitId>>& want,
+                     const TransformationStore& store) {
+  ASSERT_EQ(store.size(), want.size());
+  for (TransformationId t = 0; t < store.size(); ++t) {
+    const std::span<const UnitId> got = store.Units(t);
+    ASSERT_TRUE(std::ranges::equal(got, want[t])) << "transformation " << t;
+    ASSERT_EQ(store.Get(t).units(), want[t]) << "transformation " << t;
+  }
+}
+
+/// Same interner as the oracle, and the sealed store holds the hash-consing
+/// store's sequences under its ids.
 void ExpectSameStore(const OracleRun& oracle, const UnitInterner& units,
                      const TransformationStore& store) {
   ASSERT_EQ(units.size(), oracle.units.size());
   for (UnitId u = 0; u < units.size(); ++u) {
     ASSERT_EQ(units.Get(u), oracle.units.Get(u)) << "unit " << u;
   }
-  ASSERT_EQ(store.size(), oracle.store.size());
-  for (TransformationId t = 0; t < store.size(); ++t) {
-    const std::span<const UnitId> got = store.Units(t);
-    const std::span<const UnitId> want = oracle.store.Units(t);
-    ASSERT_TRUE(std::ranges::equal(got, want)) << "transformation " << t;
-    ASSERT_EQ(store.Get(t).units(), std::vector<UnitId>(got.begin(), got.end()))
-        << "transformation " << t;
-  }
+  ExpectSequences(oracle.store.sequences(), store);
 }
 
 /// Runs the generator serially on `rows` and checks it against the oracle:
-/// the store, the interner and every generation counter.
+/// the appended store, then the sealed store, the interner and every
+/// generation counter.
 OracleRun ExpectSerialIdentity(const std::vector<ExamplePair>& rows,
                                const DiscoveryOptions& options) {
   OracleRun oracle = OracleGenerate(rows, options);
@@ -150,15 +184,20 @@ OracleRun ExpectSerialIdentity(const std::vector<ExamplePair>& rows,
     GenerateTransformationsForRow(row.source, row.target, options, &units,
                                   &store, &stats);
   }
-  ExpectSameStore(oracle, units, store);
-  EXPECT_EQ(store.insert_attempts(), oracle.store.insert_attempts());
+  ExpectSequences(oracle.generated, store);
   EXPECT_EQ(stats.generated_transformations,
             oracle.stats.generated_transformations);
   EXPECT_EQ(stats.rows_capped, oracle.stats.rows_capped);
   EXPECT_EQ(stats.skeletons, oracle.stats.skeletons);
   EXPECT_EQ(stats.placeholders, oracle.stats.placeholders);
-  EXPECT_EQ(store.insert_attempts(), stats.generated_transformations);
-  if (!options.enable_dedup) {
+  EXPECT_EQ(store.size(), stats.generated_transformations);
+
+  ComputeCoverage(store, units, rows, options, &stats);
+  ExpectSameStore(oracle, units, store);
+  EXPECT_EQ(store.sealed(), options.enable_dedup);
+  if (options.enable_dedup) {
+    EXPECT_EQ(stats.unique_transformations, oracle.store.size());
+  } else {
     // Ablation mode: every generated copy is kept.
     EXPECT_EQ(store.size(), stats.generated_transformations);
   }
@@ -191,9 +230,13 @@ TEST_P(GenerationIdentityTest, MatchesPerTupleNormalizationAtEveryThreadCount) {
   const OracleRun oracle = ExpectSerialIdentity(rows, options);
   ASSERT_GT(oracle.store.size(), 0u);
   EXPECT_GE(oracle.longest_fused_run, 2u);
+  if (c.dedup) {
+    // The rows generate duplicates, so the seal drops some ids.
+    EXPECT_LT(oracle.store.size(), oracle.generated.size());
+  }
 
-  // Parallel discovery merges shard stores; the result must still be the
-  // serial per-tuple one.
+  // Parallel discovery concatenates shard stores, then seals; the result
+  // must still be the serial per-tuple one.
   for (int threads : {1, 2, 4, 8}) {
     DiscoveryOptions parallel = options;
     parallel.num_threads = threads;

@@ -9,12 +9,15 @@
 // per-row split table, while the scan runs Unit::Eval on every unit; the
 // dispatch cases below (empty pieces and empty targets, failing root
 // children, bytes >= 0x80) and the randomized split stores check both.
+// The first call on an appended store seals it under enable_dedup; a second
+// call must return the same index and leave the store unchanged.
 // Run with `ctest -L coverage`, in plain and ASan+UBSan builds.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,12 +33,15 @@ namespace {
 
 /// Computes coverage with the scan (1 thread) and with the trie walk at
 /// 1/2/4/8 threads; every walk must equal the scan's index. Returns the
-/// scan's index for spot checks.
-CoverageIndex ExpectPathsAgree(const TransformationStore& store,
+/// scan's index for spot checks. With `dedup` the scan's call seals an
+/// appended store and the walks read the sealed one.
+CoverageIndex ExpectPathsAgree(TransformationStore& store,
                                const UnitInterner& units,
-                               const std::vector<ExamplePair>& rows) {
+                               const std::vector<ExamplePair>& rows,
+                               bool dedup = true) {
   DiscoveryOptions scan;
   scan.paper_coverage_scan = true;
+  scan.enable_dedup = dedup;
   DiscoveryStats scan_stats;
   const CoverageIndex oracle =
       ComputeCoverage(store, units, rows, scan, &scan_stats);
@@ -44,6 +50,7 @@ CoverageIndex ExpectPathsAgree(const TransformationStore& store,
   for (int threads : {1, 2, 4, 8}) {
     DiscoveryOptions walk;
     walk.num_threads = threads;
+    walk.enable_dedup = dedup;
     DiscoveryStats stats;
     const CoverageIndex index =
         ComputeCoverage(store, units, rows, walk, &stats);
@@ -96,7 +103,7 @@ TEST_P(TrieIdentityTest, WalkMatchesScanAtEveryThreadCount) {
                                   &store, &stats);
   }
   ASSERT_GT(store.size(), 0u);
-  const CoverageIndex oracle = ExpectPathsAgree(store, units, rows);
+  const CoverageIndex oracle = ExpectPathsAgree(store, units, rows, c.dedup);
   EXPECT_GT(oracle.TotalPairs(), 0u);
 }
 
@@ -114,14 +121,63 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// On either path, and with dedup on or off, a second call on the store the
+// first call left reads it without change and returns the same index.
+TEST(SealedStore, SecondCallReturnsTheSameIndexAndLeavesTheStoreUnchanged) {
+  const SynthDataset ds = GenerateSynth(SynthN(200, 31));
+  const std::vector<ExamplePair> rows =
+      MakeExamplePairs(ds.pair.SourceColumn(), ds.pair.TargetColumn(),
+                       ds.pair.golden.pairs());
+  for (const bool dedup : {true, false}) {
+    for (const bool paper : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "dedup " << dedup << " paper " << paper);
+      DiscoveryOptions options;
+      options.enable_dedup = dedup;
+      options.paper_coverage_scan = paper;
+      UnitInterner units;
+      TransformationStore store;
+      DiscoveryStats stats;
+      for (const ExamplePair& row : rows) {
+        GenerateTransformationsForRow(row.source, row.target, options, &units,
+                                      &store, &stats);
+      }
+      const size_t appended = store.size();
+      const CoverageIndex first =
+          ComputeCoverage(store, units, rows, options, &stats);
+      EXPECT_EQ(store.sealed(), dedup);
+      if (dedup) {
+        EXPECT_LT(store.size(), appended);  // Synth-N generates duplicates
+      } else {
+        EXPECT_EQ(store.size(), appended);
+      }
+      std::vector<std::vector<UnitId>> sequences;
+      for (TransformationId t = 0; t < store.size(); ++t) {
+        sequences.push_back(store.Get(t).units());
+      }
+      DiscoveryStats again;
+      again.unique_transformations = 7;  // a second call does not reset it
+      EXPECT_TRUE(ComputeCoverage(store, units, rows, options, &again) ==
+                  first);
+      EXPECT_EQ(again.unique_transformations, 7u);
+      EXPECT_EQ(again.covering_pairs, first.TotalPairs());
+      EXPECT_EQ(store.sealed(), dedup);
+      ASSERT_EQ(store.size(), sequences.size());
+      for (TransformationId t = 0; t < store.size(); ++t) {
+        ASSERT_EQ(store.Get(t).units(), sequences[t]) << t;
+      }
+    }
+  }
+}
+
 // ---- Hand-built stores ----------------------------------------------------
 
 class TrieCornerCaseTest : public ::testing::Test {
  protected:
-  TransformationId Add(const std::vector<Unit>& units, bool dedup = true) {
+  TransformationId Add(const std::vector<Unit>& units) {
     std::vector<UnitId> ids;
     for (const Unit& u : units) ids.push_back(units_.Intern(u));
-    return store_.Intern(Transformation(std::move(ids)), dedup).first;
+    return store_.Append(ids);
   }
 
   std::vector<uint32_t> Rows(const CoverageIndex& index,
@@ -163,17 +219,20 @@ TEST_F(TrieCornerCaseTest, StrictPrefixEndsOnAnInnerNode) {
 TEST_F(TrieCornerCaseTest, DuplicateIdsWithoutDedupAllEndAtOneNode) {
   const std::vector<Unit> seq = {Unit::MakeSplit('-', 1),
                                  Unit::MakeLiteral("@")};
-  const TransformationId a = Add(seq, false);
-  const TransformationId prefix = Add({Unit::MakeSplit('-', 1)}, false);
-  const TransformationId b = Add(seq, false);
-  const TransformationId prefix2 = Add({Unit::MakeSplit('-', 1)}, false);
-  const TransformationId c = Add(seq, false);
-  const TransformationId none = Add({}, false);
-  const TransformationId none2 = Add({}, false);
+  const TransformationId a = Add(seq);
+  const TransformationId prefix = Add({Unit::MakeSplit('-', 1)});
+  const TransformationId b = Add(seq);
+  const TransformationId prefix2 = Add({Unit::MakeSplit('-', 1)});
+  const TransformationId c = Add(seq);
+  const TransformationId none = Add({});
+  const TransformationId none2 = Add({});
   ASSERT_EQ(store_.size(), 7u);
   const std::vector<ExamplePair> rows = {
       {"x-y", "y@"}, {"x-y", "y"}, {"p-q", "q@"}, {"p-q", ""}, {"k", "k@"}};
-  const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
+  const CoverageIndex index =
+      ExpectPathsAgree(store_, units_, rows, /*dedup=*/false);
+  EXPECT_FALSE(store_.sealed());
+  ASSERT_EQ(store_.size(), 7u);
   for (const TransformationId t : {a, b, c}) {
     EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{0, 2})) << t;
   }
@@ -254,6 +313,36 @@ TEST_F(TrieCornerCaseTest, SequencesDeeperThanTheTrieFallBackToTheScan) {
   const CoverageIndex index = ExpectPathsAgree(store_, units_, rows);
   EXPECT_EQ(Rows(index, t), (std::vector<uint32_t>{0}));
   EXPECT_EQ(Rows(index, shallow), (std::vector<uint32_t>{1}));
+}
+
+TEST_F(TrieCornerCaseTest, DeepUnsealedStoreIsStillDeduplicated) {
+  // The seal needs no walkable trie: the same build deduplicates a store
+  // holding sequences deeper than the trie allows, and the scan follows.
+  std::vector<Unit> deep(300, Unit::MakeLiteral("a"));
+  std::vector<Unit> deep_b = deep;
+  deep_b.back() = Unit::MakeLiteral("b");
+  const std::vector<Unit> shallow = {Unit::MakeLiteral("a")};
+  const std::vector<const std::vector<Unit>*> appends = {
+      &deep, &shallow, &deep, &deep_b, &shallow, &deep};
+  for (const std::vector<Unit>* seq : appends) Add(*seq);
+  const std::string target(300, 'a');  // rows hold views into it
+  const std::string target_b = target.substr(1) + "b";
+  const std::vector<ExamplePair> rows = {
+      {"1", target}, {"2", "a"}, {"3", target_b}};
+  DiscoveryStats stats;
+  const CoverageIndex index =
+      ComputeCoverage(store_, units_, rows, DiscoveryOptions(), &stats);
+  EXPECT_TRUE(store_.sealed());
+  ASSERT_EQ(store_.size(), 3u);
+  EXPECT_EQ(stats.unique_transformations, 3u);
+  EXPECT_EQ(stats.cache_hits + stats.full_evaluations, 3u * rows.size());
+  EXPECT_EQ(store_.Units(0).size(), 300u);
+  EXPECT_EQ(store_.Units(1).size(), 1u);
+  EXPECT_EQ(store_.Units(2).back(), units_.Intern(Unit::MakeLiteral("b")));
+  EXPECT_EQ(Rows(index, 0), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Rows(index, 1), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(Rows(index, 2), (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(ExpectPathsAgree(store_, units_, rows) == index);
 }
 
 // ---- Root dispatch and the split table ------------------------------------
@@ -430,11 +519,13 @@ TEST(RandomSplitStores, WalkMatchesScanAtEveryThreadCount) {
     UnitInterner units;
     std::vector<UnitId> pool;
     for (int k = 0; k < 40; ++k) pool.push_back(units.Intern(random_unit()));
+    // Each distinct sequence once, in first-draw order.
     TransformationStore store;
+    std::set<std::vector<UnitId>> drawn;
     for (int k = 0; k < 300; ++k) {
       std::vector<UnitId> seq(1 + rng.Uniform(3));
       for (UnitId& u : seq) u = rng.PickOne(pool);
-      store.Intern(Transformation(std::move(seq)));
+      if (drawn.insert(seq).second) store.Append(seq);
     }
     std::vector<std::string> targets;
     for (const std::string& src : sources) {

@@ -15,7 +15,7 @@ class CoverageTest : public ::testing::Test {
   TransformationId Add(std::vector<Unit> units) {
     std::vector<UnitId> ids;
     for (const auto& u : units) ids.push_back(units_.Intern(u));
-    return store_.Intern(Transformation(std::move(ids))).first;
+    return store_.Append(ids);
   }
 
   CoverageIndex Compute(const std::vector<ExamplePair>& rows,
@@ -80,8 +80,9 @@ TEST_F(CoverageTest, CacheHitsSkipKnownBadUnits) {
   // Two transformations sharing a failing unit: on the paper's row-major
   // scan (which defines these counters) the second try must be a cache hit.
   const UnitId bad = units_.Intern(Unit::MakeSplit('#', 5));
-  store_.Intern(Transformation({bad}));
-  store_.Intern(Transformation({bad, units_.Intern(Unit::MakeLiteral("x"))}));
+  store_.Append(std::vector<UnitId>{bad});
+  store_.Append(
+      std::vector<UnitId>{bad, units_.Intern(Unit::MakeLiteral("x"))});
   const std::vector<ExamplePair> rows = {{"abc", "abc"}};
   Compute(rows, /*neg_cache=*/true, /*paper_scan=*/true);
   EXPECT_EQ(stats_.cache_hits, 1u);
@@ -93,8 +94,9 @@ TEST_F(CoverageTest, TrieWalkPrunesSharedFailingPrefixOnce) {
   // below the failing unit's node, so one evaluation cuts off both and
   // neither terminal is reached.
   const UnitId bad = units_.Intern(Unit::MakeSplit('#', 5));
-  store_.Intern(Transformation({bad}));
-  store_.Intern(Transformation({bad, units_.Intern(Unit::MakeLiteral("x"))}));
+  store_.Append(std::vector<UnitId>{bad});
+  store_.Append(
+      std::vector<UnitId>{bad, units_.Intern(Unit::MakeLiteral("x"))});
   const std::vector<ExamplePair> rows = {{"abc", "abc"}};
   Compute(rows);
   EXPECT_EQ(stats_.cache_hits, 2u);
@@ -122,9 +124,9 @@ TEST_F(CoverageTest, EmptyStoreYieldsEmptyIndex) {
 TEST(SetCover, GreedyPicksLargestFirst) {
   UnitInterner units;
   TransformationStore store;
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("A"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("B"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeSplit('-', 1))}));
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("A"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("B"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeSplit('-', 1))});
   const std::vector<ExamplePair> rows = {
       {"x-A", "A"}, {"y-A", "A"}, {"z-A", "A"}, {"w-B", "B"}};
   DiscoveryOptions options;
@@ -142,8 +144,8 @@ TEST(SetCover, GreedyPicksLargestFirst) {
 TEST(SetCover, SelectsMultipleSetsWhenNeeded) {
   UnitInterner units;
   TransformationStore store;
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("A"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("B"))}));
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("A"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("B"))});
   const std::vector<ExamplePair> rows = {
       {"1", "A"}, {"2", "A"}, {"3", "B"}};
   DiscoveryOptions options;
@@ -162,8 +164,8 @@ TEST(SetCover, SelectsMultipleSetsWhenNeeded) {
 TEST(SetCover, MinSupportExcludesRareSets) {
   UnitInterner units;
   TransformationStore store;
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("A"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("B"))}));
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("A"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("B"))});
   const std::vector<ExamplePair> rows = {
       {"1", "A"}, {"2", "A"}, {"3", "B"}};
   DiscoveryOptions options;
@@ -182,9 +184,9 @@ TEST(SetCover, MinSupportExcludesRareSets) {
 TEST(SetCover, MaxSetsBoundsSelection) {
   UnitInterner units;
   TransformationStore store;
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("A"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("B"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("C"))}));
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("A"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("B"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("C"))});
   const std::vector<ExamplePair> rows = {{"1", "A"}, {"2", "B"}, {"3", "C"}};
   DiscoveryOptions options;
   DiscoveryStats stats;
@@ -200,9 +202,9 @@ TEST(SetCover, MaxSetsBoundsSelection) {
 TEST(TopK, OrderedByCoverageThenId) {
   UnitInterner units;
   TransformationStore store;
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("B"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeLiteral("A"))}));
-  store.Intern(Transformation({units.Intern(Unit::MakeSplit('-', 0))}));
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("B"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("A"))});
+  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeSplit('-', 0))});
   const std::vector<ExamplePair> rows = {
       {"A-1", "A"}, {"A-2", "A"}, {"B-1", "B"}, {"B-2", "B"}};
   DiscoveryOptions options;

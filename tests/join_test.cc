@@ -79,9 +79,8 @@ TEST(ApplyAndEquiJoin, ManyToManySemantics) {
   Column target("t", {"a", "a", "b"});
   UnitInterner units;
   TransformationStore store;
-  const auto [id, fresh] =
-      store.Intern(Transformation({units.Intern(Unit::MakeSplit('|', 0))}));
-  ASSERT_TRUE(fresh);
+  const TransformationId id =
+      store.Append(std::vector<UnitId>{units.Intern(Unit::MakeSplit('|', 0))});
   const std::vector<RowPair> joined =
       ApplyAndEquiJoin(source, target, store, units, {id});
   // Source row 0 joins both "a" rows; row 1 joins the "b" row.

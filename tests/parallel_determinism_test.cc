@@ -73,7 +73,8 @@ TEST(ParallelCoverage, BitIdenticalCsrAcrossThreadCounts) {
   const std::vector<ExamplePair>& rows = holder.rows;
   DiscoveryOptions serial;
   serial.num_threads = 1;
-  const DiscoveryResult base = DiscoverTransformations(rows, serial);
+  // Not const: ComputeCoverage takes the (already sealed) store below.
+  DiscoveryResult base = DiscoverTransformations(rows, serial);
   ASSERT_GT(base.store.size(), 0u);
 
   // Both coverage paths: each path's counters are exact at every thread
@@ -108,7 +109,7 @@ TEST(ParallelCoverage, NegCacheAblationAlsoIdentical) {
   DiscoveryOptions serial;
   serial.num_threads = 1;
   serial.enable_neg_cache = false;
-  const DiscoveryResult base = DiscoverTransformations(rows, serial);
+  DiscoveryResult base = DiscoverTransformations(rows, serial);
 
   // Without the cache both settings of paper_coverage_scan run the scan.
   for (bool paper_scan : {false, true}) {

@@ -152,6 +152,20 @@ TEST(TransformationSet, SkipsCommentsAndBlankLines) {
   EXPECT_EQ(parsed->ids.size(), 2u);
 }
 
+TEST(TransformationSet, RepeatedRuleKeepsItsFirstLine) {
+  // Spacing differs, the parsed rule does not; the repeat is dropped and
+  // the rules after it keep file order.
+  const auto parsed = ParseTransformationSet(
+      "<Split(',',0)>\n<Substr(0,2)>\n< Split(',', 0) >\n<Literal('x')>\n"
+      "<Substr(0,2)>\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->ids, (std::vector<TransformationId>{0, 1, 2}));
+  ASSERT_EQ(parsed->store.size(), 3u);
+  EXPECT_EQ(parsed->store.Get(0).ToString(parsed->units), "<Split(',',0)>");
+  EXPECT_EQ(parsed->store.Get(1).ToString(parsed->units), "<Substr(0,2)>");
+  EXPECT_EQ(parsed->store.Get(2).ToString(parsed->units), "<Literal('x')>");
+}
+
 TEST(TransformationSet, ReportsLineNumberOnError) {
   const auto parsed =
       ParseTransformationSet("<Split(',',0)>\n<Bogus(1)>\n");
@@ -175,8 +189,7 @@ TEST(TransformationSet, FileRoundTrip) {
   TransformationStore store;
   std::vector<TransformationId> ids;
   ids.push_back(
-      store.Intern(Transformation({units.Intern(Unit::MakeSplit('|', 1))}))
-          .first);
+      store.Append(std::vector<UnitId>{units.Intern(Unit::MakeSplit('|', 1))}));
   const std::string path = ::testing::TempDir() + "/rules.tj";
   ASSERT_TRUE(SaveTransformationsToFile(path, store, units, ids).ok());
   const auto loaded = LoadTransformationsFromFile(path);

@@ -1,8 +1,9 @@
 // Tests for Transformation: apply/covers semantics, normalization,
-// hash-consing in the store, and the unit interner.
+// duplicate removal in the store, and the unit interner.
 
 #include <gtest/gtest.h>
 
+#include "core/coverage.h"
 #include "core/transformation.h"
 #include "core/transformation_store.h"
 #include "core/unit_interner.h"
@@ -88,28 +89,65 @@ TEST_F(TransformationTest, ToStringListsUnits) {
 }
 
 TEST_F(TransformationTest, StoreDeduplicates) {
+  // Appends keep every copy; coverage under enable_dedup seals the store,
+  // keeping each sequence at its first id.
   TransformationStore store;
-  const Transformation t1({Sub(0, 1), Lit("x")});
-  const Transformation t2({Sub(0, 1), Lit("x")});
-  const Transformation t3({Sub(0, 2)});
-  const auto [id1, fresh1] = store.Intern(t1);
-  const auto [id2, fresh2] = store.Intern(t2);
-  const auto [id3, fresh3] = store.Intern(t3);
-  EXPECT_TRUE(fresh1);
-  EXPECT_FALSE(fresh2);
-  EXPECT_TRUE(fresh3);
-  EXPECT_EQ(id1, id2);
-  EXPECT_NE(id1, id3);
-  EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.insert_attempts(), 3u);
+  const std::vector<UnitId> t1 = {Sub(0, 1), Lit("x")};
+  const std::vector<UnitId> t3 = {Sub(0, 2)};
+  EXPECT_EQ(store.Append(t1), 0u);
+  EXPECT_EQ(store.Append(t1), 1u);
+  EXPECT_EQ(store.Append(t3), 2u);
+  EXPECT_EQ(store.size(), 3u);
+  EXPECT_FALSE(store.sealed());
+  DiscoveryStats stats;
+  const CoverageIndex index = ComputeCoverage(store, units_, {{"ab", "ax"}},
+                                              DiscoveryOptions(), &stats);
+  EXPECT_TRUE(store.sealed());
+  ASSERT_EQ(store.size(), 2u);
+  EXPECT_EQ(stats.unique_transformations, 2u);
+  EXPECT_EQ(store.Get(0).units(), t1);
+  EXPECT_EQ(store.Get(1).units(), t3);
+  EXPECT_EQ(index.num_transformations(), 2u);
+  EXPECT_EQ(index.Count(0), 1u);
 }
 
 TEST_F(TransformationTest, StoreDedupDisabledKeepsDuplicates) {
   TransformationStore store;
-  const Transformation t({Sub(0, 1)});
-  store.Intern(t, /*dedup=*/false);
-  store.Intern(t, /*dedup=*/false);
+  const std::vector<UnitId> t = {Sub(0, 1)};
+  store.Append(t);
+  store.Append(t);
+  DiscoveryOptions options;
+  options.enable_dedup = false;
+  DiscoveryStats stats;
+  const CoverageIndex index =
+      ComputeCoverage(store, units_, {{"a", "a"}}, options, &stats);
+  EXPECT_FALSE(store.sealed());
   EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(index.Count(0), 1u);
+  EXPECT_EQ(index.Count(1), 1u);
+}
+
+TEST_F(TransformationTest, SealCompactsTheKeptIdsInOrder) {
+  TransformationStore store;
+  const std::vector<UnitId> a = {Sub(0, 1), Lit("x")};
+  const std::vector<UnitId> b = {Sub(0, 2)};
+  const std::vector<UnitId> empty;
+  for (const auto* units : {&a, &empty, &a, &b, &empty, &a}) {
+    store.Append(*units);
+  }
+  DynamicBitset keep(6);
+  for (const size_t id : {0, 1, 3}) keep.Set(id);
+  constexpr TransformationId kDrop = TransformationStore::kDropped;
+  EXPECT_EQ(store.Seal(keep),
+            (std::vector<TransformationId>{0, 1, kDrop, 2, kDrop, kDrop}));
+  EXPECT_TRUE(store.sealed());
+  ASSERT_EQ(store.size(), 3u);
+  EXPECT_EQ(store.Get(0).units(), a);
+  EXPECT_TRUE(store.Units(1).empty());
+  EXPECT_EQ(store.Get(2).units(), b);
+  store.Append(b);
+  EXPECT_FALSE(store.sealed());
+  EXPECT_EQ(store.size(), 4u);
 }
 
 TEST(UnitInterner, InterningIsIdempotent) {
