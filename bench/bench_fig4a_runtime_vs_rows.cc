@@ -13,11 +13,12 @@
 // exits nonzero if the two coverage indexes differ.
 //
 // With --json PATH it also writes one record per row count: rows,
-// transformations, apply_s, paper_apply_s, dedup_s, generation_s (dedup_s
-// plus placeholder and unit extraction time: the whole generation pass),
-// and each path's unit_evals (memo misses: the walk's falls below the
-// scan's as the root dispatch skips children whose head byte cannot start
-// the target).
+// transformations, apply_s, build_s (the part of apply_s spent building
+// the trie and sealing the store), paper_apply_s, dedup_s, generation_s
+// (dedup_s plus placeholder and unit extraction time: the whole generation
+// pass), solution_s (top-k and the greedy set cover), and each path's
+// unit_evals (memo misses: the walk's falls below the scan's as the root
+// dispatch skips children whose head byte cannot start the target).
 
 #include <cstdio>
 #include <cstring>
@@ -38,9 +39,11 @@ struct Point {
   size_t rows;
   size_t transformations;
   double apply_s;
+  double build_s;
   double paper_apply_s;
   double dedup_s;
   double generation_s;
+  double solution_s;
   uint64_t unit_evals;
   uint64_t paper_unit_evals;
 };
@@ -89,10 +92,12 @@ int Run(const std::string& json_path) {
                      result.stats.time_total});
     const DiscoveryStats& stats = result.stats;
     points.push_back({scaled, result.store.size(), stats.time_apply,
-                      paper_stats.time_apply, stats.time_duplicate_removal,
+                      stats.time_build, paper_stats.time_apply,
+                      stats.time_duplicate_removal,
                       stats.time_placeholder_gen + stats.time_unit_extraction +
                           stats.time_duplicate_removal,
-                      stats.unit_evals, paper_stats.unit_evals});
+                      stats.time_solution, stats.unit_evals,
+                      paper_stats.unit_evals});
   }
   series.Print();
   std::printf("\n");
@@ -114,11 +119,13 @@ int Run(const std::string& json_path) {
       const Point& p = points[i];
       std::fprintf(f,
                    "%s\n    {\"rows\": %zu, \"transformations\": %zu, "
-                   "\"apply_s\": %.6f, \"paper_apply_s\": %.6f, "
-                   "\"dedup_s\": %.6f, \"generation_s\": %.6f, "
+                   "\"apply_s\": %.6f, \"build_s\": %.6f, "
+                   "\"paper_apply_s\": %.6f, \"dedup_s\": %.6f, "
+                   "\"generation_s\": %.6f, \"solution_s\": %.6f, "
                    "\"unit_evals\": %llu, \"paper_unit_evals\": %llu}",
                    i == 0 ? "" : ",", p.rows, p.transformations, p.apply_s,
-                   p.paper_apply_s, p.dedup_s, p.generation_s,
+                   p.build_s, p.paper_apply_s, p.dedup_s, p.generation_s,
+                   p.solution_s,
                    static_cast<unsigned long long>(p.unit_evals),
                    static_cast<unsigned long long>(p.paper_unit_evals));
     }

@@ -346,11 +346,13 @@ struct UnitTrie {
 };
 
 /// Builds the trie top-down. At each node a stable counting pass groups the
-/// node's ids on their next unit; each sequence is read from the store's
-/// arena twice per level (count, then scatter), never once per comparison
-/// as a sort would. The passes are stable, so the ids ending at one node
-/// ascend: with `keep` (the seal) the node keeps the smallest and sets it
-/// in `keep`; without it (enable_dedup off) all ids stay terminals.
+/// node's ids on their next unit; each sequence's key is read from the
+/// store's arena once per level and kept for the scatter, never once per
+/// comparison as a sort would. Ranges of at most kSmallRange ids are
+/// grouped by a stable insertion sort on those keys instead. Both are
+/// stable, so the ids ending at one node ascend: with `keep` (the seal)
+/// the node keeps the smallest and sets it in `keep`; without it
+/// (enable_dedup off) all ids stay terminals.
 class TrieBuilder {
  public:
   TrieBuilder(const TransformationStore& store, const UnitInterner& interner,
@@ -363,12 +365,20 @@ class TrieBuilder {
   bool Build() {
     const size_t num_t = store_.size();
     TJ_CHECK(num_t < UnitTrie::kShared);
+    size_t arena = 0;  // every node spells a distinct prefix: at most this
     for (TransformationId t = 0; t < num_t; ++t) {
-      trie_->max_depth = std::max(trie_->max_depth, store_.Units(t).size());
+      const size_t length = store_.Units(t).size();
+      trie_->max_depth = std::max(trie_->max_depth, length);
+      arena += length;
     }
+    trie_->unit.reserve(arena);
+    trie_->depth.reserve(arena);
+    trie_->end.reserve(arena);
+    trie_->terminal.reserve(arena);
     count_.assign(interner_.size() + 1, 0);
     ids_.resize(num_t);
     for (TransformationId t = 0; t < num_t; ++t) ids_[t] = t;
+    keys_.resize(num_t);
     scatter_.resize(num_t);
     Partition(0, num_t, 0);
 
@@ -441,14 +451,19 @@ class TrieBuilder {
     return u.size() == d ? 0 : u[d] + 1;
   }
 
-  /// Stable counting pass over ids_[lo, hi) on each sequence's key at
-  /// depth d: regroups the range by ascending key, ids ascending within a
-  /// key, and appends one Run per key to runs_. count_ is all zero before
-  /// and after; only the keys seen are sorted and reset.
+  /// Regroups ids_[lo, hi) by ascending key at depth d, ids ascending
+  /// within a key, and appends one Run per key to runs_. Large ranges take
+  /// a stable counting pass: count_ is all zero before and after, and only
+  /// the keys seen are sorted and reset.
   void Partition(size_t lo, size_t hi, size_t d) {
+    if (hi - lo <= kSmallRange) {
+      InsertionPartition(lo, hi, d);
+      return;
+    }
     const size_t mark = runs_.size();
     for (size_t k = lo; k < hi; ++k) {
       const uint32_t key = KeyAt(ids_[k], d);
+      keys_[k] = key;
       if (count_[key]++ == 0) runs_.push_back({key, 0});
     }
     std::sort(runs_.begin() + mark, runs_.end(),
@@ -461,13 +476,32 @@ class TrieBuilder {
       runs_[r].end = next;
     }
     if (runs_.size() - mark > 1) {
-      for (size_t k = lo; k < hi; ++k) {
-        scatter_[count_[KeyAt(ids_[k], d)]++] = ids_[k];
-      }
+      for (size_t k = lo; k < hi; ++k) scatter_[count_[keys_[k]]++] = ids_[k];
       std::copy(scatter_.begin() + lo, scatter_.begin() + hi,
                 ids_.begin() + lo);
     }
     for (size_t r = mark; r < runs_.size(); ++r) count_[runs_[r].key] = 0;
+  }
+
+  /// Partition's small-range path: a stable insertion sort of (key, id),
+  /// then one Run per run of equal keys.
+  void InsertionPartition(size_t lo, size_t hi, size_t d) {
+    for (size_t k = lo; k < hi; ++k) {
+      const uint32_t id = ids_[k];
+      const uint32_t key = KeyAt(id, d);
+      size_t j = k;
+      for (; j > lo && keys_[j - 1] > key; --j) {
+        keys_[j] = keys_[j - 1];
+        ids_[j] = ids_[j - 1];
+      }
+      keys_[j] = key;
+      ids_[j] = id;
+    }
+    for (size_t k = lo; k < hi; ++k) {
+      if (k + 1 == hi || keys_[k + 1] != keys_[k]) {
+        runs_.push_back({keys_[k], static_cast<uint32_t>(k + 1)});
+      }
+    }
   }
 
   /// ids_[lo, hi) hold the ids whose first `d` units spell node `node`'s
@@ -507,12 +541,15 @@ class TrieBuilder {
     runs_.resize(mark);
   }
 
+  static constexpr size_t kSmallRange = 16;
+
   const TransformationStore& store_;
   const UnitInterner& interner_;
   DynamicBitset* keep_;
   UnitTrie* trie_;
   std::vector<uint32_t> count_;    // per key, zero between passes
   std::vector<uint32_t> ids_;      // transformation ids, regrouped per level
+  std::vector<uint32_t> keys_;     // keys_[k]: ids_[k]'s key in Partition
   std::vector<uint32_t> scatter_;  // Partition's output buffer
   std::vector<Run> runs_;          // a stack of per-level runs
 };
@@ -606,7 +643,8 @@ CoverageIndex ComputeCoverage(TransformationStore& store,
   const bool seal = options.enable_dedup && !store.sealed();
   std::optional<UnitTrie> trie;
   if (walk || seal) {
-    ScopedTimer build_timer(&stats->cpu_apply);
+    ScopedTimer build_wall(&stats->time_build);
+    ScopedTimer build_cpu(&stats->cpu_apply);
     trie.emplace();
     DynamicBitset keep(seal ? store.size() : 0);
     TrieBuilder builder(store, interner, seal ? &keep : nullptr, &*trie);

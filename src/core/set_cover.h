@@ -19,7 +19,9 @@ struct RankedTransformation {
 };
 
 /// The k highest-coverage transformations with coverage >= min_support,
-/// ordered by coverage descending, then id ascending (deterministic).
+/// ordered by coverage descending, then id ascending (deterministic). A
+/// count histogram finds the k-th largest coverage, so only the at most k
+/// kept entries are sorted.
 std::vector<RankedTransformation> TopKByCoverage(const CoverageIndex& index,
                                                  size_t k,
                                                  uint32_t min_support);
@@ -28,8 +30,6 @@ struct SetCoverOptions {
   /// Transformations covering fewer rows are not eligible (the paper's
   /// support threshold used on noisy open data).
   uint32_t min_support = 1;
-  /// Upper bound on the number of selected transformations.
-  size_t max_sets = static_cast<size_t>(-1);
 };
 
 struct SetCoverResult {
@@ -45,6 +45,9 @@ struct SetCoverResult {
 
 /// Lazy-greedy (CELF-style) set cover: repeatedly select the transformation
 /// covering the most still-uncovered rows. Deterministic tie-break on id.
+/// The candidates wait in one bucket per coverage count (counts never exceed
+/// the row count), popped in a binary max-heap's (count, then smaller id)
+/// order, so a pop from the count-1 tail costs O(1).
 SetCoverResult GreedySetCover(const CoverageIndex& index, size_t num_rows,
                               const SetCoverOptions& options);
 

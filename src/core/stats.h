@@ -62,6 +62,7 @@ struct DiscoveryStats {
   // concatenation in parallel runs; the seal itself is part of apply_s.
   double time_duplicate_removal = 0;
   double time_apply = 0;             // coverage: build, seal, walk/scan
+  double time_build = 0;             // of time_apply: trie build and seal
   double time_solution = 0;          // top-k + greedy set cover
   double time_total = 0;
 
@@ -106,6 +107,7 @@ struct DiscoveryStats {
     time_unit_extraction += other.time_unit_extraction;
     time_duplicate_removal += other.time_duplicate_removal;
     time_apply += other.time_apply;
+    time_build += other.time_build;
     time_solution += other.time_solution;
     time_total += other.time_total;
     cpu_placeholder_gen += other.cpu_placeholder_gen;

@@ -181,24 +181,6 @@ TEST(SetCover, MinSupportExcludesRareSets) {
   EXPECT_EQ(result.covered_rows, 2u);  // row 2 stays uncovered
 }
 
-TEST(SetCover, MaxSetsBoundsSelection) {
-  UnitInterner units;
-  TransformationStore store;
-  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("A"))});
-  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("B"))});
-  store.Append(std::vector<UnitId>{units.Intern(Unit::MakeLiteral("C"))});
-  const std::vector<ExamplePair> rows = {{"1", "A"}, {"2", "B"}, {"3", "C"}};
-  DiscoveryOptions options;
-  DiscoveryStats stats;
-  const CoverageIndex index =
-      ComputeCoverage(store, units, rows, options, &stats);
-  SetCoverOptions cover_options;
-  cover_options.max_sets = 2;
-  const SetCoverResult result =
-      GreedySetCover(index, rows.size(), cover_options);
-  EXPECT_EQ(result.selected.size(), 2u);
-}
-
 TEST(TopK, OrderedByCoverageThenId) {
   UnitInterner units;
   TransformationStore store;
