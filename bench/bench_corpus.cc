@@ -28,7 +28,6 @@
 #include "benchlib/storage_metrics.h"
 #include "benchlib/suite.h"
 #include "common/hash.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -568,55 +567,6 @@ ServeOutcome RunServed(const tj::SynthCorpus& corpus,
   return outcome;
 }
 
-/// The SIMD acceptance scenario: sketch every column of the heap corpus
-/// once with the kernels pinned to scalar and once at the best-supported
-/// level, timing each pass and proving the signatures bit-identical (the
-/// determinism contract — exit 1 on divergence). The side-by-side
-/// signature_build_ms fields are what the BENCH trajectory watches for
-/// vectorization wins and regressions.
-struct SignatureBuildOutcome {
-  double scalar_ms = 0.0;
-  double simd_ms = 0.0;
-};
-
-SignatureBuildOutcome MeasureSignatureBuild(const tj::SynthCorpus& corpus) {
-  using namespace tj;
-  SignatureBuildOutcome outcome;
-  const simd::SimdLevel best = simd::BestSupportedLevel();
-  std::vector<ColumnSignature> scalar_sigs;
-  std::vector<ColumnSignature> best_sigs;
-
-  const auto sketch = [&](simd::SimdLevel level, double* ms,
-                          std::vector<ColumnSignature>* sigs) {
-    simd::SetActiveLevel(level);
-    TableCatalog catalog;
-    for (const Table& table : corpus.tables) {
-      auto added = catalog.AddTable(table);
-      if (!added.ok()) {
-        std::fprintf(stderr, "%s\n", added.status().ToString().c_str());
-        std::exit(1);
-      }
-    }
-    Stopwatch watch;
-    catalog.ComputeSignatures();
-    *ms = watch.ElapsedSeconds() * 1e3;
-    for (const ColumnRef ref : catalog.AllColumns()) {
-      sigs->push_back(catalog.signature(ref));
-    }
-  };
-  sketch(simd::SimdLevel::kScalar, &outcome.scalar_ms, &scalar_sigs);
-  sketch(best, &outcome.simd_ms, &best_sigs);
-  simd::SetActiveLevel(best);  // leave dispatch at the default for the rest
-
-  if (scalar_sigs != best_sigs) {
-    std::fprintf(stderr,
-                 "signatures DIVERGE between scalar and %s kernels (BUG)\n",
-                 simd::SimdLevelName(best));
-    std::exit(1);
-  }
-  return outcome;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -661,19 +611,9 @@ int main(int argc, char** argv) {
 
   const SynthCorpus corpus = GenerateSynthCorpus(corpus_options);
   std::printf("corpus: %zu tables (%zu joinable pairs), %zu rows each, "
-              "threads=%d, simd=%s\n",
+              "threads=%d\n",
               corpus.tables.size(), corpus.golden.size(),
-              corpus_options.rows, ResolveNumThreads(num_threads),
-              simd::SimdLevelName(simd::ActiveLevel()));
-
-  // Scalar-vs-best sketch pass (proves bit-identity, reports both times).
-  const SignatureBuildOutcome sig_build = MeasureSignatureBuild(corpus);
-  std::printf(
-      "signature build: scalar %.2f ms, %s %.2f ms (%.2fx), outputs "
-      "identical\n",
-      sig_build.scalar_ms, simd::SimdLevelName(simd::BestSupportedLevel()),
-      sig_build.simd_ms,
-      sig_build.simd_ms > 0 ? sig_build.scalar_ms / sig_build.simd_ms : 0.0);
+              corpus_options.rows, ResolveNumThreads(num_threads));
 
   const RunOutcome pruned = Run(corpus, pruned_options);
 
@@ -914,14 +854,6 @@ int main(int argc, char** argv) {
                  served.snapshot_rebuild_ms, served.queries_per_second,
                  served4.query_p50_us, served4.query_p99_us,
                  served4.queries_per_second);
-    std::fprintf(f,
-                 "  \"simd_level\": \"%s\",\n"
-                 "  \"simd_best_level\": \"%s\",\n"
-                 "  \"signature_build_ms_scalar\": %.3f,\n"
-                 "  \"signature_build_ms_simd\": %.3f,\n",
-                 simd::SimdLevelName(simd::ActiveLevel()),
-                 simd::SimdLevelName(simd::BestSupportedLevel()),
-                 sig_build.scalar_ms, sig_build.simd_ms);
     std::fprintf(f,
                  "  \"lsh_scale_tables\": %zu,\n"
                  "  \"lsh_probe_pairs\": %zu,\n"

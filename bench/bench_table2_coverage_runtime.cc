@@ -25,7 +25,6 @@
 #include "benchlib/report.h"
 #include "benchlib/storage_metrics.h"
 #include "benchlib/suite.h"
-#include "common/simd.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 
@@ -115,7 +114,6 @@ PanelSummary RunPanel(const std::vector<BenchDataset>& suite,
 
 int Run(const std::string& json_path) {
   std::printf("== Table 2: Coverage and runtime, ours vs Auto-Join ==\n");
-  std::printf("(simd=%s)\n", simd::SimdLevelName(simd::ActiveLevel()));
   std::printf(
       "(Auto-Join runs under a per-table wall budget; 'capped' marks runs "
       "that\nhit it, the analogue of the paper's 650,000s cap.)\n\n");
@@ -151,11 +149,6 @@ int Run(const std::string& json_path) {
         ResolveNumThreads(options.num_threads), options.scale,
         ngram.mean_top_cov, ngram.mean_coverage, ngram.seconds,
         golden.mean_top_cov, golden.mean_coverage, golden.seconds);
-    std::fprintf(f,
-                 "  \"simd_level\": \"%s\",\n"
-                 "  \"simd_best_level\": \"%s\",\n",
-                 simd::SimdLevelName(simd::ActiveLevel()),
-                 simd::SimdLevelName(simd::BestSupportedLevel()));
     WriteStorageJsonTail(f, storage);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());

@@ -30,7 +30,8 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
 
 /// FNV-1a parameters, exposed so hot loops that inline the byte hash over
 /// a contiguous arena (ComputeColumnSignature's gram scan) provably use
-/// the same recurrence as HashBytes — the simd test suite pins them equal.
+/// the same recurrence as HashBytes — FnvPin in tests/common_test.cc pins
+/// them equal.
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 

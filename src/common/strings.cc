@@ -5,8 +5,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "common/simd.h"
-
 namespace tj {
 
 std::string ToLowerAscii(std::string_view s) {
@@ -16,15 +14,15 @@ std::string ToLowerAscii(std::string_view s) {
 }
 
 void ToLowerAsciiInPlace(char* data, size_t size) {
-  simd::LowerAscii(data, data, size);
+  for (size_t i = 0; i < size; ++i) data[i] = ToLowerAsciiChar(data[i]);
 }
 
 void AppendLowerAscii(std::string_view s, std::string* out) {
   const size_t base = out->size();
   out->resize(base + s.size());
-  // One fused lowercase-copy pass (vectorized under dispatch) instead of
-  // copy-then-lower.
-  simd::LowerAscii(s.data(), out->data() + base, s.size());
+  // One fused lowercase-copy pass instead of copy-then-lower.
+  char* dst = out->data() + base;
+  for (size_t i = 0; i < s.size(); ++i) dst[i] = ToLowerAsciiChar(s[i]);
 }
 
 std::string_view TrimAscii(std::string_view s) {

@@ -1,23 +1,65 @@
 #include "corpus/signature.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
 
 #include "common/hash.h"
-#include "common/simd.h"
 #include "common/strings.h"
+#include "text/char_class.h"
 
 namespace tj {
+namespace {
 
-// The charset kernel in common/simd.h classifies bytes into its own bit
-// constants (common/ cannot include corpus/); pin the two enums together
-// so sig.charset_mask can take the kernel's output verbatim.
-static_assert(kCharsetLower == simd::kCharsetLowerBit);
-static_assert(kCharsetUpper == simd::kCharsetUpperBit);
-static_assert(kCharsetDigit == simd::kCharsetDigitBit);
-static_assert(kCharsetSpace == simd::kCharsetSpaceBit);
-static_assert(kCharsetPunct == simd::kCharsetPunctBit);
-static_assert(kCharsetOther == simd::kCharsetOtherBit);
+// The two loops over the sketch slots are the hot ones: the slot update
+// runs once per distinct gram of every column, the equal-slot count once
+// per scored pair. On x86 GCC each is compiled twice, for AVX2 and for the
+// baseline ISA, and the loader picks one by CPUID. Both clones compile the
+// same integer loop, so no sketch, estimate or output depends on the pick.
+// Not under ThreadSanitizer: GCC instruments the clones' ifunc resolver,
+// which runs before the TSan runtime is up and crashes at start-up, so a
+// TSan build runs the baseline loops.
+#if defined(__GNUC__) && !defined(__clang__) && \
+    (defined(__x86_64__) || defined(__i386__)) && \
+    !defined(__SANITIZE_THREAD__)
+#define TJ_SKETCH_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define TJ_SKETCH_CLONES
+#endif
+
+TJ_SKETCH_CLONES void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,
+                                    uint64_t* minhash) {
+  for (size_t i = 0; i < kSketchSlots; ++i) {
+    minhash[i] = std::min(minhash[i], Mix64(base ^ slot_seeds[i]));
+  }
+}
+
+/// Branch-free: the AVX2 clone vectorizes it, and the baseline clone has
+/// no branch to mispredict on random slot values.
+TJ_SKETCH_CLONES size_t CountEqualSlots(const uint64_t* a, const uint64_t* b) {
+  size_t matches = 0;
+  for (size_t i = 0; i < kSketchSlots; ++i) matches += a[i] == b[i];
+  return matches;
+}
+
+constexpr std::array<uint8_t, 256> kCharsetLut = [] {
+  std::array<uint8_t, 256> lut{};
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    lut[byte] = IsAlphaChar(c)   ? (c >= 'a' ? kCharsetLower : kCharsetUpper)
+                : IsDigitChar(c) ? kCharsetDigit
+                : IsSpaceChar(c) ? kCharsetSpace
+                : IsPunctChar(c) ? kCharsetPunct
+                                 : kCharsetOther;
+  }
+  return lut;
+}();
+
+}  // namespace
+
+uint32_t CharsetBitOf(char c) {
+  return kCharsetLut[static_cast<unsigned char>(c)];
+}
 
 bool ColumnSignature::operator==(const ColumnSignature& other) const {
   return num_rows == other.num_rows &&
@@ -54,12 +96,12 @@ ColumnSignature ComputeColumnSignature(const Column& column) {
     total_length += length;
     sig.min_length = std::min(sig.min_length, length);
     sig.max_length = std::max(sig.max_length, length);
-    sig.charset_mask |= simd::CharsetMask(text.data(), text.size());
+    for (const char c : text) sig.charset_mask |= CharsetBitOf(c);
 
     // Gram hashing inlined over the contiguous cell bytes: the same FNV-1a
-    // + Mix64 recurrence as HashString(gram) (pinned by the simd suite),
-    // without a per-gram substr + hash call through ForEachNgram. The
-    // 128-slot sketch update runs through the dispatched MinHash kernel.
+    // + Mix64 recurrence as HashString(gram) (pinned by FnvPin in
+    // tests/common_test.cc), without a per-gram substr + hash call through
+    // ForEachNgram.
     if (kSketchNgram <= text.size()) {
       const char* data = text.data();
       for (size_t i = 0; i + kSketchNgram <= text.size(); ++i) {
@@ -70,8 +112,7 @@ ColumnSignature ComputeColumnSignature(const Column& column) {
         }
         const uint64_t base = Mix64(h);
         if (!distinct.insert(base).second) continue;  // already sketched
-        simd::MinhashUpdate(base, slot_seeds.data(), sig.minhash.data(),
-                            slot_seeds.size());
+        MinhashUpdate(base, slot_seeds.data(), sig.minhash.data());
       }
     }
   });
@@ -85,8 +126,7 @@ ColumnSignature ComputeColumnSignature(const Column& column) {
 
 double EstimateJaccard(const ColumnSignature& a, const ColumnSignature& b) {
   if (a.distinct_ngrams == 0 || b.distinct_ngrams == 0) return 0.0;
-  const size_t matches =
-      simd::CountEqualU64(a.minhash.data(), b.minhash.data(), kSketchSlots);
+  const size_t matches = CountEqualSlots(a.minhash.data(), b.minhash.data());
   return static_cast<double>(matches) / static_cast<double>(kSketchSlots);
 }
 

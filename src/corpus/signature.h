@@ -33,6 +33,11 @@ enum CharsetBit : uint32_t {
   kCharsetOther = 1u << 5,  // non-ASCII / control bytes
 };
 
+/// The one CharsetBit of a byte: text/char_class.h's digit, space and
+/// punctuation classes, letters split by case, and kCharsetOther for the
+/// rest.
+uint32_t CharsetBitOf(char c);
+
 // The one sketch geometry. Rows are always ASCII-lowercased before
 // sketching, mirroring the row matcher's default normalization.
 

@@ -9,25 +9,27 @@
 namespace tj {
 
 /// ASCII space characters (space and tab; row values never contain newlines).
-inline bool IsSpaceChar(char c) { return c == ' ' || c == '\t'; }
+constexpr bool IsSpaceChar(char c) { return c == ' ' || c == '\t'; }
 
-inline bool IsDigitChar(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsDigitChar(char c) { return c >= '0' && c <= '9'; }
 
-inline bool IsAlphaChar(char c) {
+constexpr bool IsAlphaChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
 
-inline bool IsAlnumChar(char c) { return IsDigitChar(c) || IsAlphaChar(c); }
+constexpr bool IsAlnumChar(char c) { return IsDigitChar(c) || IsAlphaChar(c); }
 
 /// ASCII punctuation (anything printable that is neither alphanumeric nor a
 /// space).
-inline bool IsPunctChar(char c) {
+constexpr bool IsPunctChar(char c) {
   return c > ' ' && c < 0x7f && !IsAlnumChar(c);
 }
 
 /// The separator set used to tokenize maximal-length placeholders (paper
 /// §4.1.3): spaces and punctuation.
-inline bool IsSeparatorChar(char c) { return IsSpaceChar(c) || IsPunctChar(c); }
+constexpr bool IsSeparatorChar(char c) {
+  return IsSpaceChar(c) || IsPunctChar(c);
+}
 
 }  // namespace tj
 

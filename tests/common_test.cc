@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -108,6 +111,24 @@ TEST(Hash, HashStringMatchesHashBytes) {
   EXPECT_NE(HashString(""), HashString("a"));
 }
 
+TEST(FnvPin, InlineGramRecurrenceEqualsHashString) {
+  // ComputeColumnSignature inlines FNV-1a + Mix64 over the arena bytes
+  // instead of calling HashString per gram; the two must agree for every
+  // window so sketches are unchanged by the inlining.
+  const std::string text = "Fnv pin: The quick brown fox 0123456789!";
+  for (size_t gram = 1; gram <= 8; ++gram) {
+    for (size_t i = 0; i + gram <= text.size(); ++i) {
+      uint64_t h = kFnvOffsetBasis;
+      for (size_t j = 0; j < gram; ++j) {
+        h ^= static_cast<unsigned char>(text[i + j]);
+        h *= kFnvPrime;
+      }
+      EXPECT_EQ(Mix64(h), HashString(text.substr(i, gram)))
+          << "gram " << gram << " at " << i;
+    }
+  }
+}
+
 TEST(Hash, TransparentLookupWorks) {
   std::unordered_map<std::string, int, StringHash, StringEq> m;
   m["hello"] = 7;
@@ -118,6 +139,50 @@ TEST(Hash, TransparentLookupWorks) {
 TEST(Strings, ToLowerAscii) {
   EXPECT_EQ(ToLowerAscii("Hello World 42!"), "hello world 42!");
   EXPECT_EQ(ToLowerAscii(""), "");
+}
+
+// The lowercase helpers are plain per-byte loops that GCC vectorizes at -O3
+// (SSE2 on x86-64). Both tests run twice: here against the library's
+// vectorized loops, and under the /force_scalar suffix against a copy of
+// common/strings.cc compiled without vectorization.
+TEST(StringsLowercase, SimdBackedHelpersMatchCharDefinition) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all.push_back(static_cast<char>(c));
+  std::string expect;
+  for (char c : all) expect.push_back(ToLowerAsciiChar(c));
+  EXPECT_EQ(ToLowerAscii(all), expect);
+  std::string in_place = all;
+  ToLowerAsciiInPlace(&in_place);
+  EXPECT_EQ(in_place, expect);
+  std::string appended = "prefix-";
+  AppendLowerAscii(all, &appended);
+  EXPECT_EQ(appended, "prefix-" + expect);
+}
+
+TEST(SimdKernels, LowerAsciiMatchesScalarTwin) {
+  // The scalar twin is ToLowerAsciiChar, one byte at a time. Lengths
+  // 0..130 at offsets 0..7 cross every body/tail split of the vectorized
+  // loop. The bytes cover all 256 values at every phase (251 is coprime to
+  // 256, so consecutive windows differ).
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 130; ++len) {
+      std::string src(offset + len, '\0');
+      for (size_t i = 0; i < src.size(); ++i) {
+        src[i] = static_cast<char>((len * 3 + 1 + i * 251) & 0xff);
+      }
+      std::string want = src.substr(0, offset);
+      for (size_t i = offset; i < src.size(); ++i) {
+        want.push_back(ToLowerAsciiChar(src[i]));
+      }
+      std::string lowered = src;
+      ToLowerAsciiInPlace(lowered.data() + offset, len);
+      ASSERT_EQ(lowered, want) << "in place, len " << len << " offset "
+                               << offset;
+      std::string out = src.substr(0, offset);
+      AppendLowerAscii(std::string_view(src).substr(offset), &out);
+      ASSERT_EQ(out, want) << "appended, len " << len << " offset " << offset;
+    }
+  }
 }
 
 TEST(Strings, TrimAscii) {

@@ -1,14 +1,19 @@
-// Tests for the corpus-scale discovery subsystem: signature math, catalog
-// round-trips, pruner recall on synthetic corpora, and end-to-end
-// determinism (bit-identical ranked output for every thread count, exactly
-// one ThreadPool per run).
+// Tests for the corpus-scale discovery subsystem: signature math (pinned
+// against a from-first-principles sketch), catalog round-trips, pruner
+// recall on synthetic corpora, and end-to-end determinism (bit-identical
+// ranked output for every thread count, exactly one ThreadPool per run).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/strings.h"
 #include "common/thread_pool.h"
 #include "corpus/catalog.h"
 #include "corpus/corpus_discovery.h"
@@ -16,6 +21,7 @@
 #include "corpus/signature.h"
 #include "datagen/corpus.h"
 #include "table/csv.h"
+#include "text/ngram.h"
 
 namespace tj {
 namespace {
@@ -68,6 +74,159 @@ TEST(ColumnSignature, EmptyColumns) {
   EXPECT_EQ(sig_t.distinct_ngrams, 0u);
   EXPECT_DOUBLE_EQ(EstimateNgramContainment(sig_e, sig_t), 0.0);
   EXPECT_DOUBLE_EQ(EstimateJaccard(sig_e, sig_e), 0.0);
+}
+
+/// The byte classes as first defined, one branch per class: the bits a
+/// signature cache's charset= field holds.
+uint32_t ReferenceCharsetBit(unsigned char c) {
+  if (c >= 'a' && c <= 'z') return kCharsetLower;
+  if (c >= 'A' && c <= 'Z') return kCharsetUpper;
+  if (c >= '0' && c <= '9') return kCharsetDigit;
+  if (c == ' ' || c == '\t') return kCharsetSpace;
+  if (c > ' ' && c < 0x7f) return kCharsetPunct;  // printable non-alnum
+  return kCharsetOther;  // non-ASCII / control bytes
+}
+
+TEST(CharsetLut, MatchesBranchyReferenceExhaustively) {
+  for (int c = 0; c < 256; ++c) {
+    EXPECT_EQ(CharsetBitOf(static_cast<char>(c)),
+              ReferenceCharsetBit(static_cast<unsigned char>(c)))
+        << "byte " << c;
+  }
+}
+
+TEST(CharsetLut, ReferenceClassesAreDisjointAndTotal) {
+  int lower = 0, upper = 0, digit = 0, space = 0, punct = 0, other = 0;
+  for (int c = 0; c < 256; ++c) {
+    const uint32_t bit = CharsetBitOf(static_cast<char>(c));
+    // Exactly one class bit per byte.
+    EXPECT_EQ(__builtin_popcount(bit), 1) << "byte " << c;
+    lower += bit == kCharsetLower;
+    upper += bit == kCharsetUpper;
+    digit += bit == kCharsetDigit;
+    space += bit == kCharsetSpace;
+    punct += bit == kCharsetPunct;
+    other += bit == kCharsetOther;
+  }
+  EXPECT_EQ(lower, 26);
+  EXPECT_EQ(upper, 26);
+  EXPECT_EQ(digit, 10);
+  EXPECT_EQ(space, 2);  // ' ' and '\t'
+  EXPECT_EQ(punct, 94 - 62);  // printable non-alnum
+  EXPECT_EQ(other, 256 - 26 - 26 - 10 - 2 - 32);
+}
+
+/// Reference sketch built from first principles: ForEachNgram + HashString
+/// + the per-slot min recurrence, with no inlined FNV and no cloned loop.
+ColumnSignature ReferenceSignature(const Column& column) {
+  ColumnSignature sig;
+  sig.num_rows = static_cast<uint32_t>(column.size());
+  sig.minhash.assign(kSketchSlots, kEmptyMinhashSlot);
+  std::vector<uint64_t> slot_seeds(kSketchSlots);
+  for (size_t i = 0; i < kSketchSlots; ++i) {
+    slot_seeds[i] = HashCombine(kSketchSeed, i);
+  }
+  std::unordered_set<uint64_t> distinct;
+  uint64_t total_length = 0;
+  sig.min_length = column.empty() ? 0 : ~0u;
+  for (size_t row = 0; row < column.size(); ++row) {
+    std::string text(column.Get(row));
+    for (char& c : text) c = ToLowerAsciiChar(c);
+    const auto length = static_cast<uint32_t>(text.size());
+    total_length += length;
+    sig.min_length = std::min(sig.min_length, length);
+    sig.max_length = std::max(sig.max_length, length);
+    for (char c : text) {
+      sig.charset_mask |= ReferenceCharsetBit(static_cast<unsigned char>(c));
+    }
+    ForEachNgram(text, kSketchNgram, [&](std::string_view g) {
+      const uint64_t base = HashString(g);
+      if (!distinct.insert(base).second) return;
+      for (size_t i = 0; i < slot_seeds.size(); ++i) {
+        sig.minhash[i] = std::min(sig.minhash[i], Mix64(base ^ slot_seeds[i]));
+      }
+    });
+  }
+  sig.distinct_ngrams = distinct.size();
+  if (!column.empty()) {
+    sig.mean_length = static_cast<double>(total_length) /
+                      static_cast<double>(column.size());
+  }
+  return sig;
+}
+
+/// Seeded random columns of 1..12 cells (every 16th column is empty), each
+/// cell 0..130 bytes drawn from all 256 byte values or from a 9-symbol
+/// alphabet. Half the cells come from a pool every column draws from, so
+/// the sketches of two columns agree in some slots but rarely in all.
+std::vector<Column> RandomPinColumns(size_t count) {
+  uint64_t state = 0x5eed;
+  const auto next = [&state] { return Mix64(state++); };
+  const auto random_cell = [&](bool narrow) {
+    std::string cell(next() % 131, '\0');
+    for (char& c : cell) {
+      c = narrow ? "abAB01 ,-"[next() % 9] : static_cast<char>(next() & 0xff);
+    }
+    return cell;
+  };
+  std::vector<std::string> pool;
+  for (size_t i = 0; i < 64; ++i) pool.push_back(random_cell(i % 2 == 0));
+  std::vector<Column> columns;
+  for (size_t k = 0; k < count; ++k) {
+    Column column("random" + std::to_string(k));
+    const size_t rows = k % 16 == 0 ? 0 : 1 + next() % 12;
+    for (size_t row = 0; row < rows; ++row) {
+      column.Append(next() % 2 == 0 ? pool[next() % pool.size()]
+                                    : random_cell(k % 2 == 0));
+    }
+    columns.push_back(std::move(column));
+  }
+  return columns;
+}
+
+// The two levels are the two codegens of the sketch loops: this binary runs
+// the library's (the AVX2 clone wherever the CPU has AVX2), and the
+// /force_scalar registration runs a copy of corpus/signature.cc compiled
+// without vectorization.
+TEST(SignaturePin, ComputeColumnSignatureMatchesReferenceAtBothLevels) {
+  std::vector<Column> columns = RandomPinColumns(240);
+  Column fixed("fixed");
+  fixed.Append("New York City");
+  fixed.Append("SAN FRANCISCO\t(CA)");
+  fixed.Append("  ");
+  fixed.Append("x");  // shorter than the gram size
+  fixed.Append("");
+  fixed.Append("répülőtér \xff\x01 control");  // non-ASCII + control bytes
+  fixed.Append("1600 Pennsylvania Ave NW, Washington, DC 20500");
+  columns.push_back(std::move(fixed));
+
+  std::vector<ColumnSignature> sigs;
+  for (const Column& column : columns) {
+    sigs.push_back(ComputeColumnSignature(column));
+    ASSERT_TRUE(sigs.back() == ReferenceSignature(column)) << column.name();
+  }
+
+  // EstimateJaccard is the equal-slot count over all slots, and 0 when
+  // either column sketched no grams.
+  size_t partial_pairs = 0;
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    for (size_t j = i; j < sigs.size(); ++j) {
+      size_t equal = 0;
+      for (size_t slot = 0; slot < kSketchSlots; ++slot) {
+        equal += sigs[i].minhash[slot] == sigs[j].minhash[slot];
+      }
+      const bool no_grams =
+          sigs[i].distinct_ngrams == 0 || sigs[j].distinct_ngrams == 0;
+      ASSERT_EQ(EstimateJaccard(sigs[i], sigs[j]),
+                no_grams ? 0.0
+                         : static_cast<double>(equal) /
+                               static_cast<double>(kSketchSlots))
+          << columns[i].name() << " vs " << columns[j].name();
+      partial_pairs += !no_grams && equal > 0 && equal < kSketchSlots;
+    }
+  }
+  // The pool must make some pairs agree in some slots but not all.
+  EXPECT_GT(partial_pairs, 0u);
 }
 
 SynthCorpusOptions SmallCorpus() {
