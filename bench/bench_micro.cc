@@ -102,7 +102,7 @@ void BM_InvertedIndexBuild(benchmark::State& state) {
   const SynthDataset ds = GenerateSynth(SynthN(100, 3));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        NgramInvertedIndex::Build(ds.pair.SourceColumn(), 4, 20, true));
+        NgramInvertedIndex::Build(ds.pair.SourceColumn()));
   }
   state.SetLabel("100 rows, n=4..20");
 }
@@ -111,7 +111,7 @@ BENCHMARK(BM_InvertedIndexBuild)->Unit(benchmark::kMillisecond);
 void BM_InvertedIndexLookup(benchmark::State& state) {
   const SynthDataset ds = GenerateSynth(SynthN(100, 3));
   const NgramInvertedIndex index =
-      NgramInvertedIndex::Build(ds.pair.SourceColumn(), 4, 20, true);
+      NgramInvertedIndex::Build(ds.pair.SourceColumn());
   const std::string probe(ds.pair.SourceColumn().Get(0).substr(0, 6));
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Lookup(probe));

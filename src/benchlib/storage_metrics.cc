@@ -39,8 +39,7 @@ size_t ReportedPeakRss(const StorageMetrics& m) {
 }  // namespace
 
 void StorageMetrics::MeasureColumn(const Column& column) {
-  const NgramInvertedIndex index =
-      NgramInvertedIndex::Build(column, 4, 20, /*lowercase=*/true, 1);
+  const NgramInvertedIndex index = NgramInvertedIndex::Build(column);
   index_total_postings += index.TotalPostings();
   index_memory_bytes += index.MemoryBytes();
 }

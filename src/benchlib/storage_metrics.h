@@ -41,8 +41,8 @@ struct StorageMetrics {
     spilled_bytes += table.SpilledBytes();
   }
 
-  /// Builds the n-gram index over `column` and records its postings and
-  /// footprint. The paper's n0=4, nmax=20 range, lowercased.
+  /// Builds the n-gram index over `column` (serially) and records its
+  /// postings and footprint.
   void MeasureColumn(const Column& column);
 };
 

@@ -27,8 +27,8 @@ struct BenchDataset {
   std::vector<TablePair> tables;
   /// Discovery configuration (placeholder cap etc., §6.2).
   DiscoveryOptions discovery;
-  /// Row-matching configuration (thread count; the n-gram range keeps the
-  /// paper's n0=4, nmax=20 defaults).
+  /// Row-matching configuration (thread count; the n-gram sizes are the
+  /// paper's, kMinGram..kMaxGram).
   RowMatchOptions match;
   /// Candidate pairs are sampled down to this count before discovery
   /// (0 = no sampling). The paper samples open data to 3000 pairs.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 
@@ -55,14 +54,12 @@ int ParseErrnoToken(std::string_view token, bool* ok) {
   if (token == "ENOMEM") return ENOMEM;
   if (token == "EMFILE") return EMFILE;
   if (token == "EINTR") return EINTR;
-  char* end = nullptr;
-  const std::string text(token);
-  const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || value <= 0 || value > 4096) {
+  int value = 0;
+  if (!ParseWhole(token, &value) || value <= 0 || value > 4096) {
     *ok = false;
     return 0;
   }
-  return static_cast<int>(value);
+  return value;
 }
 
 }  // namespace
@@ -132,40 +129,34 @@ Status ConfigureFromSpec(std::string_view spec) {
               "'");
         }
         const std::string_view key = kv.substr(0, colon);
-        const std::string value(kv.substr(colon + 1));
-        char* endp = nullptr;
+        const std::string_view value = kv.substr(colon + 1);
+        // Every number is read whole at its field's width (ParseWhole): no
+        // leading space or '+', no wrap, and no sign on the seed.
+        const auto bad = [&](const char* what) {
+          return Status::InvalidArgument("failpoint spec: bad " +
+                                         std::string(what) + " '" +
+                                         std::string(value) + "'");
+        };
         if (key == "p") {
-          config.probability = std::strtod(value.c_str(), &endp);
-          if (endp == value.c_str() || *endp != '\0' ||
-              config.probability < 0.0 || config.probability > 1.0) {
-            return Status::InvalidArgument(
-                "failpoint spec: bad probability '" + value + "'");
+          // Written so that NaN fails too.
+          if (!ParseWhole(value, &config.probability) ||
+              !(config.probability >= 0.0 && config.probability <= 1.0)) {
+            return bad("probability");
           }
         } else if (key == "errno") {
           bool ok = false;
           config.fail_errno = ParseErrnoToken(value, &ok);
-          if (!ok) {
-            return Status::InvalidArgument("failpoint spec: bad errno '" +
-                                           value + "'");
-          }
+          if (!ok) return bad("errno");
         } else if (key == "hits") {
-          config.max_hits = static_cast<int>(std::strtol(value.c_str(), &endp, 10));
-          if (endp == value.c_str() || *endp != '\0') {
-            return Status::InvalidArgument("failpoint spec: bad hits '" +
-                                           value + "'");
+          if (!ParseWhole(value, &config.max_hits) || config.max_hits < -1) {
+            return bad("hits");
           }
         } else if (key == "skip") {
-          config.skip = static_cast<int>(std::strtol(value.c_str(), &endp, 10));
-          if (endp == value.c_str() || *endp != '\0' || config.skip < 0) {
-            return Status::InvalidArgument("failpoint spec: bad skip '" +
-                                           value + "'");
+          if (!ParseWhole(value, &config.skip) || config.skip < 0) {
+            return bad("skip");
           }
         } else if (key == "seed") {
-          config.seed = std::strtoull(value.c_str(), &endp, 10);
-          if (endp == value.c_str() || *endp != '\0') {
-            return Status::InvalidArgument("failpoint spec: bad seed '" +
-                                           value + "'");
-          }
+          if (!ParseWhole(value, &config.seed)) return bad("seed");
         } else {
           return Status::InvalidArgument("failpoint spec: unknown key '" +
                                          std::string(key) + "'");

@@ -73,9 +73,12 @@ void ClearAll();
 
 /// Configures sites from a compact spec string — the CLI surface:
 ///   "site[=key:value[,key:value...]][;site2...]"
-/// keys: p (probability), errno (number or EIO/ENOSPC/ENOMEM/EMFILE/EINTR),
-/// hits (max injections, -1 unlimited), skip, seed. A bare site name means
-/// "always fail with EIO". Example:
+/// keys: p (probability in [0, 1]), errno (1..4096 or
+/// EIO/ENOSPC/ENOMEM/EMFILE/EINTR), hits (max injections: -1 unlimited, or
+/// 0..INT_MAX), skip (0..INT_MAX), seed (unsigned 64-bit). Each number is
+/// read whole: a leading space or '+', a sign on the seed, trailing bytes or
+/// a value past its field's width is InvalidArgument. A bare site name
+/// means "always fail with EIO". Example:
 ///   "mmap/ftruncate=p:0.5,errno:ENOSPC,seed:7;catalog/save-rename=hits:1"
 Status ConfigureFromSpec(std::string_view spec);
 

@@ -12,25 +12,9 @@ Status ValidateOptions(const DiscoveryOptions& options) {
     return Status::InvalidArgument(
         "DiscoveryOptions::max_placeholders must be <= 16");
   }
-  if (options.max_matches_per_placeholder < 1) {
-    return Status::InvalidArgument(
-        "DiscoveryOptions::max_matches_per_placeholder must be >= 1");
-  }
-  if (options.max_split_chars < 0) {
-    return Status::InvalidArgument(
-        "DiscoveryOptions::max_split_chars must be >= 0");
-  }
-  if (options.max_twochar_neighbors < 0) {
-    return Status::InvalidArgument(
-        "DiscoveryOptions::max_twochar_neighbors must be >= 0");
-  }
   if (options.max_transformations_per_row == 0) {
     return Status::InvalidArgument(
         "DiscoveryOptions::max_transformations_per_row must be >= 1");
-  }
-  if (options.max_skeletons_per_row == 0) {
-    return Status::InvalidArgument(
-        "DiscoveryOptions::max_skeletons_per_row must be >= 1");
   }
   if (options.max_units_per_placeholder == 0) {
     return Status::InvalidArgument(

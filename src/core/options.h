@@ -1,6 +1,7 @@
-// DiscoveryOptions: all knobs of the transformation-discovery pipeline.
-// Defaults follow the paper's experimental setup (§6.2): 3 placeholders,
-// TwoCharSplitSubstr disabled, no support threshold.
+// DiscoveryOptions: the knobs of the transformation-discovery pipeline, and
+// the fixed generation caps beside it. Defaults follow the paper's
+// experimental setup (§6.2): 3 placeholders, TwoCharSplitSubstr disabled,
+// no support threshold.
 
 #ifndef TJ_CORE_OPTIONS_H_
 #define TJ_CORE_OPTIONS_H_
@@ -13,6 +14,21 @@
 namespace tj {
 
 class ThreadPool;
+
+/// Occurrence anchors kept per placeholder (paper §5.1 observes nearly all
+/// placeholders have a single source match).
+inline constexpr int kMaxMatchesPerPlaceholder = 2;
+
+/// Distinct split characters considered per placeholder when generating
+/// SplitSubstr candidates.
+inline constexpr size_t kMaxSplitChars = 8;
+
+/// Distinct characters on each side of an occurrence considered as
+/// delimiters for TwoCharSplitSubstr candidates.
+inline constexpr size_t kMaxTwoCharNeighbors = 3;
+
+/// Cap on tokenization variants per row (2^p growth guard).
+inline constexpr size_t kMaxSkeletonsPerRow = 64;
 
 struct DiscoveryOptions {
   /// Maximum placeholders per skeleton (the paper's p / Auto-Join tree
@@ -44,24 +60,9 @@ struct DiscoveryOptions {
   /// the paper's counters. Without enable_neg_cache the scan always runs.
   bool paper_coverage_scan = false;
 
-  /// Occurrence anchors kept per placeholder (paper §5.1 observes nearly all
-  /// placeholders have a single source match).
-  int max_matches_per_placeholder = 2;
-
-  /// Distinct split characters considered per placeholder when generating
-  /// SplitSubstr candidates.
-  int max_split_chars = 8;
-
-  /// Distinct characters on each side of an occurrence considered as
-  /// delimiters for TwoCharSplitSubstr candidates.
-  int max_twochar_neighbors = 3;
-
   /// Hard cap on Cartesian-product transformations generated per row
   /// (explosion guard; counted in DiscoveryStats::rows_capped).
   size_t max_transformations_per_row = 4096;
-
-  /// Cap on tokenization variants per row (2^p growth guard).
-  size_t max_skeletons_per_row = 64;
 
   /// Candidate units per placeholder slot (guard; rarely binding).
   size_t max_units_per_placeholder = 64;

@@ -21,7 +21,7 @@ struct SkeletonBlock {
   uint32_t begin = 0;
   uint32_t end = 0;
   /// Source positions where the block's text occurs (placeholders only;
-  /// capped by DiscoveryOptions::max_matches_per_placeholder).
+  /// capped by kMaxMatchesPerPlaceholder).
   std::vector<uint32_t> src_positions;
 
   uint32_t length() const { return end - begin; }

@@ -82,8 +82,7 @@ std::vector<Skeleton> EnumerateSkeletons(std::string_view target,
     }
   };
 
-  Skeleton base =
-      BuildMaximalSkeleton(lcp, options.max_matches_per_placeholder);
+  Skeleton base = BuildMaximalSkeleton(lcp, kMaxMatchesPerPlaceholder);
 
   // Chance matches fragment constant target regions into many short
   // placeholders (e.g. '@ualberta.ca' against a source containing 'a' and
@@ -117,16 +116,15 @@ std::vector<Skeleton> EnumerateSkeletons(std::string_view target,
     for (size_t i = 0; i < base.blocks.size(); ++i) {
       if (!base.blocks[i].is_placeholder) continue;
       variants[i] = TokenizeBlock(base.blocks[i], target, lcp,
-                                  options.max_matches_per_placeholder);
+                                  kMaxMatchesPerPlaceholder);
       if (!variants[i].empty()) splittable.push_back(i);
     }
   }
 
   // Enumerate subsets of splittable placeholders. When the subset count
-  // would exceed max_skeletons_per_row, fall back to base + all-tokenized.
+  // would exceed kMaxSkeletonsPerRow, fall back to base + all-tokenized.
   const size_t k = splittable.size();
-  const bool full_enumeration =
-      k < 20 && (1ULL << k) <= options.max_skeletons_per_row;
+  const bool full_enumeration = k < 20 && (1ULL << k) <= kMaxSkeletonsPerRow;
   const size_t num_masks = full_enumeration ? (1ULL << k) : 1;
 
   for (size_t mask = 0; mask < num_masks; ++mask) {

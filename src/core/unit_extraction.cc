@@ -114,8 +114,7 @@ void ExtractUnitsForPlaceholder(std::string_view source,
   };
 
   const std::vector<char> split_chars = SplitCharCandidates(
-      source, text, block.src_positions, len,
-      static_cast<size_t>(options.max_split_chars));
+      source, text, block.src_positions, len, kMaxSplitChars);
 
   for (uint32_t pos : block.src_positions) {
     // (1) Substr anchored at the occurrence.
@@ -146,11 +145,10 @@ void ExtractUnitsForPlaceholder(std::string_view source,
 
     // (4) TwoCharSplitSubstr for nearby delimiter pairs.
     if (options.enable_twochar_split_substr) {
-      const auto cap = static_cast<size_t>(options.max_twochar_neighbors);
-      const std::vector<char> left =
-          NearbyDistinctChars(source, pos, -1, text, cap);
-      const std::vector<char> right =
-          NearbyDistinctChars(source, pos + len, +1, text, cap);
+      const std::vector<char> left = NearbyDistinctChars(
+          source, pos, -1, text, kMaxTwoCharNeighbors);
+      const std::vector<char> right = NearbyDistinctChars(
+          source, pos + len, +1, text, kMaxTwoCharNeighbors);
       for (char c1 : left) {
         for (char c2 : right) {
           if (c1 == c2) continue;

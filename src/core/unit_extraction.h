@@ -21,7 +21,7 @@ namespace tj {
 ///  * Substr(pos, pos+len) for each source occurrence;
 ///  * Split(c, i) when the occurrence is exactly a split piece;
 ///  * SplitSubstr(c, i, s, e) for every distinct source character c not in
-///    the placeholder text (capped at options.max_split_chars), anchored to
+///    the placeholder text (capped at kMaxSplitChars), anchored to
 ///    the piece containing the occurrence;
 ///  * TwoCharSplitSubstr for nearby delimiter pairs (when enabled);
 ///  * Literal(text) — a constant in the target may match the source by

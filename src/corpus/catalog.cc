@@ -754,10 +754,14 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (parsed.ok()) parsed = cursor.Field("charset", &sig.charset_mask);
       if (!parsed.ok()) return fail(parsed.message());
       // Fields no fresh sketch can hold together: ComputeColumnSignature
-      // ORs only the six CharsetBit classes, and its mean is an exact
-      // length sum over the row count (0/0/0 for an empty column).
-      if ((sig.charset_mask & ~((kCharsetOther << 1) - 1)) != 0) {
-        return fail("charset= has bits beyond the character classes");
+      // ORs only the CharsetBit classes of lowercased text (never
+      // kCharsetUpper), and its mean is an exact length sum over the row
+      // count (0/0/0 for an empty column).
+      constexpr uint32_t kSketchCharsets = kCharsetLower | kCharsetDigit |
+                                           kCharsetSpace | kCharsetPunct |
+                                           kCharsetOther;
+      if ((sig.charset_mask & ~kSketchCharsets) != 0) {
+        return fail("charset= has bits no lowercased sketch sets");
       }
       if (!(sig.min_length <= sig.mean_length &&
             sig.mean_length <= sig.max_length)) {

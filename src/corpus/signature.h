@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "table/column.h"
+#include "text/ngram.h"
 
 namespace tj {
 
@@ -39,11 +40,12 @@ enum CharsetBit : uint32_t {
 uint32_t CharsetBitOf(char c);
 
 // The one sketch geometry. Rows are always ASCII-lowercased before
-// sketching, mirroring the row matcher's default normalization.
+// sketching, as the row matcher lowers them.
 
-/// Sketched n-gram length. 4 matches the row matcher's n0 default: a pair
-/// with no shared 4-grams can have no representative gram of any size.
-inline constexpr size_t kSketchNgram = 4;
+/// Sketched n-gram length: the row matcher's smallest representative size.
+/// Every representative gram of a pair has a kMinGram-gram prefix both
+/// columns hold, so a pair with no shared sketched gram has none.
+inline constexpr size_t kSketchNgram = kMinGram;
 
 /// MinHash slots. 128 gives a Jaccard standard error of ~0.044 at J=0.25
 /// — far finer than the default containment floor needs.

@@ -1,16 +1,16 @@
 // IndexCache: cross-pair memoization of CSR n-gram inverted indexes — the
 // QJoin observation (PAPERS.md) that repeated discovery over one repository
 // keeps rebuilding the same per-column join artifacts. A shortlisted column
-// typically appears in many pairs; this cache makes each (column contents,
-// n-gram window) combination pay for exactly one
-// `NgramInvertedIndex::Build`. Batch runs use it; the daemon does not.
+// typically appears in many pairs; this cache makes each column's contents
+// pay for exactly one `NgramInvertedIndex::Build`. Batch runs use it; the
+// daemon does not.
 //
 // Keying and invalidation: entries are keyed by (table content fingerprint,
-// column ordinal, n0, nmax, lowercase). The fingerprint is the catalog's
-// order-sensitive content hash (TableFingerprint), recomputed by
-// AddTable/UpdateTable — so a mutated table's entries are never *hit* again
-// (the new fingerprint misses) and simply age out of the LRU ring. There is
-// no explicit invalidate call to forget.
+// column ordinal). The fingerprint is the catalog's order-sensitive content
+// hash (TableFingerprint), recomputed by AddTable/UpdateTable — so a
+// mutated table's entries are never *hit* again (the new fingerprint
+// misses) and simply age out of the LRU ring. There is no explicit
+// invalidate call to forget.
 //
 // Sharing is sound because Build is bit-identical at every thread count
 // (inverted_index.h): a cached index is indistinguishable from the one the
@@ -49,34 +49,24 @@
 namespace tj {
 
 /// Identifies one cached index: which column bytes (table content
-/// fingerprint + column ordinal) under which build parameters. A key with
-/// fingerprint 0 is DISENGAGED — the column's contents are unknown to the
-/// caller (e.g. a bare column outside any catalog) and the cache is
-/// bypassed for it.
+/// fingerprint + column ordinal). A key with fingerprint 0 is DISENGAGED —
+/// the column's contents are unknown to the caller (e.g. a bare column
+/// outside any catalog) and the cache is bypassed for it.
 struct IndexCacheKey {
   uint64_t fingerprint = 0;  ///< TableFingerprint of the owning table.
   uint32_t column = 0;       ///< Column ordinal within that table.
-  uint32_t n0 = 0;
-  uint32_t nmax = 0;
-  bool lowercase = false;
 
   bool engaged() const { return fingerprint != 0; }
 
   bool operator==(const IndexCacheKey& other) const {
-    return fingerprint == other.fingerprint && column == other.column &&
-           n0 == other.n0 && nmax == other.nmax &&
-           lowercase == other.lowercase;
+    return fingerprint == other.fingerprint && column == other.column;
   }
 };
 
 struct IndexCacheKeyHash {
   size_t operator()(const IndexCacheKey& key) const {
-    uint64_t h = Mix64(key.fingerprint);
-    h = HashCombine(h, key.column);
-    h = HashCombine(h, (static_cast<uint64_t>(key.n0) << 32) |
-                           static_cast<uint64_t>(key.nmax));
-    h = HashCombine(h, key.lowercase ? 1u : 0u);
-    return static_cast<size_t>(h);
+    return static_cast<size_t>(
+        HashCombine(Mix64(key.fingerprint), key.column));
   }
 };
 

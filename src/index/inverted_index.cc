@@ -91,8 +91,8 @@ struct ShardBuild {
 /// stream comes out grouped nowhere but ordered by row, which is all the
 /// CSR fill below needs. The lowercase scratch is reused across rows — one
 /// amortized allocation per shard instead of one per row.
-void IndexRowRange(const Column& column, size_t begin, size_t end, size_t n0,
-                   size_t nmax, bool lowercase, ShardBuild* shard) {
+void IndexRowRange(const Column& column, size_t begin, size_t end,
+                   ShardBuild* shard) {
   // Exact upper bound on the shard's occurrence count (every enumerated
   // gram, before per-row dedup) from the row lengths alone — one closed-form
   // pass, so the two occurrence buffers are allocated once instead of
@@ -100,25 +100,21 @@ void IndexRowRange(const Column& column, size_t begin, size_t end, size_t n0,
   size_t max_occurrences = 0;
   for (size_t row = begin; row < end; ++row) {
     const size_t len = column.Get(row).size();
-    const size_t nhi = std::min(nmax, len);
-    if (nhi < n0) continue;  // row too short, or inverted range (nmax < n0)
-    const size_t k = nhi - n0 + 1;
-    max_occurrences += k * (len + 1) - (n0 + nhi) * k / 2;
+    const size_t nhi = std::min(kMaxGram, len);
+    if (nhi < kMinGram) continue;  // row shorter than kMinGram
+    const size_t k = nhi - kMinGram + 1;
+    max_occurrences += k * (len + 1) - (kMinGram + nhi) * k / 2;
   }
   shard->occ_gram.reserve(max_occurrences);
   shard->occ_row.reserve(max_occurrences);
 
   std::string lowered;
   for (size_t row = begin; row < end; ++row) {
-    std::string_view text = column.Get(row);
-    if (lowercase) {
-      lowered.clear();
-      AppendLowerAscii(text, &lowered);
-      text = lowered;
-    }
+    lowered.clear();
+    AppendLowerAscii(column.Get(row), &lowered);
     const auto row32 = static_cast<uint32_t>(row);
-    for (size_t n = n0; n <= nmax && n <= text.size(); ++n) {
-      ForEachNgram(text, n, [&](std::string_view g) {
+    for (size_t n = kMinGram; n <= kMaxGram && n <= lowered.size(); ++n) {
+      ForEachNgram(lowered, n, [&](std::string_view g) {
         const uint32_t id = shard->FindOrInsert(g);
         if (shard->last_row[id] != row32) {
           shard->last_row[id] = row32;
@@ -132,20 +128,7 @@ void IndexRowRange(const Column& column, size_t begin, size_t end, size_t n0,
 
 }  // namespace
 
-NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
-                                             size_t nmax, bool lowercase,
-                                             int num_threads) {
-  const int resolved = ResolveNumThreads(num_threads);
-  if (resolved == 1 || column.size() < 2 || InParallelFor()) {
-    return Build(column, n0, nmax, lowercase, static_cast<ThreadPool*>(nullptr));
-  }
-  ThreadPool pool(static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(resolved), column.size())));
-  return Build(column, n0, nmax, lowercase, &pool);
-}
-
-NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
-                                             size_t nmax, bool lowercase,
+NgramInvertedIndex NgramInvertedIndex::Build(const Column& column,
                                              ThreadPool* pool) {
   NgramInvertedIndex index;
   index.num_rows_ = column.size();
@@ -166,11 +149,10 @@ NgramInvertedIndex NgramInvertedIndex::Build(const Column& column, size_t n0,
     pool->ParallelFor(column.size(), num_shards,
                       [&](int /*worker*/, size_t shard, size_t begin,
                           size_t end) {
-                        IndexRowRange(column, begin, end, n0, nmax, lowercase,
-                                      &shards[shard]);
+                        IndexRowRange(column, begin, end, &shards[shard]);
                       });
   } else {
-    IndexRowRange(column, 0, column.size(), n0, nmax, lowercase, &shards[0]);
+    IndexRowRange(column, 0, column.size(), &shards[0]);
   }
 
   // Global gram ids + per-gram posting counts. The single-shard case adopts

@@ -1,5 +1,6 @@
 // NgramInvertedIndex: hash-organized inverted index over all character
-// n-grams of sizes [n0, nmax] in a column (paper §4.2.1). Maps each n-gram to
+// n-grams of sizes [kMinGram, kMaxGram] (text/ngram.h) in a column, rows
+// ASCII-lowercased (paper §4.2.1). Maps each n-gram to
 // the sorted, deduplicated list of rows containing it; also serves
 // row-frequency (document-frequency) lookups for the IRF score.
 //
@@ -42,22 +43,17 @@ class NgramInvertedIndex {
  public:
   NgramInvertedIndex() = default;
 
-  /// Indexes every n-gram of sizes n0..nmax (inclusive) of every row.
-  /// When `lowercase` is set, rows are ASCII-lowercased before indexing
-  /// (queries must then be lowercased by the caller too).
+  /// Indexes every n-gram of sizes kMinGram..kMaxGram (inclusive) of every
+  /// row, ASCII-lowercased first (queries must be lowercased by the caller
+  /// too).
   ///
-  /// num_threads: 0 = hardware concurrency, 1 = serial. Postings are built
-  /// over contiguous row shards and merged in row order, so the index —
-  /// including gram-id assignment — is identical for every thread count.
-  static NgramInvertedIndex Build(const Column& column, size_t n0, size_t nmax,
-                                  bool lowercase, int num_threads = 1);
-
-  /// Same build on an externally-owned pool (nullptr = serial). Used when
-  /// one pool is shared across phases or table pairs; constructs no pool of
-  /// its own. Falls back to the serial build when called from inside a
-  /// ParallelFor chunk. Identical index either way.
-  static NgramInvertedIndex Build(const Column& column, size_t n0, size_t nmax,
-                                  bool lowercase, ThreadPool* pool);
+  /// Runs on the caller's pool (nullptr = serial) and constructs none of its
+  /// own; falls back to the serial build when called from inside a
+  /// ParallelFor chunk. Postings are built over contiguous row shards and
+  /// merged in row order, so the index — including gram-id assignment — is
+  /// identical for every pool size.
+  static NgramInvertedIndex Build(const Column& column,
+                                  ThreadPool* pool = nullptr);
 
   /// Sentinel GramId returns for an unseen n-gram.
   static constexpr uint32_t kNoGram = 0xffffffffu;

@@ -15,16 +15,18 @@
 namespace tj {
 namespace {
 
+/// Seed of the candidate-pair sample, fixed so a sampled run repeats.
+constexpr uint64_t kSampleSeed = 42;
+
 /// Uniform sample without replacement of `k` of the `n` pairs (keeps input
 /// order); identity when k >= n or k == 0.
-std::vector<RowPair> SamplePairs(const std::vector<RowPair>& pairs, size_t k,
-                                 uint64_t seed) {
+std::vector<RowPair> SamplePairs(const std::vector<RowPair>& pairs, size_t k) {
   if (k == 0 || pairs.size() <= k) return pairs;
   // Reservoir-free approach: shuffle index array, take the first k, restore
   // input order for determinism of downstream row iteration.
   std::vector<uint32_t> idx(pairs.size());
   for (uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  Rng rng(seed);
+  Rng rng(kSampleSeed);
   rng.Shuffle(&idx);
   idx.resize(k);
   std::sort(idx.begin(), idx.end());
@@ -72,8 +74,7 @@ JoinResult TransformJoinColumns(const Column& source, const Column& target,
     candidates =
         FindJoinablePairs(source, target, local.match_options).pairs;
   }
-  candidates =
-      SamplePairs(candidates, local.sample_pairs, local.sample_seed);
+  candidates = SamplePairs(candidates, local.sample_pairs);
   result.learning_pairs = candidates.size();
   if (candidates.size() < local.min_learning_pairs) return result;
 

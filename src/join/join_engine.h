@@ -6,7 +6,6 @@
 #ifndef TJ_JOIN_JOIN_ENGINE_H_
 #define TJ_JOIN_JOIN_ENGINE_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,6 @@ struct JoinOptions {
   /// When > 0, at most this many candidate pairs are sampled (uniformly,
   /// seeded) before discovery — the paper samples open data to 3000 pairs.
   size_t sample_pairs = 0;
-  uint64_t sample_seed = 42;
   /// With fewer candidate pairs than this after sampling, discovery and
   /// the join are skipped entirely (JoinResult reports learning_pairs and
   /// nothing else) — the corpus driver's cheap way out of unlearnable

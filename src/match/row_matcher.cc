@@ -8,6 +8,7 @@
 #include "common/hash.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "text/ngram.h"
 
 namespace tj {
 namespace {
@@ -26,36 +27,31 @@ struct ChunkHits {
   std::vector<size_t> row_ends;
 };
 
-/// Probes the target index with every gram of sizes [n0, nmax] of rows
-/// [begin, end) of `source`, recording the hits in (start position, size)
-/// order. With `lowercase` set, each row is lowered first into a scratch
-/// string reused across the range, the way the index build lowers target
-/// rows. Each start position extends one FNV-1a state a byte at a time, so
-/// Mix64(state) is HashString of the current gram without rehashing it.
-/// Every prefix of an indexed gram that is at least n0 long is indexed too
-/// (it occurs in the same target row), so the first miss ends a start
-/// position's run: no longer gram from there can hit. Grams the target
-/// lacks have Rscore 0 and never become representatives, so nothing else
-/// is recorded.
-void ProbeRows(const Column& source, size_t begin, size_t end, bool lowercase,
-               const NgramInvertedIndex& target_index, size_t n0, size_t nmax,
-               ChunkHits* out) {
+/// Probes the target index with every gram of sizes [kMinGram, kMaxGram]
+/// of rows [begin, end) of `source`, recording the hits in (start position,
+/// size) order. Each row is lowered first into a scratch string reused
+/// across the range, the way the index build lowers target rows. Each start
+/// position extends one FNV-1a state a byte at a time, so Mix64(state) is
+/// HashString of the current gram without rehashing it. Every prefix of an
+/// indexed gram that is at least kMinGram long is indexed too (it occurs in
+/// the same target row), so the first miss ends a start position's run: no
+/// longer gram from there can hit. Grams the target lacks have Rscore 0 and
+/// never become representatives, so nothing else is recorded.
+void ProbeRows(const Column& source, size_t begin, size_t end,
+               const NgramInvertedIndex& target_index, ChunkHits* out) {
   out->row_ends.reserve(end - begin);
   std::string lowered;
   for (size_t row = begin; row < end; ++row) {
-    std::string_view text = source.Get(row);
-    if (lowercase) {
-      lowered.clear();
-      AppendLowerAscii(text, &lowered);
-      text = lowered;
-    }
+    lowered.clear();
+    AppendLowerAscii(source.Get(row), &lowered);
+    const std::string_view text = lowered;
     const auto* bytes = reinterpret_cast<const unsigned char*>(text.data());
-    for (size_t i = 0; i + n0 <= text.size(); ++i) {
-      const size_t longest = std::min(nmax, text.size() - i);
+    for (size_t i = 0; i + kMinGram <= text.size(); ++i) {
+      const size_t longest = std::min(kMaxGram, text.size() - i);
       uint64_t state = kFnvOffsetBasis;
       for (size_t n = 1; n <= longest; ++n) {
         state = FnvStep(state, bytes[i + n - 1]);
-        if (n < n0) continue;
+        if (n < kMinGram) continue;
         const uint32_t gram =
             target_index.GramId(text.substr(i, n), Mix64(state));
         if (gram == NgramInvertedIndex::kNoGram) break;
@@ -71,30 +67,11 @@ void ProbeRows(const Column& source, size_t begin, size_t end, bool lowercase,
 std::shared_ptr<const NgramInvertedIndex> AcquireColumnIndex(
     const Column& column, const RowMatchOptions& options, IndexCacheKey key,
     ThreadPool* pool) {
-  key.n0 = static_cast<uint32_t>(options.n0);
-  key.nmax = static_cast<uint32_t>(options.nmax);
-  key.lowercase = options.lowercase;
-  const auto build = [&] {
-    return NgramInvertedIndex::Build(column, options.n0, options.nmax,
-                                     options.lowercase, pool);
-  };
+  const auto build = [&] { return NgramInvertedIndex::Build(column, pool); };
   if (options.index_cache != nullptr && key.engaged()) {
     return options.index_cache->GetOrBuild(key, build);
   }
   return std::make_shared<const NgramInvertedIndex>(build());
-}
-
-double InverseRowFrequency(const NgramInvertedIndex& index,
-                           std::string_view gram) {
-  const size_t df = index.Df(gram);
-  if (df == 0) return 0.0;
-  return 1.0 / static_cast<double>(df);
-}
-
-double Rscore(const NgramInvertedIndex& source_index,
-              const NgramInvertedIndex& target_index, std::string_view gram) {
-  return InverseRowFrequency(source_index, gram) *
-         InverseRowFrequency(target_index, gram);
 }
 
 RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
@@ -131,9 +108,7 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
 
   // Pass 1: probe every source gram against the target index. The probe is
   // embarrassingly parallel over rows; each chunk of rows fills its own
-  // flat buffer, read back below in chunk (= row) order. df_s is a
-  // whole-column statistic, so every row is probed even when a max_pairs
-  // budget stops the merge early.
+  // flat buffer, read back below in chunk (= row) order.
   const bool parallel_probe = parallel && source.size() >= 2;
   const size_t num_chunks =
       parallel_probe
@@ -144,13 +119,11 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
     pool->ParallelFor(source.size(), num_chunks,
                       [&](int /*worker*/, size_t chunk, size_t begin,
                           size_t end) {
-                        ProbeRows(source, begin, end, options.lowercase,
-                                  target_index, options.n0, options.nmax,
+                        ProbeRows(source, begin, end, target_index,
                                   &chunks[chunk]);
                       });
   } else {
-    ProbeRows(source, 0, source.size(), options.lowercase, target_index,
-              options.n0, options.nmax, &chunks[0]);
+    ProbeRows(source, 0, source.size(), target_index, &chunks[0]);
   }
 
   // Source row frequency df_s of every hit gram: the number of distinct
@@ -180,23 +153,18 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
 
   // Pass 2, merged in row order: per row and size, the representative is
   // the first hit (in position order) with the largest Rscore — strict `>`
-  // on the same IRF product Rscore() computes (not an algebraically equal
-  // single division, which can differ in the last ulp and flip a tie), so
-  // ties break exactly as the paper's left-to-right scan does. Its target
-  // postings, sizes ascending, are the row's raw occurrences. Replaying
-  // the serial scan's emission: a budget check before every raw occurrence
-  // (duplicates included), per-row dedup (cross-row duplicates are
-  // impossible — the source row is part of the pair), rows never reached
-  // after exhaustion not counted as unmatched. The per-row dedup is a
-  // row-stamped table over target rows, so the loop does no hashing and no
-  // per-row clear. Slots span only the sizes that hit, so an unvalidated
-  // nmax far past every row allocates nothing extra.
-  const size_t num_sizes =
-      longest_hit == 0 ? 0 : longest_hit - options.n0 + 1;
+  // on the product of the two IRFs (not an algebraically equal single
+  // division, which can differ in the last ulp and flip a tie), so ties
+  // break exactly as the paper's left-to-right scan does. Its target
+  // postings, sizes ascending, are the row's raw occurrences, emitted with
+  // per-row dedup (cross-row duplicates are impossible — the source row is
+  // part of the pair). The dedup is a row-stamped table over target rows,
+  // so the loop does no hashing and no per-row clear. Slots span only the
+  // sizes that hit.
+  const size_t num_sizes = longest_hit == 0 ? 0 : longest_hit - kMinGram + 1;
   std::vector<double> best_score(num_sizes);
   std::vector<uint32_t> best_gram(num_sizes);
   std::vector<uint32_t> seen_stamp(target.size(), 0);
-  bool budget_exhausted = false;
   uint32_t row = 0;
   for (const ChunkHits& chunk : chunks) {
     size_t hit = 0;
@@ -209,7 +177,7 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
         const double score =
             (1.0 / static_cast<double>(source_df[h.gram])) *
             (1.0 / static_cast<double>(target_index.postings(h.gram).size()));
-        const size_t slot = h.size - options.n0;
+        const size_t slot = h.size - kMinGram;
         if (score > best_score[slot]) {
           best_score[slot] = score;
           best_gram[slot] = h.gram;
@@ -220,20 +188,13 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
       for (const uint32_t rep : best_gram) {
         if (rep == NgramInvertedIndex::kNoGram) continue;
         for (const uint32_t target_row : target_index.postings(rep)) {
-          if (options.max_pairs != 0 &&
-              result.pairs.size() >= options.max_pairs) {
-            budget_exhausted = true;
-            break;
-          }
           if (seen_stamp[target_row] != stamp) {
             seen_stamp[target_row] = stamp;
             result.pairs.push_back(RowPair{row, target_row});
             any = true;
           }
         }
-        if (budget_exhausted) break;
       }
-      if (budget_exhausted) return result;
       if (!any) ++result.unmatched_source_rows;
       ++row;
     }
@@ -246,18 +207,6 @@ bool PickSourceColumn(const Column& a, const Column& b) {
 }
 
 Status ValidateOptions(const RowMatchOptions& options) {
-  if (options.n0 == 0) {
-    return Status::InvalidArgument("RowMatchOptions::n0 must be >= 1");
-  }
-  if (options.nmax < options.n0) {
-    return Status::InvalidArgument(
-        "RowMatchOptions::nmax must be >= n0");
-  }
-  if (options.nmax > 256) {
-    // Grams longer than any realistic cell: an nmax this large is a typo
-    // and would make the per-row representative scan quadratic in it.
-    return Status::InvalidArgument("RowMatchOptions::nmax must be <= 256");
-  }
   if (options.index_cache == nullptr && options.target_cache_key.engaged()) {
     return Status::InvalidArgument(
         "RowMatchOptions carries an engaged index-cache key but no "

@@ -1,14 +1,14 @@
 // Candidate joinable-pair detection (paper §4.2.1, Algorithm 1): for each
-// source row and each n-gram size in [n0, nmax], the n-gram with the highest
-// Rscore (product of Inverse Row Frequencies in both columns) is the row's
-// representative; every target row containing a representative becomes a
-// candidate pair.
+// source row and each n-gram size in [kMinGram, kMaxGram] (text/ngram.h),
+// the n-gram with the highest Rscore (product of Inverse Row Frequencies in
+// both columns) is the row's representative; every target row containing a
+// representative becomes a candidate pair. Rows are always ASCII-lowercased
+// (the paper ignores capitalization in its examples).
 
 #ifndef TJ_MATCH_ROW_MATCHER_H_
 #define TJ_MATCH_ROW_MATCHER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -22,22 +22,10 @@ namespace tj {
 class ThreadPool;
 
 struct RowMatchOptions {
-  /// Representative n-gram sizes [n0, nmax]. The paper tunes n0 = 4 and
-  /// nmax = 20 (§6.2).
-  size_t n0 = 4;
-  size_t nmax = 20;
-  /// ASCII-lowercase rows before matching (the paper ignores
-  /// capitalization in its examples).
-  bool lowercase = true;
-  /// Safety valve on the number of emitted pairs (0 = unlimited). The open
-  /// data benchmark produces ~100x more candidate pairs than rows. Once the
-  /// budget is exhausted the scan stops entirely; rows never scanned are not
-  /// counted as unmatched.
-  size_t max_pairs = 0;
   /// Worker threads for building the target column's n-gram inverted index
   /// and for probing it with the source rows (0 = hardware concurrency, 1 =
-  /// serial). Index content and the emitted pairs — including the
-  /// max_pairs-capped emission order — are identical across thread counts.
+  /// serial). Index content and the emitted pairs are identical across
+  /// thread counts.
   int num_threads = 1;
 
   /// Optional externally-owned pool shared by the index build and the probe
@@ -50,25 +38,14 @@ struct RowMatchOptions {
   /// When set and target_cache_key is engaged (nonzero table fingerprint),
   /// the target column's inverted index is fetched from / installed into
   /// the cache instead of rebuilt per call — byte-identical either way,
-  /// since Build output is bit-identical at every thread count. The key's
-  /// n0/nmax/lowercase fields are overwritten from this struct, so callers
-  /// only fill fingerprint + column ordinal. An engaged target key with a
-  /// null cache is an InvalidArgument (ValidateOptions).
+  /// since Build output is bit-identical at every thread count. An engaged
+  /// target key with a null cache is an InvalidArgument (ValidateOptions).
   IndexCache* index_cache = nullptr;
   /// Ignored: FindJoinablePairs builds no source index. Kept only while
   /// callers outside the library still fill it.
   IndexCacheKey source_cache_key;
   IndexCacheKey target_cache_key;
 };
-
-/// IRF(t, c) = 1 / (number of rows of column c containing t); 0 when t does
-/// not appear (Eq. 1 of the paper, extended so that absent grams score 0).
-double InverseRowFrequency(const NgramInvertedIndex& index,
-                           std::string_view gram);
-
-/// Rscore(t) = IRF(t, SC) * IRF(t, TC) (Eq. 2).
-double Rscore(const NgramInvertedIndex& source_index,
-              const NgramInvertedIndex& target_index, std::string_view gram);
 
 struct RowMatchResult {
   /// Candidate pairs in discovery order, deduplicated.
@@ -77,23 +54,20 @@ struct RowMatchResult {
   size_t unmatched_source_rows = 0;
 };
 
-/// Algorithm 1. Only the target column is indexed over [n0, nmax]; every
-/// source gram is probed against that index, and the source row frequency
-/// of Eq. 1 is counted for the grams that hit (a gram the target lacks
-/// scores 0 and is never a representative). With options.lowercase set,
-/// both columns' rows are lowered as they are read; neither column is
-/// copied. `source` should be the more descriptive column (see
-/// PickSourceColumn).
+/// Algorithm 1. Only the target column is indexed; every source gram is
+/// probed against that index, and the source row frequency of Eq. 1 is
+/// counted for the grams that hit (a gram the target lacks scores 0 and is
+/// never a representative). Both columns' rows are lowered as they are
+/// read; neither column is copied. `source` should be the more descriptive
+/// column (see PickSourceColumn).
 RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
                                  const RowMatchOptions& options);
 
-/// The inverted index FindJoinablePairs uses for `column` under `options`
-/// — fetched from options.index_cache when `key` is engaged (the cache
-/// pre-warm path of corpus discovery), built privately otherwise. The
-/// key's n0/nmax/lowercase fields are filled from `options`; `pool` drives
-/// a private build (cached or not), nullptr = serial. With
-/// options.lowercase set, the build lowers each row as it reads it, so a
-/// pre-warmed entry is the one a pair evaluation would install.
+/// The inverted index FindJoinablePairs uses for `column` — fetched from
+/// options.index_cache when `key` is engaged (the cache pre-warm path of
+/// corpus discovery), built privately otherwise. `pool` drives a private
+/// build (cached or not), nullptr = serial. A pre-warmed entry is the one a
+/// pair evaluation would install.
 std::shared_ptr<const NgramInvertedIndex> AcquireColumnIndex(
     const Column& column, const RowMatchOptions& options, IndexCacheKey key,
     ThreadPool* pool);
@@ -102,8 +76,8 @@ std::shared_ptr<const NgramInvertedIndex> AcquireColumnIndex(
 /// source. Returns true when `a` should be the source of (a, b).
 bool PickSourceColumn(const Column& a, const Column& b);
 
-/// Validates a RowMatchOptions (n-gram window sane, etc.) — InvalidArgument
-/// instead of a downstream TJ_CHECK abort, so daemon-supplied
+/// Validates a RowMatchOptions (an engaged index-cache key needs a cache) —
+/// InvalidArgument instead of a downstream failure, so daemon-supplied
 /// configurations fail as responses, not process deaths. Defaults always
 /// validate.
 Status ValidateOptions(const RowMatchOptions& options);

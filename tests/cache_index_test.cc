@@ -31,9 +31,6 @@ IndexCacheKey MakeKey(uint64_t fingerprint, uint32_t column = 0) {
   IndexCacheKey key;
   key.fingerprint = fingerprint;
   key.column = column;
-  key.n0 = 2;
-  key.nmax = 4;
-  key.lowercase = false;
   return key;
 }
 
@@ -59,8 +56,7 @@ TEST(IndexCache, SingleFlightRunsExactlyOneBuild) {
                        // already-ready entry.
                        std::this_thread::sleep_for(
                            std::chrono::milliseconds(20));
-                       return NgramInvertedIndex::Build(SmallColumn("c"), 2,
-                                                        4, false);
+                       return NgramInvertedIndex::Build(SmallColumn("c"));
                      });
                    });
 
@@ -89,7 +85,7 @@ TEST(IndexCache, FingerprintChangeInvalidatesWithoutExplicitCall) {
   std::atomic<int> builds{0};
   const auto build = [&] {
     ++builds;
-    return NgramInvertedIndex::Build(catalog.column({*id, 0}), 2, 4, false);
+    return NgramInvertedIndex::Build(catalog.column({*id, 0}));
   };
 
   cache.GetOrBuild(MakeKey(before), build);   // miss: first sight
@@ -124,14 +120,14 @@ TEST(IndexCache, BudgetEvictsLeastRecentlyUsedFirst) {
   // third install — and it must take the LRU tail, not the recently-touched
   // entry.
   const size_t one_entry_bytes =
-      NgramInvertedIndex::Build(SmallColumn("c"), 2, 4, false).MemoryBytes();
+      NgramInvertedIndex::Build(SmallColumn("c")).MemoryBytes();
   ASSERT_GT(one_entry_bytes, 0u);
 
   IndexCache cache(2 * one_entry_bytes);
   std::atomic<int> builds{0};
   const auto build = [&] {
     ++builds;
-    return NgramInvertedIndex::Build(SmallColumn("c"), 2, 4, false);
+    return NgramInvertedIndex::Build(SmallColumn("c"));
   };
 
   cache.GetOrBuild(MakeKey(1), build);  // A
@@ -151,14 +147,14 @@ TEST(IndexCache, BudgetEvictsLeastRecentlyUsedFirst) {
 
 TEST(IndexCache, TinyBudgetRetainsTheJustInstalledEntry) {
   const size_t one_entry_bytes =
-      NgramInvertedIndex::Build(SmallColumn("c"), 2, 4, false).MemoryBytes();
+      NgramInvertedIndex::Build(SmallColumn("c")).MemoryBytes();
   // Budget smaller than a single index: the cache must not thrash down to
   // nothing — each install retains the newest entry and evicts the rest.
   IndexCache cache(one_entry_bytes / 2);
   std::atomic<int> builds{0};
   const auto build = [&] {
     ++builds;
-    return NgramInvertedIndex::Build(SmallColumn("c"), 2, 4, false);
+    return NgramInvertedIndex::Build(SmallColumn("c"));
   };
 
   cache.GetOrBuild(MakeKey(1), build);

@@ -7,6 +7,7 @@
 // and AddCsvDirectory survives the awkward corners of real CSV files.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -74,6 +75,8 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
   const uint64_t maxlen =
       std::stoull(dump.substr(dump.find("maxlen=") + 7));
   ASSERT_GT(std::stoull(dump.substr(dump.find("distinct=") + 9)), 0u);
+  const uint64_t charset =
+      std::stoull(dump.substr(dump.find("charset=") + 8));
   const std::string twenty_digits = "99999999999999999999";
 
   const std::vector<std::string> malformed = {
@@ -105,9 +108,11 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
       EditFirst(dump, "meanlen=", "0x1p+2x"),
       EditFirst(dump, "lowercase=", "2"),
       // Fields that each parse but contradict the sketch: a charset bit
-      // past kCharsetOther, minlen above maxlen, a mean length past maxlen
-      // or below minlen (the first column's cells are not empty).
+      // past kCharsetOther, the upper-case bit (sketches classify
+      // lowercased text), minlen above maxlen, a mean length past maxlen or
+      // below minlen (the first column's cells are not empty).
       EditFirst(dump, "charset=", "64"),
+      EditFirst(dump, "charset=", std::to_string(charset | kCharsetUpper)),
       EditFirst(dump, "charset=", "4294967295"),
       EditFirst(dump, "minlen=", std::to_string(maxlen + 1)),
       EditFirst(dump, "meanlen=", "0x1p+40"),
@@ -276,9 +281,12 @@ TEST(SignatureCache, FileRoundTripAcrossCatalogMutation) {
 class CsvEdgeCaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid and a per-process counter: concurrent test processes (ctest
+    // -j) can see the same fixture address, e.g. under TSan's fixed heap.
+    static int fixtures = 0;
     dir_ = std::filesystem::path(::testing::TempDir()) /
-           ("csv_edge_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)));
+           ("csv_edge_" + std::to_string(::getpid()) + "_" +
+            std::to_string(fixtures++));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override {

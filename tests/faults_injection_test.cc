@@ -146,6 +146,20 @@ TEST_F(FailpointRegistryTest, SpecRejectsMalformedInput) {
   EXPECT_FALSE(failpoint::ConfigureFromSpec("site=errno:EWHAT").ok());
   EXPECT_FALSE(failpoint::ConfigureFromSpec("site=skip:-1").ok());
   EXPECT_FALSE(failpoint::ConfigureFromSpec("site=frobnicate:1").ok());
+  // Numbers are read whole at their field's width: NaN is no probability,
+  // no leading space or '+', no wrap into int, no sign on the seed.
+  for (const char* spec :
+       {"site=p:nan", "site=p: 0.5", "site=hits:4294967297", "site=hits:-5",
+        "site=skip:4294967296", "site=seed:-1", "site=seed:+7"}) {
+    EXPECT_FALSE(failpoint::ConfigureFromSpec(spec).ok()) << spec;
+  }
+  EXPECT_TRUE(failpoint::ActiveSites().empty());
+  // The ends of each range still parse.
+  for (const char* spec :
+       {"site=p:0", "site=p:1", "site=hits:-1", "site=hits:2147483647",
+        "site=skip:2147483647", "site=seed:18446744073709551615"}) {
+    EXPECT_TRUE(failpoint::ConfigureFromSpec(spec).ok()) << spec;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,18 +3,18 @@
 // the map-based matcher it replaced — both columns indexed, an Rscore map
 // over every distinct source gram the target also holds, a serial
 // left-to-right scan — and the two must agree pair for pair, in emission
-// order, and on unmatched_source_rows. Checked on random columns (Rscore
-// ties, mixed case, bytes >= 0x80, empty and short rows, empty columns,
-// nmax past the row length, max_pairs cutting a row, frozen and unfrozen
-// columns) at 1/2/4/8 threads. Run with `ctest -L match`, in plain and
-// ASan+UBSan builds.
+// order, and on unmatched_source_rows. Checked on random columns (rows
+// shorter than kMinGram and longer than kMaxGram, Rscore ties, mixed case,
+// bytes >= 0x80, empty rows, empty columns, frozen and unfrozen columns) at
+// 1/2/4/8 threads. The IRF and Rscore of Eq. 1 and 2 live here too, as the
+// oracle's helpers. Run with `ctest -L match`, in plain and ASan+UBSan
+// builds.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -28,14 +28,54 @@
 namespace tj {
 namespace {
 
+/// IRF(t, c) = 1 / (number of rows of column c containing t); 0 when t does
+/// not appear (Eq. 1 of the paper, extended so that absent grams score 0).
+double InverseRowFrequency(const NgramInvertedIndex& index,
+                           std::string_view gram) {
+  const size_t df = index.Df(gram);
+  if (df == 0) return 0.0;
+  return 1.0 / static_cast<double>(df);
+}
+
+/// Rscore(t) = IRF(t, SC) * IRF(t, TC) (Eq. 2).
+double Rscore(const NgramInvertedIndex& source_index,
+              const NgramInvertedIndex& target_index, std::string_view gram) {
+  return InverseRowFrequency(source_index, gram) *
+         InverseRowFrequency(target_index, gram);
+}
+
+TEST(Irf, InverseOfRowFrequency) {
+  Column c("v", {"xxxx aaaa", "yyyy aaaa", "zzzz"});
+  const auto index = NgramInvertedIndex::Build(c);
+  EXPECT_DOUBLE_EQ(InverseRowFrequency(index, "aaaa"), 0.5);
+  EXPECT_DOUBLE_EQ(InverseRowFrequency(index, "zzzz"), 1.0);
+  EXPECT_DOUBLE_EQ(InverseRowFrequency(index, "qqqq"), 0.0);
+}
+
+TEST(Rscore, ProductOfBothSides) {
+  Column source("s", {"abcdwxyz", "abcdqqqq"});
+  Column target("t", {"abcdwxyz", "wxyzrrrr"});
+  const auto si = NgramInvertedIndex::Build(source);
+  const auto ti = NgramInvertedIndex::Build(target);
+  // "abcd": df_s = 2, df_t = 1 -> 0.5; "wxyz": df_s = 1, df_t = 2 -> 0.5.
+  EXPECT_DOUBLE_EQ(Rscore(si, ti, "abcd"), 0.5);
+  EXPECT_DOUBLE_EQ(Rscore(si, ti, "wxyz"), 0.5);
+  EXPECT_DOUBLE_EQ(Rscore(si, ti, "abcdwxyz"), 1.0);
+  EXPECT_DOUBLE_EQ(Rscore(si, ti, "zzzz"), 0.0);
+}
+
 /// What the oracle saw besides its result, so the suite can show that the
 /// random inputs reached the cases it claims to cover.
 struct OracleProbes {
   /// Representative choices where a later gram scored exactly the best
   /// score so far (the first occurrence kept it).
   size_t ties = 0;
-  /// Runs where the max_pairs budget stopped a row after it had emitted.
-  size_t mid_row_cuts = 0;
+  /// Source rows too short to hold a kMinGram-gram.
+  size_t short_rows = 0;
+  /// Source rows longer than kMaxGram.
+  size_t long_rows = 0;
+  /// Representatives of size kMaxGram, the largest the scan considers.
+  size_t max_size_reps = 0;
 };
 
 /// Algorithm 1 as FindJoinablePairs computed it before the target-only
@@ -44,31 +84,25 @@ struct OracleProbes {
 /// per row and size, the first gram with the largest score.
 RowMatchResult OracleFindJoinablePairs(const Column& source,
                                        const Column& target,
-                                       const RowMatchOptions& options,
                                        OracleProbes* probes) {
-  const NgramInvertedIndex source_index = NgramInvertedIndex::Build(
-      source, options.n0, options.nmax, options.lowercase, 1);
-  const NgramInvertedIndex target_index = NgramInvertedIndex::Build(
-      target, options.n0, options.nmax, options.lowercase, 1);
+  const NgramInvertedIndex source_index = NgramInvertedIndex::Build(source);
+  const NgramInvertedIndex target_index = NgramInvertedIndex::Build(target);
 
   std::unordered_map<std::string_view, double, StringHash, StringEq> rscore;
   for (uint32_t id = 0; id < source_index.num_grams(); ++id) {
     const std::string_view gram = source_index.gram(id);
-    const double target_irf = InverseRowFrequency(target_index, gram);
-    if (target_irf == 0.0) continue;
-    rscore.emplace(gram, (1.0 / static_cast<double>(
-                                    source_index.postings(id).size())) *
-                             target_irf);
+    const double score = Rscore(source_index, target_index, gram);
+    if (score != 0.0) rscore.emplace(gram, score);
   }
 
   RowMatchResult result;
   std::vector<uint32_t> seen_stamp(target.size(), 0);
   for (uint32_t row = 0; row < source.size(); ++row) {
-    const std::string text = options.lowercase
-                                 ? ToLowerAscii(source.Get(row))
-                                 : std::string(source.Get(row));
+    const std::string text = ToLowerAscii(source.Get(row));
+    if (text.size() < kMinGram) ++probes->short_rows;
+    if (text.size() > kMaxGram) ++probes->long_rows;
     std::vector<uint32_t> occurrences;
-    for (size_t n = options.n0; n <= options.nmax && n <= text.size(); ++n) {
+    for (size_t n = kMinGram; n <= kMaxGram && n <= text.size(); ++n) {
       std::string_view rep;
       double best = 0.0;
       ForEachNgram(text, n, [&](std::string_view gram) {
@@ -82,17 +116,13 @@ RowMatchResult OracleFindJoinablePairs(const Column& source,
         }
       });
       if (rep.empty()) continue;
+      if (n == kMaxGram) ++probes->max_size_reps;
       const std::span<const uint32_t> targets = target_index.Lookup(rep);
       occurrences.insert(occurrences.end(), targets.begin(), targets.end());
     }
     bool any = false;
     const uint32_t stamp = row + 1;
     for (const uint32_t target_row : occurrences) {
-      if (options.max_pairs != 0 &&
-          result.pairs.size() >= options.max_pairs) {
-        if (any) ++probes->mid_row_cuts;
-        return result;
-      }
       if (seen_stamp[target_row] != stamp) {
         seen_stamp[target_row] = stamp;
         result.pairs.push_back(RowPair{row, target_row});
@@ -119,6 +149,24 @@ void ExpectSameResult(const RowMatchResult& want, const RowMatchResult& got,
 /// Small alphabet (so grams repeat and scores tie) with both cases, a
 /// separator and bytes >= 0x80.
 constexpr std::string_view kAlphabet = "abcABC -\xc3\xa9\x80\xff";
+
+/// Shared words: mostly short, so rows fall on both sides of kMinGram,
+/// and sometimes one longer than kMaxGram, so a shared run outgrows the
+/// largest representative size.
+std::vector<std::string> RandomWords(Rng* rng) {
+  std::vector<std::string> words(static_cast<size_t>(rng->UniformInt(2, 6)));
+  for (std::string& word : words) {
+    word = rng->RandomString(static_cast<size_t>(rng->UniformInt(1, 8)),
+                             kAlphabet);
+  }
+  if (rng->Bernoulli(0.3)) {
+    const auto longest = static_cast<int64_t>(kMaxGram);
+    words[0] = rng->RandomString(
+        static_cast<size_t>(rng->UniformInt(longest + 1, longest + 8)),
+        kAlphabet);
+  }
+  return words;
+}
 
 /// A row built from shared words (so source grams hit the target) plus
 /// noise; empty and very short rows come out often.
@@ -147,6 +195,30 @@ Column RandomColumn(Rng* rng, const std::vector<std::string>& words,
   return column;
 }
 
+/// Counts of input traits the oracle does not see.
+struct InputProbes {
+  size_t empty_columns = 0;
+  size_t frozen_columns = 0;
+  size_t unfrozen_columns = 0;
+  size_t upper_case_rows = 0;
+  size_t high_byte_rows = 0;
+
+  void Add(const Column& column) {
+    if (column.empty()) ++empty_columns;
+    ++(column.frozen() ? frozen_columns : unfrozen_columns);
+    for (size_t row = 0; row < column.size(); ++row) {
+      const std::string_view text = column.Get(row);
+      if (text != ToLowerAscii(text)) ++upper_case_rows;
+      for (const char c : text) {
+        if (static_cast<unsigned char>(c) >= 0x80) {
+          ++high_byte_rows;
+          break;
+        }
+      }
+    }
+  }
+};
+
 TEST(MatchIdentity, ProbeMatchesMapOracleOnRandomColumns) {
   ThreadPool pool2(2);
   ThreadPool pool4(4);
@@ -155,57 +227,40 @@ TEST(MatchIdentity, ProbeMatchesMapOracleOnRandomColumns) {
 
   Rng rng(20260417);
   OracleProbes probes;
-  size_t budget_cases = 0;
-  size_t empty_column_cases = 0;
+  InputProbes inputs;
   size_t nonempty_results = 0;
   constexpr int kCases = 600;
   for (int c = 0; c < kCases; ++c) {
-    std::vector<std::string> words(static_cast<size_t>(rng.UniformInt(2, 6)));
-    for (std::string& word : words) {
-      word = rng.RandomString(static_cast<size_t>(rng.UniformInt(1, 7)),
-                              kAlphabet);
-    }
+    const std::vector<std::string> words = RandomWords(&rng);
     const Column source = RandomColumn(&rng, words, "s");
     const Column target = RandomColumn(&rng, words, "t");
-    if (source.empty() || target.empty()) ++empty_column_cases;
-
-    RowMatchOptions options;
-    options.n0 = static_cast<size_t>(rng.UniformInt(1, 4));
-    // Mostly narrow windows; sometimes far past every row's length.
-    options.nmax = rng.Bernoulli(0.2)
-                       ? 20
-                       : options.n0 + static_cast<size_t>(rng.UniformInt(0, 5));
-    options.lowercase = rng.Bernoulli(0.5);
-    const uint64_t budget_kind = rng.Uniform(4);
-    options.max_pairs = budget_kind == 0   ? 0
-                        : budget_kind == 1 ? 1
-                        : budget_kind == 2 ? 7
-                                           : static_cast<size_t>(
-                                                 rng.UniformInt(2, 30));
-    if (options.max_pairs != 0) ++budget_cases;
+    inputs.Add(source);
+    inputs.Add(target);
 
     const RowMatchResult want =
-        OracleFindJoinablePairs(source, target, options, &probes);
+        OracleFindJoinablePairs(source, target, &probes);
     if (!want.pairs.empty()) ++nonempty_results;
     for (ThreadPool* pool : pools) {
-      RowMatchOptions run = options;
-      run.pool = pool;
+      RowMatchOptions options;
+      options.pool = pool;
       const std::string label =
           "case " + std::to_string(c) + " threads " +
-          std::to_string(pool == nullptr ? 1 : pool->size()) + " n0 " +
-          std::to_string(options.n0) + " nmax " +
-          std::to_string(options.nmax) + " lowercase " +
-          std::to_string(options.lowercase) + " max_pairs " +
-          std::to_string(options.max_pairs);
-      ExpectSameResult(want, FindJoinablePairs(source, target, run), label);
+          std::to_string(pool == nullptr ? 1 : pool->size());
+      ExpectSameResult(want, FindJoinablePairs(source, target, options),
+                       label);
       if (HasFatalFailure()) return;
     }
   }
   // The random inputs must reach what the suite claims to cover.
   EXPECT_GT(probes.ties, 0u);
-  EXPECT_GT(probes.mid_row_cuts, 0u);
-  EXPECT_GT(budget_cases, 0u);
-  EXPECT_GT(empty_column_cases, 0u);
+  EXPECT_GT(probes.short_rows, 0u);
+  EXPECT_GT(probes.long_rows, 0u);
+  EXPECT_GT(probes.max_size_reps, 0u);
+  EXPECT_GT(inputs.empty_columns, 0u);
+  EXPECT_GT(inputs.frozen_columns, 0u);
+  EXPECT_GT(inputs.unfrozen_columns, 0u);
+  EXPECT_GT(inputs.upper_case_rows, 0u);
+  EXPECT_GT(inputs.high_byte_rows, 0u);
   EXPECT_GT(nonempty_results, static_cast<size_t>(kCases) / 4);
 }
 
@@ -217,12 +272,10 @@ TEST(MatchIdentity, OwnedPoolsMatchOracle) {
   for (int c = 0; c < 20; ++c) {
     const Column source = RandomColumn(&rng, words, "s");
     const Column target = RandomColumn(&rng, words, "t");
-    RowMatchOptions options;
-    options.n0 = 2;
-    options.nmax = 6;
     OracleProbes probes;
     const RowMatchResult want =
-        OracleFindJoinablePairs(source, target, options, &probes);
+        OracleFindJoinablePairs(source, target, &probes);
+    RowMatchOptions options;
     for (const int threads : {1, 2, 4, 8}) {
       options.num_threads = threads;
       ExpectSameResult(want, FindJoinablePairs(source, target, options),
@@ -233,59 +286,59 @@ TEST(MatchIdentity, OwnedPoolsMatchOracle) {
 }
 
 TEST(MatchIdentity, FirstOccurrenceWinsRscoreTie) {
-  // "xy" (position 0) and "yx" (position 1) both score 1 * 1; the first
+  // "abcd" (position 0) and "bcda" (position 1) both score 1 * 1; the first
   // occurrence is the representative, so only target row 0 matches. The
-  // second "xy" at position 2 ties too and must not displace it.
-  Column source("s", {"xyxy"});
-  Column target("t", {"xy", "yx"});
-  RowMatchOptions options;
-  options.n0 = 2;
-  options.nmax = 2;
+  // later "abcd" and "bcda" (positions 4 and 5) tie too and must not
+  // displace it.
+  Column source("s", {"abcdabcda"});
+  Column target("t", {"abcd", "bcda"});
   OracleProbes probes;
   const RowMatchResult want =
-      OracleFindJoinablePairs(source, target, options, &probes);
+      OracleFindJoinablePairs(source, target, &probes);
   ASSERT_EQ(want.pairs.size(), 1u);
   EXPECT_EQ(want.pairs[0].target, 0u);
-  ExpectSameResult(want, FindJoinablePairs(source, target, options), "tie");
+  EXPECT_GT(probes.ties, 0u);
+  ExpectSameResult(want, FindJoinablePairs(source, target, RowMatchOptions()),
+                   "tie");
+}
+
+TEST(MatchIdentity, LongestRepresentativeReachesItsOwnRow) {
+  // One source row of kMaxGram + 1 distinct bytes. Target row 0 is its
+  // kMaxGram-byte prefix, row 1 its kMaxGram-byte suffix, row 2 its
+  // (kMaxGram - 1)-byte prefix plus a foreign byte. Below kMaxGram every
+  // gram but the one ending in the last byte is in at least two target
+  // rows, so that gram (row 1 only) is each size's representative; at
+  // kMaxGram the prefix and the suffix tie and the prefix, first, wins.
+  // Row 0 is reached only through the size-kMaxGram representative.
+  std::string row;
+  for (size_t i = 0; i <= kMaxGram; ++i) row += static_cast<char>('a' + i);
+  Column source("s", {row});
+  Column target("t", {row.substr(0, kMaxGram), row.substr(1),
+                      row.substr(0, kMaxGram - 1) + "z"});
+  OracleProbes probes;
+  const RowMatchResult want =
+      OracleFindJoinablePairs(source, target, &probes);
+  const std::vector<RowPair> expected = {{0, 1}, {0, 0}};
+  EXPECT_TRUE(want.pairs == expected);
+  ExpectSameResult(want, FindJoinablePairs(source, target, RowMatchOptions()),
+                   "longest representative");
 }
 
 TEST(MatchIdentity, HighBytesAndShortRows) {
-  // Rows shorter than n0 (and empty rows) emit nothing and count as
-  // unmatched; bytes >= 0x80 are matched as they are, never lowercased.
+  // Rows shorter than kMinGram (and empty rows) emit nothing and count as
+  // unmatched; bytes >= 0x80 are matched as they are, never lowercased, so
+  // "\xc3\x89" (É) does not meet "\xc3\xa9" (é) while "ABC" meets "abc".
   Column source("s", {"", "\xc3", "\xc3\xa9t\xc3\xa9", "ABC\xff\xfe"});
-  Column target("t", {"\xc3\xa9t\xc3\xa9!", "abc\xff\xfe", "\xc3\x89T"});
-  for (const bool lowercase : {false, true}) {
-    RowMatchOptions options;
-    options.n0 = 3;
-    options.nmax = 20;
-    options.lowercase = lowercase;
-    OracleProbes probes;
-    const RowMatchResult want =
-        OracleFindJoinablePairs(source, target, options, &probes);
-    ExpectSameResult(want, FindJoinablePairs(source, target, options),
-                     lowercase ? "lowercase" : "as-is");
-    EXPECT_GE(want.unmatched_source_rows, 2u);
-  }
-}
-
-TEST(MatchIdentity, UnvalidatedWindowsMatchOracle) {
-  // ValidateOptions rejects these windows, but a direct call must still
-  // agree with the oracle rather than size anything by nmax - n0: an
-  // inverted window matches nothing, a huge nmax stops at the row length.
-  Column source("s", {"abcde", "bcd", ""});
-  Column target("t", {"xabcdex", "bcd"});
-  for (const auto& [n0, nmax] : std::vector<std::pair<size_t, size_t>>{
-           {5, 3}, {3, size_t{1} << 40}, {0, 2}}) {
-    RowMatchOptions options;
-    options.n0 = n0;
-    options.nmax = nmax;
-    OracleProbes probes;
-    const RowMatchResult want =
-        OracleFindJoinablePairs(source, target, options, &probes);
-    ExpectSameResult(want, FindJoinablePairs(source, target, options),
-                     "n0 " + std::to_string(n0) + " nmax " +
-                         std::to_string(nmax));
-  }
+  Column target("t",
+                {"\xc3\xa9t\xc3\xa9!", "abc\xff\xfe", "\xc3\x89T\xc3\x89"});
+  OracleProbes probes;
+  const RowMatchResult want =
+      OracleFindJoinablePairs(source, target, &probes);
+  const std::vector<RowPair> expected = {{2, 0}, {3, 1}};
+  EXPECT_TRUE(want.pairs == expected);
+  EXPECT_EQ(want.unmatched_source_rows, 2u);
+  ExpectSameResult(want, FindJoinablePairs(source, target, RowMatchOptions()),
+                   "high bytes");
 }
 
 TEST(MatchIdentity, IncrementalFnvMatchesHashString) {
@@ -309,16 +362,18 @@ TEST(MatchIdentity, IncrementalFnvMatchesHashString) {
 }
 
 TEST(MatchIdentity, HashedGramIdMatchesLookup) {
-  Column column("v", {"abcabd", "xbcab"});
-  const NgramInvertedIndex index =
-      NgramInvertedIndex::Build(column, 2, 4, false);
+  Column column("v", {"abcabdabc", "xbcabdx"});
+  const NgramInvertedIndex index = NgramInvertedIndex::Build(column);
+  ASSERT_GT(index.num_grams(), 0u);
   for (uint32_t id = 0; id < index.num_grams(); ++id) {
     const std::string_view gram = index.gram(id);
     EXPECT_EQ(index.GramId(gram, HashString(gram)), id);
   }
-  EXPECT_EQ(index.GramId("zz", HashString("zz")), NgramInvertedIndex::kNoGram);
+  EXPECT_EQ(index.GramId("zzzz", HashString("zzzz")),
+            NgramInvertedIndex::kNoGram);
   const NgramInvertedIndex empty;
-  EXPECT_EQ(empty.GramId("ab", HashString("ab")), NgramInvertedIndex::kNoGram);
+  EXPECT_EQ(empty.GramId("abca", HashString("abca")),
+            NgramInvertedIndex::kNoGram);
 }
 
 }  // namespace

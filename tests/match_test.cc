@@ -1,5 +1,6 @@
-// Tests for the row matcher (IRF/Rscore, Algorithm 1) and the inverted
-// index.
+// Tests for the row matcher (Algorithm 1) and the inverted index. The
+// IRF/Rscore tests sit beside their oracle helpers in
+// match_identity_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -7,61 +8,52 @@
 #include "index/inverted_index.h"
 #include "match/metrics.h"
 #include "match/row_matcher.h"
+#include "text/ngram.h"
 
 namespace tj {
 namespace {
 
 TEST(InvertedIndex, PostingsAreSortedAndDeduplicated) {
-  Column c("v", {"abab", "zzab", "qqqq"});
-  const auto index = NgramInvertedIndex::Build(c, 2, 2, false);
-  const auto& rows = index.Lookup("ab");
-  ASSERT_EQ(rows.size(), 2u);  // row 0 contains "ab" twice: counted once
+  Column c("v", {"abababab", "zzzzabab", "qqqq"});
+  const auto index = NgramInvertedIndex::Build(c);
+  const auto& rows = index.Lookup("abab");
+  ASSERT_EQ(rows.size(), 2u);  // row 0 contains "abab" three times: once
   EXPECT_EQ(rows[0], 0u);
   EXPECT_EQ(rows[1], 1u);
-  EXPECT_TRUE(index.Lookup("xy").empty());
+  EXPECT_TRUE(index.Lookup("wxyz").empty());
 }
 
 TEST(InvertedIndex, DfMatchesPostingSize) {
   Column c("v", {"hello", "hell", "help"});
-  const auto index = NgramInvertedIndex::Build(c, 4, 4, false);
+  const auto index = NgramInvertedIndex::Build(c);
   EXPECT_EQ(index.Df("hell"), 2u);
   EXPECT_EQ(index.Df("help"), 1u);
+  EXPECT_EQ(index.Df("hello"), 1u);
   EXPECT_EQ(index.Df("nope"), 0u);
 }
 
 TEST(InvertedIndex, LowercasingFoldsCase) {
   Column c("v", {"ABCD"});
-  const auto index = NgramInvertedIndex::Build(c, 4, 4, true);
+  const auto index = NgramInvertedIndex::Build(c);
   EXPECT_EQ(index.Df("abcd"), 1u);
   EXPECT_EQ(index.Df("ABCD"), 0u);  // queries must be lowercased too
 }
 
 TEST(InvertedIndex, IndexesAllSizesInRange) {
-  Column c("v", {"abcdef"});
-  const auto index = NgramInvertedIndex::Build(c, 2, 4, false);
-  EXPECT_EQ(index.Df("ab"), 1u);
-  EXPECT_EQ(index.Df("abc"), 1u);
-  EXPECT_EQ(index.Df("abcd"), 1u);
-  EXPECT_EQ(index.Df("abcde"), 0u);  // size 5 beyond nmax
-}
-
-TEST(Irf, InverseOfRowFrequency) {
-  Column c("v", {"xx aa", "yy aa", "zz"});
-  const auto index = NgramInvertedIndex::Build(c, 2, 2, false);
-  EXPECT_DOUBLE_EQ(InverseRowFrequency(index, "aa"), 0.5);
-  EXPECT_DOUBLE_EQ(InverseRowFrequency(index, "zz"), 1.0);
-  EXPECT_DOUBLE_EQ(InverseRowFrequency(index, "qq"), 0.0);
-}
-
-TEST(Rscore, ProductOfBothSides) {
-  Column source("s", {"abcd", "abxy"});
-  Column target("t", {"abcd", "cdef"});
-  const auto si = NgramInvertedIndex::Build(source, 2, 2, false);
-  const auto ti = NgramInvertedIndex::Build(target, 2, 2, false);
-  // "ab": df_s = 2, df_t = 1 -> 0.5; "cd": df_s = 1, df_t = 2 -> 0.5.
-  EXPECT_DOUBLE_EQ(Rscore(si, ti, "ab"), 0.5);
-  EXPECT_DOUBLE_EQ(Rscore(si, ti, "cd"), 0.5);
-  EXPECT_DOUBLE_EQ(Rscore(si, ti, "zz"), 0.0);
+  // A 22-byte row: every size from kMinGram (4) to kMaxGram (20) is
+  // indexed, at both ends of the row; sizes 3 and 21 are not.
+  Column c("v", {"abcdefghijklmnopqrstuv"});
+  const auto index = NgramInvertedIndex::Build(c);
+  const std::string_view row = c.Get(0);
+  ASSERT_EQ(row.size(), kMaxGram + 2);
+  EXPECT_EQ(index.Df(row.substr(0, kMinGram - 1)), 0u);
+  for (size_t n = kMinGram; n <= kMaxGram; ++n) {
+    EXPECT_EQ(index.Df(row.substr(0, n)), 1u) << n;
+    EXPECT_EQ(index.Df(row.substr(row.size() - n)), 1u) << n;
+  }
+  EXPECT_EQ(index.Df(row.substr(0, kMaxGram + 1)), 0u);
+  EXPECT_EQ(index.Df(row.substr(1)), 0u);
+  EXPECT_EQ(index.Df(row), 0u);
 }
 
 TEST(RowMatcher, MatchesFigure1NamePhonePair) {
@@ -82,15 +74,6 @@ TEST(RowMatcher, SourceRowsWithoutSharedGramsAreUnmatched) {
   EXPECT_EQ(result.unmatched_source_rows, 1u);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0].source, 1u);
-}
-
-TEST(RowMatcher, MaxPairsCapsOutput) {
-  Column source("s", {"aaaa1", "aaaa2", "aaaa3"});
-  Column target("t", {"aaaa1", "aaaa2", "aaaa3"});
-  RowMatchOptions options;
-  options.max_pairs = 2;
-  const RowMatchResult result = FindJoinablePairs(source, target, options);
-  EXPECT_LE(result.pairs.size(), 2u);
 }
 
 TEST(PickSourceColumn, PrefersLongerAverage) {

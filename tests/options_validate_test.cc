@@ -45,28 +45,8 @@ TEST(ValidateOptionsTest, DiscoveryRejectsEachBadField) {
   }
   {
     DiscoveryOptions o;
-    o.max_matches_per_placeholder = 0;
-    ExpectRejected(ValidateOptions(o), "max_matches_per_placeholder");
-  }
-  {
-    DiscoveryOptions o;
-    o.max_split_chars = -1;
-    ExpectRejected(ValidateOptions(o), "max_split_chars");
-  }
-  {
-    DiscoveryOptions o;
-    o.max_twochar_neighbors = -1;
-    ExpectRejected(ValidateOptions(o), "max_twochar_neighbors");
-  }
-  {
-    DiscoveryOptions o;
     o.max_transformations_per_row = 0;
     ExpectRejected(ValidateOptions(o), "max_transformations_per_row");
-  }
-  {
-    DiscoveryOptions o;
-    o.max_skeletons_per_row = 0;
-    ExpectRejected(ValidateOptions(o), "max_skeletons_per_row");
   }
   {
     DiscoveryOptions o;
@@ -87,21 +67,9 @@ TEST(ValidateOptionsTest, DiscoveryRejectsEachBadField) {
 
 TEST(ValidateOptionsTest, RowMatchBounds) {
   EXPECT_TRUE(ValidateOptions(RowMatchOptions()).ok());
-  {
-    RowMatchOptions o;
-    o.n0 = 0;
-    ExpectRejected(ValidateOptions(o), "n0");
-  }
-  {
-    RowMatchOptions o;
-    o.nmax = o.n0 - 1;
-    ExpectRejected(ValidateOptions(o), "nmax");
-  }
-  {
-    RowMatchOptions o;
-    o.nmax = 257;
-    ExpectRejected(ValidateOptions(o), "nmax");
-  }
+  RowMatchOptions o;
+  o.target_cache_key.fingerprint = 7;  // engaged, but no index_cache
+  ExpectRejected(ValidateOptions(o), "index_cache");
 }
 
 TEST(ValidateOptionsTest, StorageBudgetNeedsSpillDir) {
@@ -135,7 +103,7 @@ TEST(ValidateOptionsTest, JoinValidatesNestedAndOwnFields) {
   // Nested structs are validated through the parent.
   {
     JoinOptions o;
-    o.match_options.n0 = 0;
+    o.match_options.target_cache_key.fingerprint = 7;
     EXPECT_FALSE(ValidateOptions(o).ok());
   }
   {

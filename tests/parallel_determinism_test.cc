@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -241,12 +242,12 @@ TEST(DiscoveryStatsTimes, WallClockPhasesAndCpuCounters) {
 TEST(ParallelIndexBuild, IdenticalPostingsAcrossThreadCounts) {
   const SynthDataset ds = GenerateSynth(SynthN(60, 19));
   const Column& column = ds.pair.SourceColumn();
-  const NgramInvertedIndex serial =
-      NgramInvertedIndex::Build(column, 4, 20, true, 1);
+  const NgramInvertedIndex serial = NgramInvertedIndex::Build(column);
 
   for (int threads : {2, 8}) {
+    ThreadPool pool(threads);
     const NgramInvertedIndex parallel =
-        NgramInvertedIndex::Build(column, 4, 20, true, threads);
+        NgramInvertedIndex::Build(column, &pool);
     ASSERT_EQ(parallel.num_rows(), serial.num_rows());
     ASSERT_EQ(parallel.num_grams(), serial.num_grams()) << threads;
     ASSERT_EQ(parallel.TotalPostings(), serial.TotalPostings()) << threads;
@@ -272,18 +273,12 @@ using ReferencePostingsMap =
 
 /// The map-based builder the flat CSR layout replaced, kept as the oracle:
 /// one heap string and one growable posting vector per distinct gram,
-/// ascending per-row-deduplicated postings, optional ASCII lowercasing.
-ReferencePostingsMap BuildReferencePostings(const Column& column, size_t n0,
-                                            size_t nmax, bool lowercase) {
+/// ascending per-row-deduplicated postings, rows ASCII-lowercased.
+ReferencePostingsMap BuildReferencePostings(const Column& column) {
   ReferencePostingsMap postings;
   for (size_t row = 0; row < column.size(); ++row) {
-    std::string lowered;
-    std::string_view text = column.Get(row);
-    if (lowercase) {
-      lowered = ToLowerAscii(text);
-      text = lowered;
-    }
-    for (size_t n = n0; n <= nmax && n <= text.size(); ++n) {
+    const std::string text = ToLowerAscii(column.Get(row));
+    for (size_t n = kMinGram; n <= kMaxGram && n <= text.size(); ++n) {
       ForEachNgram(text, n, [&](std::string_view gram) {
         auto it = postings.find(gram);
         if (it == postings.end()) {
@@ -302,25 +297,30 @@ ReferencePostingsMap BuildReferencePostings(const Column& column, size_t n0,
 
 TEST(ParallelIndexBuild, CsrMatchesMapReferenceBuilder) {
   // The flat CSR index must agree gram-for-gram with the map-based
-  // reference builder (the pre-refactor storage model), lowercased and not.
+  // reference builder (the pre-refactor storage model). Every other row is
+  // upper-cased, so both must lower it.
   const SynthDataset ds = GenerateSynth(SynthN(40, 29));
-  const Column& column = ds.pair.SourceColumn();
-  for (const bool lowercase : {false, true}) {
-    const NgramInvertedIndex index =
-        NgramInvertedIndex::Build(column, 4, 12, lowercase, 1);
-    const ReferencePostingsMap reference =
-        BuildReferencePostings(column, 4, 12, lowercase);
-    ASSERT_EQ(index.num_grams(), reference.size()) << lowercase;
-    size_t reference_postings = 0;
-    for (const auto& [gram, rows] : reference) {
-      reference_postings += rows.size();
-      const std::span<const uint32_t> got = index.Lookup(gram);
-      ASSERT_TRUE(
-          std::equal(got.begin(), got.end(), rows.begin(), rows.end()))
-          << "gram '" << gram << "' lowercase=" << lowercase;
+  Column column("c");
+  for (size_t row = 0; row < ds.pair.SourceColumn().size(); ++row) {
+    std::string cell(ds.pair.SourceColumn().Get(row));
+    if (row % 2 == 1) {
+      for (char& c : cell) {
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      }
     }
-    EXPECT_EQ(index.TotalPostings(), reference_postings);
+    column.Append(cell);
   }
+  const NgramInvertedIndex index = NgramInvertedIndex::Build(column);
+  const ReferencePostingsMap reference = BuildReferencePostings(column);
+  ASSERT_EQ(index.num_grams(), reference.size());
+  size_t reference_postings = 0;
+  for (const auto& [gram, rows] : reference) {
+    reference_postings += rows.size();
+    const std::span<const uint32_t> got = index.Lookup(gram);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), rows.begin(), rows.end()))
+        << "gram '" << gram << "'";
+  }
+  EXPECT_EQ(index.TotalPostings(), reference_postings);
 }
 
 TEST(ParallelRowMatch, PairsIdenticalAcrossThreadCounts) {
@@ -365,25 +365,6 @@ TEST(SharedPool, TransformJoinConstructsExactlyOnePool) {
   EXPECT_EQ(parallel.applied_transformations,
             serial.applied_transformations);
   EXPECT_EQ(parallel.learning_pairs, serial.learning_pairs);
-}
-
-TEST(RowMatcher, MaxPairsEmitsPrefixOfUnlimitedScan) {
-  // The capped scan must stop early but emit exactly the first max_pairs
-  // pairs the unlimited scan would have produced (same discovery order).
-  const SynthDataset ds = GenerateSynth(SynthN(30, 9));
-  RowMatchOptions unlimited;
-  const RowMatchResult full = FindJoinablePairs(
-      ds.pair.SourceColumn(), ds.pair.TargetColumn(), unlimited);
-  ASSERT_GT(full.pairs.size(), 4u);
-
-  RowMatchOptions capped;
-  capped.max_pairs = 4;
-  const RowMatchResult result = FindJoinablePairs(
-      ds.pair.SourceColumn(), ds.pair.TargetColumn(), capped);
-  ASSERT_EQ(result.pairs.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(result.pairs[i], full.pairs[i]) << "pair " << i;
-  }
 }
 
 }  // namespace

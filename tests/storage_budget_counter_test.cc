@@ -122,7 +122,6 @@ TEST_F(BudgetCounterTest, DiscoveryLeavesSpillAndCounterUnchanged) {
 
   CorpusDiscoveryOptions options;
   options.num_threads = 1;
-  ASSERT_TRUE(options.join.match_options.lowercase);
   const CorpusDiscoveryResult result =
       DiscoverJoinableColumns(&catalog, options);
   ASSERT_FALSE(result.results.empty()) << "no pair evaluated; vacuous";

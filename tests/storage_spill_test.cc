@@ -220,7 +220,6 @@ TEST_F(SpillTest, CaseInsensitiveMatchLeavesSpilledColumnsUnchanged) {
   const size_t target_resident = target.ResidentBytes();
 
   RowMatchOptions options;
-  options.lowercase = true;
   for (const int threads : {1, 4}) {
     options.num_threads = threads;
     const RowMatchResult on_heap =
@@ -238,9 +237,6 @@ TEST_F(SpillTest, CaseInsensitiveMatchLeavesSpilledColumnsUnchanged) {
     EXPECT_EQ(target.ResidentBytes(), target_resident);
     EXPECT_EQ(SpillFileCount(), files);
   }
-  options.lowercase = false;
-  EXPECT_LT(FindJoinablePairs(source, target, options).pairs.size(),
-            source_cells.size());
 }
 
 TEST_F(SpillTest, AdoptStorageRoundTripPreservesContentAndFreeze) {

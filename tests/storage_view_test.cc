@@ -218,20 +218,21 @@ TEST(CatalogViews, UpdateTableLeavesNoDanglingViewsInLiveShortlists) {
   }
 }
 
-TEST(IndexViews, InvertedNgramRangeBuildsEmptyIndex) {
-  // nmax < n0 enumerates nothing; the build must return an empty index (as
-  // the pre-CSR map build did), not trip over the occurrence-bound math.
-  const Column column("c", {"long enough to matter", "second row"});
-  const NgramInvertedIndex index =
-      NgramInvertedIndex::Build(column, 6, 4, false);
+TEST(IndexViews, RowsShorterThanMinGramBuildEmptyIndex) {
+  // Rows shorter than kMinGram enumerate nothing; the build must return an
+  // empty index (as the pre-CSR map build did), not trip over the
+  // occurrence-bound math.
+  const Column column("c", {"abc", "", "xy", "q"});
+  const NgramInvertedIndex index = NgramInvertedIndex::Build(column);
+  EXPECT_EQ(index.num_rows(), 4u);
   EXPECT_EQ(index.num_grams(), 0u);
   EXPECT_EQ(index.TotalPostings(), 0u);
-  EXPECT_TRUE(index.Lookup("long").empty());
+  EXPECT_TRUE(index.Lookup("abc").empty());
 }
 
 TEST(IndexViews, LookupSpansSurviveIndexMoves) {
   const Column column("c", {"shared-prefix-a", "shared-prefix-b"});
-  NgramInvertedIndex index = NgramInvertedIndex::Build(column, 4, 8, false);
+  NgramInvertedIndex index = NgramInvertedIndex::Build(column);
   const std::span<const uint32_t> rows = index.Lookup("shared");
   ASSERT_EQ(rows.size(), 2u);
 
