@@ -109,28 +109,26 @@ std::vector<BenchDataset> BuildSuite(const SuiteOptions& options) {
     d.autojoin_budget_seconds = 2.0;
     suite.push_back(std::move(d));
   }
-  if (options.include_synth) {
-    struct SynthSpec {
-      const char* name;
-      size_t rows;
-      bool long_rows;
-      size_t tables;
-    };
-    const SynthSpec specs[] = {
-        {"Synth-50", 50, false, 5},
-        {"Synth-50L", 50, true, 5},
-        {"Synth-500", 500, false, 3},
-        {"Synth-500L", 500, true, 3},
-    };
-    for (const auto& spec : specs) {
-      BenchDataset d;
-      d.name = spec.name;
-      d.tables = SynthTables(Scaled(spec.rows, s), spec.long_rows,
-                             spec.tables, options.seed + 10);
-      d.discovery.max_placeholders = 3;
-      d.autojoin_budget_seconds = spec.rows >= 500 ? 2.0 : 1.0;
-      suite.push_back(std::move(d));
-    }
+  struct SynthSpec {
+    const char* name;
+    size_t rows;
+    bool long_rows;
+    size_t tables;
+  };
+  const SynthSpec specs[] = {
+      {"Synth-50", 50, false, 5},
+      {"Synth-50L", 50, true, 5},
+      {"Synth-500", 500, false, 3},
+      {"Synth-500L", 500, true, 3},
+  };
+  for (const auto& spec : specs) {
+    BenchDataset d;
+    d.name = spec.name;
+    d.tables = SynthTables(Scaled(spec.rows, s), spec.long_rows,
+                           spec.tables, options.seed + 10);
+    d.discovery.max_placeholders = 3;
+    d.autojoin_budget_seconds = spec.rows >= 500 ? 2.0 : 1.0;
+    suite.push_back(std::move(d));
   }
   for (BenchDataset& d : suite) {
     d.discovery.num_threads = options.num_threads;

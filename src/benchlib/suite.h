@@ -55,7 +55,6 @@ struct SuiteOptions {
   bool include_webtables = true;
   bool include_spreadsheet = true;
   bool include_opendata = true;
-  bool include_synth = true;
 };
 
 /// Reads TJ_BENCH_SCALE (default 1.0; a value must be finite, above 0 and

@@ -15,7 +15,7 @@
 namespace tj {
 
 /// Finalizer from SplitMix64; a strong 64-bit bit mixer.
-inline uint64_t Mix64(uint64_t x) {
+constexpr uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -23,7 +23,7 @@ inline uint64_t Mix64(uint64_t x) {
 }
 
 /// Combines a new value into a running 64-bit hash seed.
-inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
+constexpr uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return Mix64(seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) +
                        (seed >> 2)));
 }

@@ -18,6 +18,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "table/csv.h"
 #include "table/storage_events.h"
 
 namespace tj {
@@ -216,7 +217,7 @@ Result<uint32_t> TableCatalog::UpdateTable(Table table) {
 }
 
 Result<TableCatalog::CsvDirectoryReport> TableCatalog::AddCsvDirectory(
-    const std::string& dir, const CsvOptions& csv) {
+    const std::string& dir) {
   namespace fs = std::filesystem;
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
@@ -238,7 +239,7 @@ Result<TableCatalog::CsvDirectoryReport> TableCatalog::AddCsvDirectory(
     // unparseable entries (and name clashes) are warned about and skipped —
     // and counted, so callers can report the partial load; every healthy
     // table still loads.
-    auto table = ReadCsvFile(path.string(), csv, storage_);
+    auto table = ReadCsvFile(path.string(), CsvOptions(), storage_);
     if (!table.ok()) {
       std::fprintf(stderr, "warning: skipping %s: %s\n",
                    path.string().c_str(),
@@ -755,8 +756,10 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (!parsed.ok()) return fail(parsed.message());
       // Fields no fresh sketch can hold together: ComputeColumnSignature
       // ORs only the CharsetBit classes of lowercased text (never
-      // kCharsetUpper), and its mean is an exact length sum over the row
-      // count (0/0/0 for an empty column).
+      // kCharsetUpper), its mean is an exact length sum over the row
+      // count (0/0/0 for an empty column), and a row of L bytes yields at
+      // most L - kSketchNgram + 1 grams, at least one once L >=
+      // kSketchNgram.
       constexpr uint32_t kSketchCharsets = kCharsetLower | kCharsetDigit |
                                            kCharsetSpace | kCharsetPunct |
                                            kCharsetOther;
@@ -766,6 +769,13 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
       if (!(sig.min_length <= sig.mean_length &&
             sig.mean_length <= sig.max_length)) {
         return fail("expected minlen <= meanlen <= maxlen");
+      }
+      const bool holds_grams = sig.max_length >= kSketchNgram;
+      if ((sig.distinct_ngrams > 0) != holds_grams ||
+          (holds_grams &&
+           sig.distinct_ngrams >
+               uint64_t{sig.num_rows} * (sig.max_length - kSketchNgram + 1))) {
+        return fail("distinct= disagrees with rows= and maxlen=");
       }
       if (skipping_block) {
         skipped_sig = std::move(sig);

@@ -27,7 +27,6 @@
 #include "common/hash.h"
 #include "common/status.h"
 #include "corpus/signature.h"
-#include "table/csv.h"
 #include "table/table.h"
 
 namespace tj {
@@ -134,8 +133,7 @@ class TableCatalog : public CorpusColumnSource {
   /// corpus than the user pointed at. Table bytes land on this catalog's
   /// StorageOptions backends (block-streamed straight into spill files
   /// when configured).
-  Result<CsvDirectoryReport> AddCsvDirectory(
-      const std::string& dir, const CsvOptions& csv = CsvOptions());
+  Result<CsvDirectoryReport> AddCsvDirectory(const std::string& dir);
 
   /// Live (non-removed) table count.
   size_t num_tables() const { return num_live_; }

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/strings.h"
+#include "corpus/gram_hash_set.h"
 #include "text/char_class.h"
 
 namespace tj {
@@ -13,24 +13,36 @@ namespace {
 
 // The two loops over the sketch slots are the hot ones: the slot update
 // runs once per distinct gram of every column, the equal-slot count once
-// per scored pair. On x86 GCC each is compiled twice, for AVX2 and for the
-// baseline ISA, and the loader picks one by CPUID. Both clones compile the
-// same integer loop, so no sketch, estimate or output depends on the pick.
-// Not under ThreadSanitizer: GCC instruments the clones' ifunc resolver,
-// which runs before the TSan runtime is up and crashes at start-up, so a
-// TSan build runs the baseline loops.
+// per scored pair. On x86 GCC each is compiled three times, for x86-64-v4
+// (AVX-512 F/BW/CD/DQ/VL: vpmullq does Mix64's two 64-bit multiplies
+// eight lanes wide), for AVX2 (which has no 64-bit lane multiply and
+// builds each one from three vpmuludq) and for the baseline ISA, and the
+// loader picks one by CPUID. Every clone compiles the same integer loop,
+// so no sketch, estimate or output depends on the pick. Not under
+// ThreadSanitizer: GCC instruments the clones' ifunc resolver, which runs
+// before the TSan runtime is up and crashes at start-up, so a TSan build
+// runs the baseline loops.
 #if defined(__GNUC__) && !defined(__clang__) && \
     (defined(__x86_64__) || defined(__i386__)) && \
     !defined(__SANITIZE_THREAD__)
-#define TJ_SKETCH_CLONES __attribute__((target_clones("avx2", "default")))
+#define TJ_SKETCH_CLONES \
+  __attribute__((target_clones("arch=x86-64-v4", "avx2", "default")))
 #else
 #define TJ_SKETCH_CLONES
 #endif
 
-TJ_SKETCH_CLONES void MinhashUpdate(uint64_t base, const uint64_t* slot_seeds,
-                                    uint64_t* minhash) {
+/// Per-slot seeds of the hash family: one Mix64 of (base seed, slot).
+constexpr std::array<uint64_t, kSketchSlots> kSlotSeeds = [] {
+  std::array<uint64_t, kSketchSlots> seeds{};
   for (size_t i = 0; i < kSketchSlots; ++i) {
-    minhash[i] = std::min(minhash[i], Mix64(base ^ slot_seeds[i]));
+    seeds[i] = HashCombine(kSketchSeed, i);
+  }
+  return seeds;
+}();
+
+TJ_SKETCH_CLONES void MinhashUpdate(uint64_t base, uint64_t* minhash) {
+  for (size_t i = 0; i < kSketchSlots; ++i) {
+    minhash[i] = std::min(minhash[i], Mix64(base ^ kSlotSeeds[i]));
   }
 }
 
@@ -74,13 +86,7 @@ ColumnSignature ComputeColumnSignature(const Column& column) {
   sig.num_rows = static_cast<uint32_t>(column.size());
   sig.minhash.assign(kSketchSlots, kEmptyMinhashSlot);
 
-  // Per-slot seeds of the hash family: one Mix64 of (base seed, slot).
-  std::vector<uint64_t> slot_seeds(kSketchSlots);
-  for (size_t i = 0; i < kSketchSlots; ++i) {
-    slot_seeds[i] = HashCombine(kSketchSeed, i);
-  }
-
-  std::unordered_set<uint64_t> distinct;
+  GramHashSet distinct;
   uint64_t total_length = 0;
   sig.min_length = column.empty() ? 0 : ~0u;
   // One streaming pass in arena order; on a spilled column the pages
@@ -111,8 +117,8 @@ ColumnSignature ComputeColumnSignature(const Column& column) {
           h *= kFnvPrime;
         }
         const uint64_t base = Mix64(h);
-        if (!distinct.insert(base).second) continue;  // already sketched
-        MinhashUpdate(base, slot_seeds.data(), sig.minhash.data());
+        if (!distinct.Insert(base)) continue;  // already sketched
+        MinhashUpdate(base, sig.minhash.data());
       }
     }
   });

@@ -21,6 +21,10 @@
 namespace tj::serve {
 namespace {
 
+/// Receive timeout on accepted connections and the accept loop's poll:
+/// the granularity at which an idle handler notices server shutdown.
+constexpr int kRecvTimeoutMs = 200;
+
 JsonValue ErrorResponse(const Status& status) {
   JsonValue response = JsonValue::Object();
   response.Set("ok", JsonValue::Bool(false));
@@ -62,10 +66,6 @@ Status ValidateOptions(const ServeOptions& options) {
   if (options.watch_debounce_ms < 1) {
     return Status::InvalidArgument(
         "ServeOptions::watch_debounce_ms must be >= 1");
-  }
-  if (options.recv_timeout_ms < 1) {
-    return Status::InvalidArgument(
-        "ServeOptions::recv_timeout_ms must be >= 1");
   }
   if (options.max_pending_mutations == 0) {
     return Status::InvalidArgument(
@@ -234,7 +234,7 @@ void CorpusServer::AcceptLoop() {
     struct pollfd pfd = {};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
-    const int ready = ::poll(&pfd, 1, options_.recv_timeout_ms);
+    const int ready = ::poll(&pfd, 1, kRecvTimeoutMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;
@@ -248,7 +248,7 @@ void CorpusServer::AcceptLoop() {
       }
       break;
     }
-    if (!SetRecvTimeout(fd, options_.recv_timeout_ms).ok()) {
+    if (!SetRecvTimeout(fd, kRecvTimeoutMs).ok()) {
       ::close(fd);
       continue;
     }
@@ -629,7 +629,7 @@ Status CorpusServer::ApplyMutation(Mutation* m) {
   }
 
   Result<Table> table =
-      ReadCsvFile(m->path, options_.csv, catalog_->storage_options());
+      ReadCsvFile(m->path, CsvOptions(), catalog_->storage_options());
   if (!table.ok()) return table.status();
   table->set_name(m->name);
 

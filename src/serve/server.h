@@ -91,10 +91,6 @@ struct ServeOptions {
   /// with ResourceExhausted instead of queuing unboundedly.
   size_t max_pending_mutations = 64;
 
-  /// Receive timeout on accepted connections — the granularity at which an
-  /// idle connection handler notices server shutdown.
-  int recv_timeout_ms = 200;
-
   /// Per-frame payload cap for this server.
   size_t max_frame_bytes = kMaxFrameBytes;
 
@@ -110,9 +106,6 @@ struct ServeOptions {
   /// ignored here; the pool passed to the constructor sizes startup and
   /// mutation work.
   CorpusDiscoveryOptions discovery;
-
-  /// CSV parsing for add/update/watch ingest.
-  CsvOptions csv;
 };
 
 /// Validates a ServeOptions (socket path present, timeouts/caps sane,

@@ -10,12 +10,15 @@
 namespace tj {
 namespace {
 
+/// The field separator of every file this reader and writer see.
+constexpr char kDelimiter = ',';
+
 /// Parses one record starting at *pos into the first `*num_fields` elements
 /// of `fields`; advances *pos past the record's trailing newline. Returns
 /// false at end of input. `fields` is a reusable scratch: elements are
 /// cleared and refilled in place (their buffers are kept across records), so
 /// a steady-state parse performs no per-field heap allocation.
-bool ParseRecord(std::string_view text, size_t* pos, char delim,
+bool ParseRecord(std::string_view text, size_t* pos,
                  std::vector<std::string>* fields, size_t* num_fields,
                  Status* status) {
   *num_fields = 0;
@@ -48,7 +51,7 @@ bool ParseRecord(std::string_view text, size_t* pos, char delim,
     if (c == '"' && field->empty() && !field_was_quoted) {
       in_quotes = true;
       field_was_quoted = true;
-    } else if (c == delim) {
+    } else if (c == kDelimiter) {
       field = next_field();
       field_was_quoted = false;
     } else if (c == '\n' || c == '\r') {
@@ -97,7 +100,7 @@ struct RecordScan {
 /// and one unbalanced quote cannot make the reader buffer the rest of the
 /// file (a legitimately unterminated quoted field still buffers to EOF,
 /// where ParseRecord reports it).
-size_t FindRecordEnd(std::string_view text, char delim, RecordScan* scan) {
+size_t FindRecordEnd(std::string_view text, RecordScan* scan) {
   size_t i = scan->offset;
   for (; i < text.size(); ++i) {
     const char c = text[i];
@@ -121,7 +124,7 @@ size_t FindRecordEnd(std::string_view text, char delim, RecordScan* scan) {
     if (c == '"' && scan->field_empty && !scan->field_was_quoted) {
       scan->in_quotes = true;
       scan->field_was_quoted = true;
-    } else if (c == delim) {
+    } else if (c == kDelimiter) {
       scan->field_empty = true;
       scan->field_was_quoted = false;
     } else if (c == '\n') {
@@ -232,8 +235,7 @@ Result<Table> ReadCsvString(std::string_view text, const CsvOptions& options,
   // Cells are appended straight into each column's arena: the reusable
   // `fields` scratch is the only per-record string storage, so the parse
   // allocates O(columns) buffers total instead of one per cell.
-  while (ParseRecord(text, &pos, options.delimiter, &fields, &num_fields,
-                     &status)) {
+  while (ParseRecord(text, &pos, &fields, &num_fields, &status)) {
     TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
   }
   if (!status.ok()) return status;
@@ -274,14 +276,8 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options,
       // ParseRecord decides the boundary — the two agree by construction,
       // but advancing by the parser's position keeps it the single source
       // of truth.
-      if (FindRecordEnd(buf, options.delimiter, &scan) ==
-          std::string_view::npos) {
-        break;
-      }
-      if (!ParseRecord(buf, &pos, options.delimiter, &fields, &num_fields,
-                       &status)) {
-        break;
-      }
+      if (FindRecordEnd(buf, &scan) == std::string_view::npos) break;
+      if (!ParseRecord(buf, &pos, &fields, &num_fields, &status)) break;
       if (!status.ok()) return status;
       TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
       scan.StartRecordAt(pos);
@@ -295,8 +291,7 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options,
   // EOF remainder: a final record without a trailing newline (or an
   // unterminated quote, which ParseRecord reports).
   size_t pos = 0;
-  while (ParseRecord(buf, &pos, options.delimiter, &fields, &num_fields,
-                     &status)) {
+  while (ParseRecord(buf, &pos, &fields, &num_fields, &status)) {
     TJ_RETURN_IF_ERROR(builder.OnRecord(fields, num_fields));
   }
   if (!status.ok()) return status;
@@ -305,15 +300,15 @@ Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options,
 
 namespace {
 
-bool NeedsQuoting(std::string_view field, char delim) {
+bool NeedsQuoting(std::string_view field) {
   for (char c : field) {
-    if (c == delim || c == '"' || c == '\n' || c == '\r') return true;
+    if (c == kDelimiter || c == '"' || c == '\n' || c == '\r') return true;
   }
   return false;
 }
 
-void AppendField(std::string* out, std::string_view field, char delim) {
-  if (!NeedsQuoting(field, delim)) {
+void AppendField(std::string* out, std::string_view field) {
+  if (!NeedsQuoting(field)) {
     out->append(field);
     return;
   }
@@ -332,15 +327,15 @@ std::string WriteCsvString(const Table& table, const CsvOptions& options) {
   const size_t cols = table.num_columns();
   if (options.has_header) {
     for (size_t i = 0; i < cols; ++i) {
-      if (i > 0) out.push_back(options.delimiter);
-      AppendField(&out, table.column(i).name(), options.delimiter);
+      if (i > 0) out.push_back(kDelimiter);
+      AppendField(&out, table.column(i).name());
     }
     out.push_back('\n');
   }
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t i = 0; i < cols; ++i) {
-      if (i > 0) out.push_back(options.delimiter);
-      AppendField(&out, table.column(i).Get(r), options.delimiter);
+      if (i > 0) out.push_back(kDelimiter);
+      AppendField(&out, table.column(i).Get(r));
     }
     out.push_back('\n');
   }

@@ -20,7 +20,6 @@
 namespace tj {
 
 struct CsvOptions {
-  char delimiter = ',';
   /// Whether the first record names the columns; when false, columns are
   /// named col0, col1, ...
   bool has_header = true;

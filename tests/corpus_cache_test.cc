@@ -123,6 +123,10 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
       // batch scan and the LSH probe disagree on the pair.
       EditFirst(dump, "minhash ", std::to_string(kEmptyMinhashSlot)),
       EditFirst(dump, "distinct=", "0"),
+      // More distinct grams than the rows hold: a row of maxlen bytes
+      // yields at most maxlen - kSketchNgram + 1 of them.
+      EditFirst(dump, "distinct=",
+                std::to_string(rows * (maxlen - kSketchNgram + 1) + 1)),
   };
   for (const std::string& text : malformed) {
     ASSERT_NE(text, dump);
@@ -131,6 +135,30 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
         << text.substr(0, text.find("minhash"));
     ExpectNothingInstalled(target);
   }
+
+  // Grams counted in a column of cells shorter than kSketchNgram, which
+  // hold none, with its slots set to agree with distinct=.
+  const auto build_codes = [] {
+    TableCatalog catalog;
+    Table table("codes");
+    EXPECT_TRUE(table.AddColumn(Column("code", {"ab", "xyz", "q"})).ok());
+    EXPECT_TRUE(catalog.AddTable(std::move(table)).ok());
+    return catalog;
+  };
+  TableCatalog codes = build_codes();
+  codes.ComputeSignatures();
+  const std::string codes_dump = codes.SerializeSignatures();
+  ASSERT_NE(codes_dump.find("distinct=0 "), std::string::npos) << codes_dump;
+  std::string set_slots = "minhash";
+  for (size_t i = 0; i < kSketchSlots; ++i) set_slots += " 1";
+  const std::string counted = EditFirst(codes_dump, "distinct=", "1");
+  const std::string edited =
+      counted.substr(0, counted.find("minhash")) + set_slots + "\n";
+  TableCatalog unedited_target = build_codes();
+  EXPECT_TRUE(unedited_target.LoadSignatures(codes_dump).ok());
+  TableCatalog target = build_codes();
+  EXPECT_FALSE(target.LoadSignatures(edited).ok()) << edited;
+  ExpectNothingInstalled(target);
 }
 
 TEST(SignatureCache, TruncatedDumpsFailClosed) {

@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "corpus/catalog.h"
 #include "corpus/corpus_discovery.h"
+#include "corpus/gram_hash_set.h"
 #include "corpus/pair_pruner.h"
 #include "corpus/signature.h"
 #include "datagen/corpus.h"
@@ -185,9 +186,9 @@ std::vector<Column> RandomPinColumns(size_t count) {
 }
 
 // The two levels are the two codegens of the sketch loops: this binary runs
-// the library's (the AVX2 clone wherever the CPU has AVX2), and the
-// /force_scalar registration runs a copy of corpus/signature.cc compiled
-// without vectorization.
+// the library's clone the loader picks (x86-64-v4 on AVX-512 CPUs, else
+// AVX2 where the CPU has it), and the /force_scalar registration runs a
+// copy of corpus/signature.cc compiled without vectorization.
 TEST(SignaturePin, ComputeColumnSignatureMatchesReferenceAtBothLevels) {
   std::vector<Column> columns = RandomPinColumns(240);
   Column fixed("fixed");
@@ -199,12 +200,30 @@ TEST(SignaturePin, ComputeColumnSignatureMatchesReferenceAtBothLevels) {
   fixed.Append("répülőtér \xff\x01 control");  // non-ASCII + control bytes
   fixed.Append("1600 Pennsylvania Ave NW, Washington, DC 20500");
   columns.push_back(std::move(fixed));
+  // 2,000 distinct 20-byte cells over a 10-symbol alphabet: ~9,700
+  // distinct grams, so the gram set doubles many times, and most grams
+  // recur after each doubling (a gram the rehash lost is counted twice).
+  Column wide("wide");
+  uint64_t state = 0x77;
+  std::unordered_set<std::string> wide_cells;
+  while (wide_cells.size() < 2000) {
+    std::string cell(20, '\0');
+    for (char& c : cell) c = "0123456789"[Mix64(state++) % 10];
+    if (wide_cells.insert(cell).second) wide.Append(cell);
+  }
+  columns.push_back(std::move(wide));
+  // Every cell repeats one gram: the set holds a single hash.
+  columns.push_back(MakeColumn(
+      "one_gram", {"aaaa", "AAAAAAAAAAAA", "aaaaa", "aAaAaAaA", "aaaa"}));
 
   std::vector<ColumnSignature> sigs;
   for (const Column& column : columns) {
     sigs.push_back(ComputeColumnSignature(column));
     ASSERT_TRUE(sigs.back() == ReferenceSignature(column)) << column.name();
   }
+  EXPECT_GT(sigs[sigs.size() - 2].distinct_ngrams,
+            8 * GramHashSet::kInitialSlots);
+  EXPECT_EQ(sigs.back().distinct_ngrams, 1u);
 
   // EstimateJaccard is the equal-slot count over all slots, and 0 when
   // either column sketched no grams.
@@ -227,6 +246,26 @@ TEST(SignaturePin, ComputeColumnSignatureMatchesReferenceAtBothLevels) {
   }
   // The pool must make some pairs agree in some slots but not all.
   EXPECT_GT(partial_pairs, 0u);
+}
+
+TEST(GramHashSet, CountsZeroApartAndKeepsEveryHashAcrossGrowth) {
+  GramHashSet set;
+  EXPECT_TRUE(set.Insert(0));  // 0 marks an empty slot: counted apart
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_EQ(set.size(), 1u);
+  // Hashes sharing their low 16 bits start probing at the last slot of
+  // every table up to 65,536 slots and wrap around to the first; 4,000
+  // of them double the table from 256 to 8,192 slots.
+  std::vector<uint64_t> hashes;
+  for (uint64_t k = 1; k <= 4000; ++k) hashes.push_back(k << 16 | 0xffff);
+  size_t added = 0;
+  for (const uint64_t hash : hashes) added += set.Insert(hash);
+  EXPECT_EQ(added, hashes.size());
+  size_t readded = 0;
+  for (const uint64_t hash : hashes) readded += set.Insert(hash);
+  EXPECT_EQ(readded, 0u);
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_EQ(set.size(), hashes.size() + 1);
 }
 
 SynthCorpusOptions SmallCorpus() {
