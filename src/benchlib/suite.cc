@@ -235,20 +235,12 @@ template <typename Eval, typename Fn>
 std::vector<Eval> RunPerPair(const std::vector<TablePair>& pairs,
                              ThreadPool* pool, const Fn& fn) {
   std::vector<Eval> results(pairs.size());
-  if (pool != nullptr && pool->size() > 1 && pairs.size() > 1 &&
-      !InParallelFor()) {
-    pool->ParallelFor(pairs.size(), pairs.size(),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          results[i] = fn(pairs[i]);
-                        }
-                      });
-  } else {
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      results[i] = fn(pairs[i]);
-    }
-  }
+  const size_t n = pairs.size();
+  ParallelFor(pool, n, ChunkCount(pool, n, n),
+              [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+                  size_t end) {
+                for (size_t i = begin; i < end; ++i) results[i] = fn(pairs[i]);
+              });
   return results;
 }
 

@@ -119,8 +119,8 @@ std::vector<ExamplePair> LearningPairs(const TablePair& pair,
 // own slot, so results are identical for every pool size — pair costs vary,
 // so the ticket scheduler balances). The pool is also plumbed into each
 // pair's match/discovery options: a pair evaluated inside the fan-out
-// degrades its inner phases to the serial path (InParallelFor), while a
-// single-pair dataset hands the whole pool to the inner phases instead.
+// runs its inner phases at one chunk (ChunkCount), while a single-pair
+// dataset hands the whole pool to the inner phases instead.
 // With pool == nullptr these are exactly the sequential per-pair loops the
 // table benches always ran. Timing fields (`seconds`, stats time_*/cpu_*)
 // vary run to run; every other field is deterministic

@@ -4,7 +4,7 @@ namespace tj {
 namespace {
 
 /// Set while the thread runs chunks of a ParallelFor job; consulted by
-/// InParallelFor() and by the nested-call inline path.
+/// ChunkCount, PoolRef and the nested-call inline path.
 thread_local bool tls_in_parallel_for = false;
 
 /// RAII flag flip, exception-safe across chunk bodies that throw.
@@ -27,7 +27,23 @@ int ResolveNumThreads(int num_threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool InParallelFor() { return tls_in_parallel_for; }
+size_t ChunkCount(const ThreadPool* pool, size_t total, size_t per_worker) {
+  if (pool == nullptr || pool->size() < 2 || total < 2 || tls_in_parallel_for) {
+    return 1;
+  }
+  return std::min(total, static_cast<size_t>(pool->size()) * per_worker);
+}
+
+PoolRef::PoolRef(ThreadPool* shared, int num_threads, size_t max_workers)
+    : pool_(shared) {
+  if (pool_ != nullptr || tls_in_parallel_for) return;
+  const size_t workers = std::min(
+      static_cast<size_t>(ResolveNumThreads(num_threads)), max_workers);
+  if (workers > 1) {
+    owned_.emplace(static_cast<int>(workers));
+    pool_ = &*owned_;
+  }
+}
 
 uint64_t ThreadPool::TotalCreated() {
   return g_pools_created.load(std::memory_order_relaxed);

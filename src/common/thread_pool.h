@@ -1,5 +1,7 @@
-// ThreadPool: the parallel-execution subsystem behind the discovery
-// pipeline's hot loops (coverage, generation, index build).
+// ThreadPool: the parallel-execution subsystem behind every parallel phase:
+// the discovery pipeline's hot loops (coverage, generation, index build,
+// row probe) and the corpus layer's sketch, shortlist, eviction and pair
+// fan-out scans.
 //
 // The only primitive is a chunked ParallelFor. [0, total) is split into
 // `num_chunks` contiguous, ascending ranges; chunks are handed to workers
@@ -19,16 +21,26 @@
 //    Worker-indexed state must not affect output values, only reuse
 //    allocations (e.g. the per-row negative-unit cache, which is reset per
 //    row anyway).
+//
+// The phase idiom: a phase has one body, written for any chunk count. It
+// takes its pool from PoolRef, asks ChunkCount how many chunks to cut,
+// runs them with the null-safe ParallelFor below, and merges the per-chunk
+// outputs in chunk order (ConcatChunks). A one-chunk run is the serial
+// path: the body runs inline over [0, total), and a merge of one chunk
+// moves it. Only this module decides when a phase runs at one chunk.
 
 #ifndef TJ_COMMON_THREAD_POOL_H_
 #define TJ_COMMON_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -39,12 +51,6 @@ namespace tj {
 /// Resolves a thread-count knob: 0 means std::thread::hardware_concurrency
 /// (at least 1); negative values clamp to 1.
 int ResolveNumThreads(int num_threads);
-
-/// True while the calling thread is executing a ParallelFor chunk (of any
-/// pool). Parallel phases check this to fall back to their serial reference
-/// paths instead of nesting a fan-out inside a fan-out — e.g. a per-pair
-/// discovery running inside the corpus driver's pair-level ParallelFor.
-bool InParallelFor();
 
 /// Fixed-size pool of workers driving chunked parallel-for jobs. The calling
 /// thread participates as worker 0, so a pool of size N spawns N - 1
@@ -70,12 +76,15 @@ class ThreadPool {
   /// Blocks until every chunk finished; rethrows the first exception thrown
   /// by a chunk. Reusable: sequential ParallelFor calls share the workers.
   ///
-  /// Nesting: a ParallelFor issued from inside a chunk (InParallelFor() is
-  /// true) does not touch the pool's job state — it runs every chunk inline,
-  /// sequentially, as worker 0 on the calling thread. The partition is the
-  /// same, so nested callers keep the determinism contract; they just get no
-  /// extra parallelism. Phases that want to skip their merge overhead in
-  /// that situation should check InParallelFor() and take their serial path.
+  /// Two inline rules keep the same partition:
+  ///  * A call issued from inside a chunk (of any pool) does not touch the
+  ///    pool's job state: it runs every chunk inline, sequentially, as
+  ///    worker 0 on the calling thread, still flagged as inside a chunk.
+  ///    Phases avoid even that by asking ChunkCount, which is 1 there.
+  ///  * A one-chunk call, or any call on a workerless pool, runs inline with
+  ///    the in-chunk flag clear: the job state is untouched, so a call made
+  ///    from inside fn is a fresh dispatch. A one-pair fan-out thus hands its
+  ///    inner phases the whole pool.
   void ParallelFor(size_t total, size_t num_chunks, const ChunkFn& fn);
 
   /// Number of ThreadPool instances constructed since process start.
@@ -110,27 +119,67 @@ class ThreadPool {
   std::exception_ptr first_error_;   // guarded by mu_
 };
 
-/// Borrows an externally-owned pool when one is provided, otherwise owns a
-/// freshly constructed pool of `num_threads` workers. Lets every parallel
-/// phase accept an optional shared pool (DiscoveryOptions::pool,
-/// RowMatchOptions::pool) without duplicating construction logic.
+/// The chunk count of a phase over `total` items: 1 with no pool, with a
+/// one-worker pool, with fewer than two items, or when the caller runs
+/// inside a chunk (a phase nested in a fan-out gets no extra parallelism);
+/// otherwise min(total, pool->size() * per_worker). Pass per_worker =
+/// total for one chunk per item.
+size_t ChunkCount(const ThreadPool* pool, size_t total, size_t per_worker);
+
+/// Runs fn(worker, chunk, begin, end) over [0, total) cut into num_chunks
+/// chunks: on `pool` when there are several chunks and a pool, otherwise
+/// inline on the calling thread as worker 0 over the same partition,
+/// calling fn directly and leaving the in-chunk flag as it is. A one-chunk
+/// run is therefore exactly the phase's serial loop.
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, size_t total, size_t num_chunks,
+                 const Fn& fn) {
+  if (total == 0) return;
+  if (pool != nullptr && num_chunks > 1) {
+    pool->ParallelFor(total, num_chunks, fn);
+    return;
+  }
+  num_chunks = std::min(std::max<size_t>(num_chunks, 1), total);
+  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    fn(0, chunk, chunk * total / num_chunks,
+       (chunk + 1) * total / num_chunks);
+  }
+}
+
+/// Concatenates per-chunk outputs in chunk order; one chunk is moved.
+template <typename T>
+std::vector<T> ConcatChunks(std::vector<std::vector<T>>&& chunks) {
+  if (chunks.size() == 1) return std::move(chunks[0]);
+  size_t size = 0;
+  for (const std::vector<T>& chunk : chunks) size += chunk.size();
+  std::vector<T> out;
+  out.reserve(size);
+  for (std::vector<T>& chunk : chunks) {
+    out.insert(out.end(), std::make_move_iterator(chunk.begin()),
+               std::make_move_iterator(chunk.end()));
+  }
+  return out;
+}
+
+/// The pool a phase runs on. Borrows `shared` when one is given
+/// (DiscoveryOptions::pool, RowMatchOptions::pool, a corpus run's pool).
+/// Otherwise owns a pool of num_threads workers (as in ResolveNumThreads,
+/// capped at max_workers), but only when that is more than one and the
+/// caller is not inside a chunk; else get() is nullptr and the phase runs
+/// at one chunk without constructing a pool.
 class PoolRef {
  public:
-  PoolRef(ThreadPool* shared, int num_threads) : pool_(shared) {
-    if (pool_ == nullptr) {
-      owned_.emplace(num_threads);
-      pool_ = &*owned_;
-    }
-  }
+  PoolRef(ThreadPool* shared, int num_threads,
+          size_t max_workers = std::numeric_limits<size_t>::max());
 
   PoolRef(const PoolRef&) = delete;
   PoolRef& operator=(const PoolRef&) = delete;
 
-  ThreadPool& get() { return *pool_; }
+  ThreadPool* get() const { return pool_; }
 
  private:
-  ThreadPool* pool_;
   std::optional<ThreadPool> owned_;
+  ThreadPool* pool_;
 };
 
 }  // namespace tj

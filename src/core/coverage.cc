@@ -301,9 +301,6 @@ struct HeadProbe {
 /// ascend by unit id.
 struct UnitTrie {
   static constexpr uint32_t kNoTerminal = std::numeric_limits<uint32_t>::max();
-  /// Set in a terminal field when several ids end at the node (only with
-  /// enable_dedup off): the low bits index `shared_terminals`.
-  static constexpr uint32_t kShared = 1u << 31;
   static constexpr size_t kMaxDepth = std::numeric_limits<uint8_t>::max();
 
   struct RootGroup {
@@ -315,28 +312,14 @@ struct UnitTrie {
   std::vector<UnitId> unit;
   std::vector<uint8_t> depth;
   std::vector<uint32_t> end;       // one past the node's last descendant
-  std::vector<uint32_t> terminal;  // id ending here, kNoTerminal, or kShared|k
-  /// Terminal field of the root: empty sequences, reached with nothing
+  std::vector<uint32_t> terminal;  // the id ending here, or kNoTerminal
+  /// Terminal field of the root: the empty sequence, reached with nothing
   /// matched.
   uint32_t root_terminal = kNoTerminal;
-  /// Runs of [count, id, id, ...] for terminal fields flagged kShared.
-  std::vector<uint32_t> shared_terminals;
   std::vector<RootGroup> root_groups;
   size_t max_depth = 0;
 
-  /// Calls fn(id) for every id a terminal field holds, ascending.
-  template <typename Fn>
-  void ForEachTerminal(uint32_t term, Fn&& fn) const {
-    if (term == kNoTerminal) return;
-    if ((term & kShared) == 0) {
-      fn(term);
-      return;
-    }
-    const uint32_t* run = shared_terminals.data() + (term & ~kShared);
-    for (uint32_t k = 1; k <= run[0]; ++k) fn(run[k]);
-  }
-
-  /// Maps every terminal id through `new_id` (no kShared fields).
+  /// Maps every terminal id through `new_id`.
   void Renumber(const std::vector<TransformationId>& new_id) {
     for (uint32_t& term : terminal) {
       if (term != kNoTerminal) term = new_id[term];
@@ -351,8 +334,8 @@ struct UnitTrie {
 /// comparison as a sort would. Ranges of at most kSmallRange ids are
 /// grouped by a stable insertion sort on those keys instead. Both are
 /// stable, so the ids ending at one node ascend: with `keep` (the seal)
-/// the node keeps the smallest and sets it in `keep`; without it
-/// (enable_dedup off) all ids stay terminals.
+/// the node keeps the smallest and sets it in `keep`. Without it the store
+/// is already sealed, so each node ends at most one id.
 class TrieBuilder {
  public:
   TrieBuilder(const TransformationStore& store, const UnitInterner& interner,
@@ -364,7 +347,7 @@ class TrieBuilder {
   /// `keep` is still filled, but depth bytes wrap, so do not walk it.
   bool Build() {
     const size_t num_t = store_.size();
-    TJ_CHECK(num_t < UnitTrie::kShared);
+    TJ_CHECK(num_t < UnitTrie::kNoTerminal);
     size_t arena = 0;  // every node spells a distinct prefix: at most this
     for (TransformationId t = 0; t < num_t; ++t) {
       const size_t length = store_.Units(t).size();
@@ -434,16 +417,12 @@ class TrieBuilder {
     return node;
   }
 
-  /// The terminal field for the ids in ids_[lo, hi).
+  /// The terminal field for the ids in ids_[lo, hi): the smallest.
   uint32_t Terminals(size_t lo, size_t hi) {
     if (hi - lo == 0) return UnitTrie::kNoTerminal;
+    TJ_CHECK(hi - lo == 1 || keep_ != nullptr);  // a sealed store is distinct
     if (keep_ != nullptr) keep_->Set(ids_[lo]);
-    if (hi - lo == 1 || keep_ != nullptr) return ids_[lo];
-    const auto run = static_cast<uint32_t>(trie_->shared_terminals.size());
-    trie_->shared_terminals.push_back(static_cast<uint32_t>(hi - lo));
-    trie_->shared_terminals.insert(trie_->shared_terminals.end(),
-                                   ids_.begin() + lo, ids_.begin() + hi);
-    return UnitTrie::kShared | run;
+    return ids_[lo];
   }
 
   uint32_t KeyAt(TransformationId id, size_t d) const {
@@ -584,14 +563,13 @@ void WalkRowRange(const UnitTrie& trie, size_t num_t,
     const std::string_view src = rows[row].source;
     const std::string_view tgt = rows[row].target;
     cache->BeginRow();
-    const auto reach = [&](uint32_t term, size_t offset) {
-      trie.ForEachTerminal(term, [&](TransformationId t) {
-        ++reached;
-        if (offset == tgt.size()) {
-          covering->emplace_back(t, static_cast<uint32_t>(row));
-          ++stats->covering_pairs;
-        }
-      });
+    const auto reach = [&](uint32_t t, size_t offset) {
+      if (t == UnitTrie::kNoTerminal) return;
+      ++reached;
+      if (offset == tgt.size()) {
+        covering->emplace_back(t, static_cast<uint32_t>(row));
+        ++stats->covering_pairs;
+      }
     };
     reach(trie.root_terminal, 0);
     const int head =
@@ -634,12 +612,14 @@ CoverageIndex ComputeCoverage(TransformationStore& store,
   ScopedTimer total(&stats->time_apply);
   CoverageIndex index;
 
-  // The trie needs the memo (it is what the walk reads); without the
-  // negative cache, and whenever the paper's counters are wanted, the
-  // row-major scan runs over the store's arena directly. The trie is built
-  // once here, serially, and shared read-only by the row shards below; it
-  // also seals the store, which the scan then reads.
-  const bool walk = !options.paper_coverage_scan && options.enable_neg_cache;
+  // The trie needs the memo (it is what the walk reads) and dedup (so each
+  // node ends at most one id); without the negative cache or dedup, and
+  // whenever the paper's counters are wanted, the row-major scan runs over
+  // the store's arena directly. The trie is built once here, serially, and
+  // shared read-only by the row shards below; it also seals the store,
+  // which the scan then reads.
+  const bool walk = !options.paper_coverage_scan &&
+                    options.enable_neg_cache && options.enable_dedup;
   const bool seal = options.enable_dedup && !store.sealed();
   std::optional<UnitTrie> trie;
   if (walk || seal) {
@@ -659,70 +639,47 @@ CoverageIndex ComputeCoverage(TransformationStore& store,
   index.offsets_.assign(num_t + 1, 0);
   if (num_t == 0) return index;
 
-  const auto evaluate = [&](size_t begin, size_t end, RowUnitCache* cache,
-                            std::vector<CoveringPair>* covering,
-                            DiscoveryStats* shard_stats) {
-    ScopedTimer cpu_timer(&shard_stats->cpu_apply);
-    if (trie) {
-      WalkRowRange(*trie, num_t, interner, rows, begin, end, cache, covering,
-                   shard_stats);
-    } else {
-      EvaluateRowRange(store, interner, rows, begin, end, options, cache,
-                       covering, shard_stats);
-    }
-  };
-
-  // Covering pairs are collected row by row and counting-sorted into CSR by
-  // transformation afterwards.
-  std::vector<CoveringPair> covering;
-  const int num_threads = options.pool != nullptr
-                              ? options.pool->size()
-                              : ResolveNumThreads(options.num_threads);
-
-  if (num_threads == 1 || rows.size() < 2 || InParallelFor()) {
-    RowUnitCache cache(interner.size(), options.enable_neg_cache);
-    evaluate(0, rows.size(), &cache, &covering, stats);
-  } else {
-    // Sharded evaluation. Chunks are contiguous row ranges merged in chunk
-    // order, so the covering list below has rows in the same order as the
-    // serial path and the CSR index comes out bit-identical. The unit cache
-    // is worker-scoped (it is large) and reset per row, so dynamic
-    // chunk-to-worker assignment cannot change any result or counter.
-    // When no shared pool is supplied, never spawn more workers (threads +
-    // per-worker caches) than rows.
-    PoolRef pool_ref(options.pool,
-                     static_cast<int>(std::min<size_t>(
-                         static_cast<size_t>(num_threads), rows.size())));
-    ThreadPool& pool = pool_ref.get();
-    const size_t num_chunks =
-        std::min(rows.size(), static_cast<size_t>(pool.size()) * 4);
-    std::vector<std::unique_ptr<RowUnitCache>> caches(
-        static_cast<size_t>(pool.size()));
-    for (auto& cache : caches) {
-      cache = std::make_unique<RowUnitCache>(interner.size(),
-                                             options.enable_neg_cache);
-    }
-    std::vector<std::vector<CoveringPair>> chunk_covering(num_chunks);
-    std::vector<DiscoveryStats> worker_stats(static_cast<size_t>(pool.size()));
-
-    pool.ParallelFor(rows.size(), num_chunks,
-                     [&](int worker, size_t chunk, size_t begin, size_t end) {
-                       evaluate(begin, end, caches[worker].get(),
-                                &chunk_covering[chunk], &worker_stats[worker]);
-                     });
-
-    size_t total_pairs = 0;
-    for (const auto& chunk : chunk_covering) total_pairs += chunk.size();
-    covering.reserve(total_pairs);
-    for (auto& chunk : chunk_covering) {
-      covering.insert(covering.end(), chunk.begin(), chunk.end());
-    }
-    // Full element-wise merge so counters added to the range evaluators
-    // later keep aggregating in parallel runs too. Worker wall-time fields
-    // are zero (the phase is wall-timed once by the enclosing ScopedTimer);
-    // cpu_apply adds each worker's seconds to the build's.
-    for (const DiscoveryStats& ws : worker_stats) *stats += ws;
+  // Sharded evaluation. Chunks are contiguous row ranges merged in chunk
+  // order, so the covering list below has rows in ascending order at every
+  // chunk count and the CSR index comes out bit-identical. The unit cache
+  // is worker-scoped (it is large) and reset per row, so dynamic
+  // chunk-to-worker assignment cannot change any result or counter; a
+  // one-chunk run allocates one. When no shared pool is supplied, never
+  // spawn more workers (threads + per-worker caches) than rows.
+  const PoolRef pool_ref(options.pool, options.num_threads, rows.size());
+  ThreadPool* pool = pool_ref.get();
+  const size_t num_chunks = ChunkCount(pool, rows.size(), 4);
+  const size_t num_workers =
+      num_chunks == 1 ? 1 : static_cast<size_t>(pool->size());
+  std::vector<std::unique_ptr<RowUnitCache>> caches(num_workers);
+  for (auto& cache : caches) {
+    cache = std::make_unique<RowUnitCache>(interner.size(),
+                                           options.enable_neg_cache);
   }
+  // Covering pairs are collected row by row and counting-sorted into CSR by
+  // transformation below.
+  std::vector<std::vector<CoveringPair>> chunk_covering(num_chunks);
+  std::vector<DiscoveryStats> worker_stats(num_workers);
+  ParallelFor(pool, rows.size(), num_chunks,
+              [&](int worker, size_t chunk, size_t begin, size_t end) {
+                RowUnitCache* cache = caches[worker].get();
+                DiscoveryStats* ws = &worker_stats[worker];
+                ScopedTimer cpu_timer(&ws->cpu_apply);
+                if (trie) {
+                  WalkRowRange(*trie, num_t, interner, rows, begin, end,
+                               cache, &chunk_covering[chunk], ws);
+                } else {
+                  EvaluateRowRange(store, interner, rows, begin, end, options,
+                                   cache, &chunk_covering[chunk], ws);
+                }
+              });
+  const std::vector<CoveringPair> covering =
+      ConcatChunks(std::move(chunk_covering));
+  // Full element-wise merge so counters added to the range evaluators
+  // later keep aggregating too. Worker wall-time fields are zero (the phase
+  // is wall-timed once by the enclosing ScopedTimer); cpu_apply adds each
+  // worker's seconds to the build's.
+  for (const DiscoveryStats& ws : worker_stats) *stats += ws;
 
   // Counting sort into CSR. Rows ascend within each transformation because
   // rows are evaluated in ascending order; the order of transformations

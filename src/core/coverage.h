@@ -66,11 +66,12 @@ class CoverageIndex {
 /// walk enters only the groups whose byte is target[0], plus the children
 /// whose output can be empty or whose head is unknown. Split and SplitSubstr
 /// read their pieces from a per-row table of delimiter positions. With
-/// options.paper_coverage_scan, or without options.enable_neg_cache, the
-/// paper's row-major scan runs instead: every transformation on every row
-/// through Unit::Eval, skipped when one of its units is already known bad
-/// (the paper's second pruning strategy). Both produce the same index at
-/// every thread count; DiscoveryStats documents how their counters differ.
+/// options.paper_coverage_scan, or without options.enable_neg_cache or
+/// options.enable_dedup, the paper's row-major scan runs instead: every
+/// transformation on every row through Unit::Eval, skipped when one of its
+/// units is already known bad (the paper's second pruning strategy). Both
+/// produce the same index at every thread count; DiscoveryStats documents
+/// how their counters differ.
 /// With options.enable_dedup an unsealed `store` is first sealed by the
 /// trie build (TransformationStore::Seal; identical sequences end at one
 /// node) and stats->unique_transformations set to its size; the scan, and a

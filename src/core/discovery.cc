@@ -13,47 +13,52 @@
 namespace tj {
 namespace {
 
-/// One generation shard: transformations for a contiguous row range,
-/// appended to a shard-local store over a shard-local unit interner.
+/// One generation shard past the first: transformations for a contiguous
+/// row range, appended to a shard-local store over a shard-local unit
+/// interner.
 struct GenerationShard {
   UnitInterner units;
   TransformationStore store;
   DiscoveryStats stats;
 };
 
-/// Runs per-row generation over contiguous row shards in parallel, then
-/// concatenates the shards in row order into `result`.
+/// Runs per-row generation over contiguous row shards, then appends shards
+/// 1 and up to `result` in row order. Shard 0 generates straight into
+/// `result`, so a one-shard run is the serial loop.
 ///
 /// Determinism: re-interning a shard's unit table in local id order replays
 /// the units in exactly the first-encounter order a serial run would have
 /// seen for those rows, so by induction over shards the merged interner,
 /// and the remapped shard arenas appended in row order, are identical to
-/// the serial path's for any shard count.
-void GenerateInParallel(const std::vector<ExamplePair>& rows,
-                        const DiscoveryOptions& options, int num_threads,
-                        DiscoveryResult* result) {
+/// the serial run's for any shard count.
+void Generate(const std::vector<ExamplePair>& rows,
+              const DiscoveryOptions& options, DiscoveryResult* result) {
   // When no shared pool is supplied, never spawn more workers than rows.
-  PoolRef pool_ref(options.pool,
-                   static_cast<int>(std::min<size_t>(
-                       static_cast<size_t>(num_threads), rows.size())));
-  ThreadPool& pool = pool_ref.get();
+  const PoolRef pool_ref(options.pool, options.num_threads, rows.size());
+  ThreadPool* pool = pool_ref.get();
   // Over-decompose so the ticket scheduler can balance rows with expensive
   // generation; the merge below is boundary-independent, so extra shards
   // only cost one more unit-table remap each.
-  const size_t num_shards =
-      std::min(rows.size(), static_cast<size_t>(pool.size()) * 4);
-  std::vector<GenerationShard> shards(num_shards);
+  const size_t num_shards = ChunkCount(pool, rows.size(), 4);
+  std::vector<GenerationShard> shards(num_shards - 1);
 
-  pool.ParallelFor(rows.size(), num_shards,
-                   [&](int /*worker*/, size_t shard, size_t begin,
-                       size_t end) {
-                     GenerationShard& s = shards[shard];
-                     for (size_t row = begin; row < end; ++row) {
-                       GenerateTransformationsForRow(
-                           rows[row].source, rows[row].target, options,
-                           &s.units, &s.store, &s.stats);
-                     }
-                   });
+  ParallelFor(pool, rows.size(), num_shards,
+              [&](int /*worker*/, size_t shard, size_t begin, size_t end) {
+                UnitInterner* units = &result->units;
+                TransformationStore* store = &result->store;
+                DiscoveryStats* stats = &result->stats;
+                if (shard > 0) {
+                  GenerationShard& s = shards[shard - 1];
+                  units = &s.units;
+                  store = &s.store;
+                  stats = &s.stats;
+                }
+                for (size_t row = begin; row < end; ++row) {
+                  GenerateTransformationsForRow(rows[row].source,
+                                                rows[row].target, options,
+                                                units, store, stats);
+                }
+              });
 
   ScopedTimer merge_timer(&result->stats.cpu_duplicate_removal);
   std::vector<UnitId> remap;
@@ -132,20 +137,9 @@ DiscoveryResult DiscoverTransformations(const std::vector<ExamplePair>& rows,
   Stopwatch total;
 
   // Phases 1-3 (per row): placeholders, skeletons, units, generation.
-  const int num_threads = options.pool != nullptr
-                              ? options.pool->size()
-                              : ResolveNumThreads(options.num_threads);
   {
     Stopwatch generation_watch;
-    if (num_threads == 1 || rows.size() < 2 || InParallelFor()) {
-      for (const ExamplePair& row : rows) {
-        GenerateTransformationsForRow(row.source, row.target, options,
-                                      &result.units, &result.store,
-                                      &result.stats);
-      }
-    } else {
-      GenerateInParallel(rows, options, num_threads, &result);
-    }
+    Generate(rows, options, &result);
     ApportionGenerationWall(generation_watch.ElapsedSeconds(), &result.stats);
   }
   result.stats.unique_transformations = result.store.size();

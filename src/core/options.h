@@ -57,7 +57,9 @@ struct DiscoveryOptions {
   /// Both yield the same CoverageIndex; they differ in speed and in what
   /// the cache_hits/full_evaluations/unit_evals counters mean (see
   /// DiscoveryStats), so the paper-reproduction benches set this to print
-  /// the paper's counters. Without enable_neg_cache the scan always runs.
+  /// the paper's counters. Without enable_neg_cache or enable_dedup the
+  /// scan always runs: the walk reads the memo, and each trie node ends at
+  /// most one id only once the store is deduplicated.
   bool paper_coverage_scan = false;
 
   /// Hard cap on Cartesian-product transformations generated per row
@@ -76,7 +78,7 @@ struct DiscoveryOptions {
   size_t top_k = 10;
 
   /// Worker threads for the generation and coverage phases. 0 = hardware
-  /// concurrency, 1 = the serial reference path (the paper's setting, kept
+  /// concurrency, 1 = one chunk, the serial run (the paper's setting, kept
   /// as the default so ablation timings stay comparable). Results are
   /// bit-identical across thread counts: shards are merged in row order, so
   /// only wall time changes. Per-phase DiscoveryStats time_* fields report
@@ -88,8 +90,8 @@ struct DiscoveryOptions {
   /// corpus scale, across table pairs (see src/corpus/). When set it
   /// overrides num_threads and no phase-local pool is constructed; the
   /// caller keeps the pool alive for the duration of the call. A discovery
-  /// that itself runs inside a ParallelFor chunk of this pool degrades to
-  /// the serial reference path automatically (same results).
+  /// that itself runs inside a ParallelFor chunk of this pool runs every
+  /// phase at one chunk (same results).
   ThreadPool* pool = nullptr;
 };
 

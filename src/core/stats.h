@@ -27,9 +27,10 @@ struct DiscoveryStats {
   // --- Coverage / negative-unit cache (pruning strategy 2) ---
   // The coverage path decides what the first three counters mean. The
   // paper's row-major scan (DiscoveryOptions::paper_coverage_scan, or
-  // enable_neg_cache off) defines the values Table 4, Figure 3 and the
-  // ablation bench print. The default prefix-trie walk reports its own
-  // values: the same CoverageIndex and covering_pairs, different counts.
+  // enable_neg_cache or enable_dedup off) defines the values Table 4,
+  // Figure 3 and the ablation bench print. The default prefix-trie walk
+  // reports its own values: the same CoverageIndex and covering_pairs,
+  // different counts.
   /// Scan: (transformation, row) pairs skipped because one of the
   /// transformation's units was already known not to cover the row.
   /// Walk: pairs cut off at some prefix (a unit failed or did not continue

@@ -463,52 +463,32 @@ void TableCatalog::EnforceMemoryBudget(ThreadPool* pool) const {
   // Coldest-first: sort live resident spilled tables by last touch and
   // evict until the budget holds. The newest entry is spared so the table
   // being worked on is never evicted under its caller.
-  std::vector<const TableEntry*> candidates;
-  uint64_t newest = 0;
-  if (pool != nullptr && pool->size() > 1 && tables_.size() > 1 &&
-      !InParallelFor()) {
-    // Sharded candidate scan: each chunk of table slots collects its own
-    // candidate list and local newest-touch, merged in chunk order — the
-    // merged vector (and thus the eviction order after the sort) is
-    // identical to the serial scan. Probing spilled()/resident() walks
-    // every column, so at catalog scale the scan dominates enforcement
-    // when nothing needs evicting.
-    struct Shard {
-      std::vector<const TableEntry*> candidates;
-      uint64_t newest = 0;
-    };
-    const size_t num_chunks =
-        std::min(tables_.size(), static_cast<size_t>(pool->size()) * 4);
-    std::vector<Shard> shards(num_chunks);
-    pool->ParallelFor(tables_.size(), num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        Shard& shard = shards[chunk];
-                        for (size_t t = begin; t < end; ++t) {
-                          const TableEntry& entry = tables_[t];
-                          if (!entry.live) continue;
-                          shard.newest =
-                              std::max(shard.newest, entry.last_touch);
-                          if (entry.table->spilled() &&
-                              entry.table->resident()) {
-                            shard.candidates.push_back(&entry);
-                          }
-                        }
-                      });
-    for (const Shard& shard : shards) {
-      newest = std::max(newest, shard.newest);
-      candidates.insert(candidates.end(), shard.candidates.begin(),
-                        shard.candidates.end());
-    }
-  } else {
-    for (const TableEntry& entry : tables_) {
-      if (!entry.live) continue;
-      newest = std::max(newest, entry.last_touch);
-      if (entry.table->spilled() && entry.table->resident()) {
-        candidates.push_back(&entry);
-      }
-    }
-  }
+  //
+  // Sharded candidate scan: each chunk of table slots collects its own
+  // candidate list and local newest-touch, merged in chunk order — the
+  // merged vector (and thus the eviction order after the sort) is the same
+  // at every chunk count. Probing spilled()/resident() walks every column,
+  // so at catalog scale the scan dominates enforcement when nothing needs
+  // evicting.
+  const size_t num_chunks = ChunkCount(pool, tables_.size(), 4);
+  std::vector<std::vector<const TableEntry*>> chunk_candidates(num_chunks);
+  std::vector<uint64_t> chunk_newest(num_chunks, 0);
+  ParallelFor(pool, tables_.size(), num_chunks,
+              [&](int /*worker*/, size_t chunk, size_t begin, size_t end) {
+                for (size_t t = begin; t < end; ++t) {
+                  const TableEntry& entry = tables_[t];
+                  if (!entry.live) continue;
+                  chunk_newest[chunk] =
+                      std::max(chunk_newest[chunk], entry.last_touch);
+                  if (entry.table->spilled() && entry.table->resident()) {
+                    chunk_candidates[chunk].push_back(&entry);
+                  }
+                }
+              });
+  const uint64_t newest =
+      *std::max_element(chunk_newest.begin(), chunk_newest.end());
+  std::vector<const TableEntry*> candidates =
+      ConcatChunks(std::move(chunk_candidates));
   std::sort(candidates.begin(), candidates.end(),
             [](const TableEntry* a, const TableEntry* b) {
               return a->last_touch < b->last_touch;
@@ -537,38 +517,27 @@ void TableCatalog::EnforceMemoryBudget(ThreadPool* pool) const {
 }
 
 void TableCatalog::ComputeSignatures(ThreadPool* pool) {
-  std::vector<ColumnRef> missing;
-  auto collect_missing = [&](size_t begin, size_t end,
-                             std::vector<ColumnRef>* out) {
-    for (size_t t = begin; t < end; ++t) {
-      if (!tables_[t].live) continue;
-      for (uint32_t c = 0; c < tables_[t].table->num_columns(); ++c) {
-        if (!tables_[t].signatures[c].has_value()) {
-          out->push_back(ColumnRef{static_cast<uint32_t>(t), c});
-        }
-      }
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && tables_.size() > 1 &&
-      !InParallelFor()) {
-    // Sharded collection: per-chunk vectors merged in chunk order are the
-    // slot-order list the serial loop builds, so the compute fan-out below
-    // sees an identical work list for every pool size. A no-op pass over a
-    // million-table catalog is this scan — worth fanning out on its own.
-    const size_t num_chunks =
-        std::min(tables_.size(), static_cast<size_t>(pool->size()) * 4);
-    std::vector<std::vector<ColumnRef>> shards(num_chunks);
-    pool->ParallelFor(tables_.size(), num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        collect_missing(begin, end, &shards[chunk]);
-                      });
-    for (std::vector<ColumnRef>& shard : shards) {
-      missing.insert(missing.end(), shard.begin(), shard.end());
-    }
-  } else {
-    collect_missing(0, tables_.size(), &missing);
-  }
+  // Sharded collection: per-chunk lists merged in chunk order are the
+  // slot-order list, so the compute fan-out below sees the same work list
+  // at every chunk count. A no-op pass over a million-table catalog is this
+  // scan — worth fanning out on its own.
+  const size_t num_chunks = ChunkCount(pool, tables_.size(), 4);
+  std::vector<std::vector<ColumnRef>> chunk_missing(num_chunks);
+  ParallelFor(pool, tables_.size(), num_chunks,
+              [&](int /*worker*/, size_t chunk, size_t begin, size_t end) {
+                for (size_t t = begin; t < end; ++t) {
+                  if (!tables_[t].live) continue;
+                  for (uint32_t c = 0; c < tables_[t].table->num_columns();
+                       ++c) {
+                    if (!tables_[t].signatures[c].has_value()) {
+                      chunk_missing[chunk].push_back(
+                          ColumnRef{static_cast<uint32_t>(t), c});
+                    }
+                  }
+                }
+              });
+  const std::vector<ColumnRef> missing =
+      ConcatChunks(std::move(chunk_missing));
   if (missing.empty()) return;
 
   auto compute = [&](ColumnRef ref) {
@@ -589,22 +558,13 @@ void TableCatalog::ComputeSignatures(ThreadPool* pool) {
     tables_[ref.table].signatures[ref.column] =
         ComputeColumnSignature(**resident);
   };
-  if (pool != nullptr && pool->size() > 1 && missing.size() > 1 &&
-      !InParallelFor()) {
-    // Each column writes its own slot, so any chunking is deterministic;
-    // over-decompose to balance uneven column sizes.
-    pool->ParallelFor(missing.size(),
-                      std::min(missing.size(),
-                               static_cast<size_t>(pool->size()) * 4),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) {
-                          compute(missing[i]);
-                        }
-                      });
-  } else {
-    for (ColumnRef ref : missing) compute(ref);
-  }
+  // Each column writes its own slot, so any chunking is deterministic;
+  // over-decompose to balance uneven column sizes.
+  ParallelFor(pool, missing.size(), ChunkCount(pool, missing.size(), 4),
+              [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+                  size_t end) {
+                for (size_t i = begin; i < end; ++i) compute(missing[i]);
+              });
   // The sketch pass streams spilled columns block-wise, but re-mapped
   // tables may now exceed the budget again; settle it before returning.
   // This is also the counter's resync point: the exact scan here folds in
@@ -792,9 +752,19 @@ Status TableCatalog::LoadSignatures(std::string_view text) {
         return fail("table '" + owner.name() + "' has no column '" + *name +
                     "'");
       }
-      if (sig.num_rows !=
-          column(ColumnRef{owner_id, static_cast<uint32_t>(*col)}).size()) {
+      const Column& own =
+          column(ColumnRef{owner_id, static_cast<uint32_t>(*col)});
+      if (sig.num_rows != own.size()) {
         return fail("row count disagrees with the catalog table");
+      }
+      // The pruner orients every pair by mean_length, so the lengths must
+      // be the column's own, read from its slot table. The sketch's mean is
+      // the same integer length sum over the same row count as
+      // AverageLength, so the equality is exact.
+      const auto [shortest, longest] = own.LengthRange();
+      if (sig.min_length != shortest || sig.max_length != longest ||
+          sig.mean_length != own.AverageLength()) {
+        return fail("minlen=, maxlen= or meanlen= disagrees with the column");
       }
       staged.emplace_back(ColumnRef{owner_id, static_cast<uint32_t>(*col)},
                           std::move(sig));

@@ -14,9 +14,9 @@ namespace tj {
 namespace {
 
 /// Runs the per-pair engine on one shortlisted candidate. Executed either
-/// inside the pair-level ParallelFor (where the shared pool degrades every
-/// inner phase to its serial path) or inline when the shortlist has a
-/// single pair (where the inner phases get the whole pool).
+/// inside a chunk of the pair-level ParallelFor (where every inner phase
+/// runs at one chunk) or inline when the fan-out has one chunk (where the
+/// inner phases get the whole pool, if there is one).
 CorpusPairResult EvaluatePair(const CorpusColumnSource& source,
                               const ColumnPairCandidate& candidate,
                               const JoinOptions& join_options,
@@ -77,11 +77,15 @@ CorpusPairResult EvaluatePair(const CorpusColumnSource& source,
 
 /// Builds the per-pair JoinOptions every evaluation path shares: the one
 /// pool threaded through every inner phase plus the learning-pair floor.
+/// The run's pool overrides the per-pair thread fields; with none (one
+/// thread, or a caller inside a chunk) every inner phase runs at one chunk.
 JoinOptions PairJoinOptions(const CorpusDiscoveryOptions& options,
                             ThreadPool* pool) {
   JoinOptions join_options = options.join;
   join_options.discovery.pool = pool;
+  join_options.discovery.num_threads = 1;
   join_options.match_options.pool = pool;
+  join_options.match_options.num_threads = 1;
   join_options.match_options.index_cache = options.index_cache;
   join_options.min_learning_pairs =
       std::max(join_options.min_learning_pairs, options.min_learning_pairs);
@@ -108,8 +112,8 @@ void PrewarmIndexCache(const CorpusColumnSource& source,
     const uint64_t id = (static_cast<uint64_t>(ref.table) << 32) | ref.column;
     if (seen.insert(id).second) warm.push_back(ref);
   }
-  pool->ParallelFor(
-      warm.size(), warm.size(),
+  ParallelFor(
+      pool, warm.size(), ChunkCount(pool, warm.size(), warm.size()),
       [&](int /*worker*/, size_t /*chunk*/, size_t begin, size_t end) {
         for (size_t i = begin; i < end; ++i) {
           const ColumnRef ref = warm[i];
@@ -175,22 +179,22 @@ void EvaluateShortlistOnPool(const CorpusColumnSource& source,
   // One chunk per pair: pair costs vary wildly, so let the ticket scheduler
   // balance. Each pair writes its own shortlist-order slot — the merged
   // output never depends on scheduling or thread count.
-  result->results.resize(pruned.shortlist.size());
-  pool->ParallelFor(pruned.shortlist.size(), pruned.shortlist.size(),
-                    [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                        size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        const ColumnPairCandidate& candidate =
-                            pruned.shortlist[i];
-                        result->results[i] = EvaluatePair(
-                            source, candidate, join_options,
-                            /*use_orientation_hint=*/true);
-                        if (pending_pairs != nullptr) {
-                          finish_table(candidate.a.table);
-                          finish_table(candidate.b.table);
-                        }
-                      }
-                    });
+  const size_t num_pairs = pruned.shortlist.size();
+  result->results.resize(num_pairs);
+  ParallelFor(pool, num_pairs, ChunkCount(pool, num_pairs, num_pairs),
+              [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+                  size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  const ColumnPairCandidate& candidate = pruned.shortlist[i];
+                  result->results[i] =
+                      EvaluatePair(source, candidate, join_options,
+                                   /*use_orientation_hint=*/true);
+                  if (pending_pairs != nullptr) {
+                    finish_table(candidate.a.table);
+                    finish_table(candidate.b.table);
+                  }
+                }
+              });
 
   for (const CorpusPairResult& pair : result->results) {
     if (!pair.error.empty()) ++result->failed_pairs;
@@ -264,9 +268,9 @@ CorpusDiscoveryResult EvaluateShortlist(const TableCatalog& catalog,
                                         const CorpusDiscoveryOptions& options,
                                         ThreadPool* pool) {
   CorpusDiscoveryResult result;
-  PoolRef pool_ref(pool, options.num_threads);
+  const PoolRef pool_ref(pool, options.num_threads);
   EvaluateShortlistOnPool(catalog, &catalog, shortlist, options,
-                          &pool_ref.get(), &result);
+                          pool_ref.get(), &result);
   return result;
 }
 
@@ -275,9 +279,9 @@ CorpusDiscoveryResult EvaluateShortlist(const CorpusColumnSource& source,
                                         const CorpusDiscoveryOptions& options,
                                         ThreadPool* pool) {
   CorpusDiscoveryResult result;
-  PoolRef pool_ref(pool, options.num_threads);
+  const PoolRef pool_ref(pool, options.num_threads);
   EvaluateShortlistOnPool(source, /*release_catalog=*/nullptr, shortlist,
-                          options, &pool_ref.get(), &result);
+                          options, pool_ref.get(), &result);
   return result;
 }
 
@@ -286,9 +290,9 @@ CorpusPairResult EvaluateCandidate(const CorpusColumnSource& source,
                                    const CorpusDiscoveryOptions& options,
                                    ThreadPool* pool,
                                    bool use_orientation_hint) {
-  PoolRef pool_ref(pool, options.num_threads);
+  const PoolRef pool_ref(pool, options.num_threads);
   return EvaluatePair(source, candidate,
-                      PairJoinOptions(options, &pool_ref.get()),
+                      PairJoinOptions(options, pool_ref.get()),
                       use_orientation_hint);
 }
 

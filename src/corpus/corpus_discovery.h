@@ -9,7 +9,7 @@
 // it everywhere — signature computation, pair scoring, and the pair-level
 // fan-out; the same pool is also handed down through DiscoveryOptions::pool
 // and RowMatchOptions::pool, so per-pair phases never spawn pools of their
-// own (a pair executing inside the fan-out falls back to its serial path,
+// own (a pair executing inside the fan-out runs every phase at one chunk,
 // which is exactly what pair-level parallelism wants). Per-pair results are
 // written into shortlist-order slots, so the output is bit-identical for
 // every num_threads value.
@@ -127,7 +127,8 @@ CorpusDiscoveryResult DiscoverJoinableColumns(
 /// ShortlistPairs). Candidates must come from this catalog's pruner so the
 /// refs and orientation hints are valid. Pass the pool that already drove
 /// the incremental maintenance to keep the whole run on one pool; with
-/// `pool == nullptr` a pool of options.num_threads is constructed.
+/// `pool == nullptr` a pool of options.num_threads is constructed when that
+/// is more than one (PoolRef), else every phase runs at one chunk.
 CorpusDiscoveryResult EvaluateShortlist(const TableCatalog& catalog,
                                         const PairPrunerResult& shortlist,
                                         const CorpusDiscoveryOptions& options,

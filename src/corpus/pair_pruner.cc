@@ -20,11 +20,6 @@ bool RankBefore(const ColumnPairCandidate& x, const ColumnPairCandidate& y) {
   return x.b < y.b;
 }
 
-struct ChunkOutput {
-  std::vector<ColumnPairCandidate> survivors;
-  size_t considered = 0;
-};
-
 /// Sorts + truncates survivors and fills the result counters; shared by the
 /// one-shot scan and the incremental snapshot so both rank identically.
 PairPrunerResult FinalizeShortlist(std::vector<ColumnPairCandidate> survivors,
@@ -87,50 +82,38 @@ PairPrunerResult ShortlistPairs(const TableCatalog& catalog,
   const size_t n = columns.size();
   if (n < 2) return PairPrunerResult();
 
-  // Evaluates all pairs (columns[i], columns[j]) for i in [begin, end),
-  // j > i — cross-table only — appending survivors in catalog order.
-  auto scan_rows = [&](size_t begin, size_t end, ChunkOutput* out) {
-    ColumnPairCandidate candidate;
-    for (size_t i = begin; i < end; ++i) {
-      const ColumnRef a = columns[i];
-      for (size_t j = i + 1; j < n; ++j) {
-        const ColumnRef b = columns[j];
-        if (a.table == b.table) continue;  // self-joins are out of scope
-        ++out->considered;
-        if (ScoreColumnPair(catalog, a, b, options, &candidate)) {
-          out->survivors.push_back(candidate);
-        }
-      }
-    }
-  };
-
-  std::vector<ColumnPairCandidate> survivors;
+  // Parallel over the triangle's rows: chunk c evaluates all pairs
+  // (columns[i], columns[j]) for i in its range, j > i — cross-table only
+  // — appending survivors in catalog order. Row i carries n - i - 1 pairs,
+  // so over-decompose heavily and let the ticket scheduler balance; chunks
+  // are merged in chunk order, keeping the pre-sort survivor order (and
+  // thus the final ranking) identical at every chunk count.
+  const size_t num_chunks = ChunkCount(pool, n, 8);
+  std::vector<std::vector<ColumnPairCandidate>> chunk_survivors(num_chunks);
+  std::vector<size_t> chunk_considered(num_chunks, 0);
+  ParallelFor(pool, n, num_chunks,
+              [&](int /*worker*/, size_t chunk, size_t begin, size_t end) {
+                std::vector<ColumnPairCandidate> survivors;
+                size_t considered = 0;
+                ColumnPairCandidate candidate;
+                for (size_t i = begin; i < end; ++i) {
+                  const ColumnRef a = columns[i];
+                  for (size_t j = i + 1; j < n; ++j) {
+                    const ColumnRef b = columns[j];
+                    if (a.table == b.table) continue;  // no self-joins
+                    ++considered;
+                    if (ScoreColumnPair(catalog, a, b, options, &candidate)) {
+                      survivors.push_back(candidate);
+                    }
+                  }
+                }
+                chunk_survivors[chunk] = std::move(survivors);
+                chunk_considered[chunk] = considered;
+              });
   size_t considered = 0;
-  if (pool != nullptr && pool->size() > 1 && !InParallelFor()) {
-    // Parallel over the triangle's rows. Row i carries n - i - 1 pairs, so
-    // over-decompose heavily and let the ticket scheduler balance; chunks
-    // are merged in chunk order, keeping the pre-sort survivor order (and
-    // thus the final ranking) identical to the serial scan.
-    const size_t num_chunks =
-        std::min(n, static_cast<size_t>(pool->size()) * 8);
-    std::vector<ChunkOutput> chunks(num_chunks);
-    pool->ParallelFor(n, num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        scan_rows(begin, end, &chunks[chunk]);
-                      });
-    for (ChunkOutput& chunk : chunks) {
-      survivors.insert(survivors.end(), chunk.survivors.begin(),
-                       chunk.survivors.end());
-      considered += chunk.considered;
-    }
-  } else {
-    ChunkOutput out;
-    scan_rows(0, n, &out);
-    survivors = std::move(out.survivors);
-    considered = out.considered;
-  }
-
+  for (const size_t c : chunk_considered) considered += c;
+  std::vector<ColumnPairCandidate> survivors =
+      ConcatChunks(std::move(chunk_survivors));
   return FinalizeShortlist(std::move(survivors), considered, options);
 }
 
@@ -196,29 +179,21 @@ void IncrementalPairPruner::OnTableAdded(const TableCatalog& catalog,
   // table appended in partner order, so results are identical for every
   // pool size.
   std::vector<std::vector<ColumnPairCandidate>> scored(partners.size());
-  auto score_partner = [&](size_t i) {
-    ColumnPairCandidate candidate;
-    for (const Collision& c : partners[i].second) {
-      ColumnRef a = c.mine;
-      ColumnRef b = c.partner;
-      if (b < a) std::swap(a, b);
-      if (ScoreColumnPair(catalog, a, b, options_, &candidate)) {
-        scored[i].push_back(candidate);
-      }
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && partners.size() > 1 &&
-      !InParallelFor()) {
-    pool->ParallelFor(partners.size(),
-                      std::min(partners.size(),
-                               static_cast<size_t>(pool->size()) * 4),
-                      [&](int /*worker*/, size_t /*chunk*/, size_t begin,
-                          size_t end) {
-                        for (size_t i = begin; i < end; ++i) score_partner(i);
-                      });
-  } else {
-    for (size_t i = 0; i < partners.size(); ++i) score_partner(i);
-  }
+  ParallelFor(pool, partners.size(), ChunkCount(pool, partners.size(), 4),
+              [&](int /*worker*/, size_t /*chunk*/, size_t begin,
+                  size_t end) {
+                ColumnPairCandidate candidate;
+                for (size_t i = begin; i < end; ++i) {
+                  for (const Collision& c : partners[i].second) {
+                    ColumnRef a = c.mine;
+                    ColumnRef b = c.partner;
+                    if (b < a) std::swap(a, b);
+                    if (ScoreColumnPair(catalog, a, b, options_, &candidate)) {
+                      scored[i].push_back(candidate);
+                    }
+                  }
+                }
+              });
 
   last_scored_pairs_ = 0;
   for (size_t i = 0; i < partners.size(); ++i) {

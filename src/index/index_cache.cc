@@ -15,8 +15,8 @@ std::shared_ptr<const NgramInvertedIndex> IndexCache::GetOrBuild(
     if (it != entries_.end()) {
       // Single-flight loser: another thread is mid-Build on this key.
       // Waiting (instead of building a duplicate) is deadlock-free even on
-      // a pool worker — the winner's Build degrades to the serial path
-      // inside a ParallelFor chunk, so it never waits on this thread.
+      // a pool worker — the winner's Build runs at one chunk inside a
+      // ParallelFor chunk, so it never waits on this thread.
       ready_cv_.wait(lock, [&] {
         auto wit = entries_.find(key);
         return wit == entries_.end() || wit->second.ready;

@@ -139,21 +139,12 @@ NgramInvertedIndex NgramInvertedIndex::Build(const Column& column,
   // sight, so the merged gram-id order equals the serial global first-seen
   // order and the merged posting lists stay ascending and deduplicated —
   // the four flat buffers are bit-identical for every shard count.
-  const bool parallel = pool != nullptr && pool->size() > 1 &&
-                        column.size() >= 2 && !InParallelFor();
-  const size_t num_shards =
-      parallel ? std::min(column.size(), static_cast<size_t>(pool->size()))
-               : 1;
+  const size_t num_shards = ChunkCount(pool, column.size(), 1);
   std::vector<ShardBuild> shards(num_shards);
-  if (parallel) {
-    pool->ParallelFor(column.size(), num_shards,
-                      [&](int /*worker*/, size_t shard, size_t begin,
-                          size_t end) {
-                        IndexRowRange(column, begin, end, &shards[shard]);
-                      });
-  } else {
-    IndexRowRange(column, 0, column.size(), &shards[0]);
-  }
+  ParallelFor(pool, column.size(), num_shards,
+              [&](int /*worker*/, size_t shard, size_t begin, size_t end) {
+                IndexRowRange(column, begin, end, &shards[shard]);
+              });
 
   // Global gram ids + per-gram posting counts. The single-shard case adopts
   // the shard's dictionary wholesale (remap is the identity).

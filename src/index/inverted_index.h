@@ -47,9 +47,9 @@ class NgramInvertedIndex {
   /// row, ASCII-lowercased first (queries must be lowercased by the caller
   /// too).
   ///
-  /// Runs on the caller's pool (nullptr = serial) and constructs none of its
-  /// own; falls back to the serial build when called from inside a
-  /// ParallelFor chunk. Postings are built over contiguous row shards and
+  /// Runs on the caller's pool (nullptr = one shard, the serial build) and
+  /// constructs none of its own; inside a ParallelFor chunk it builds at one
+  /// shard too (ChunkCount). Postings are built over contiguous row shards and
   /// merged in row order, so the index — including gram-id assignment — is
   /// identical for every pool size.
   static NgramInvertedIndex Build(const Column& column,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -48,22 +47,15 @@ JoinResult TransformJoinColumns(const Column& source, const Column& target,
                                 const JoinOptions& options) {
   JoinResult result;
 
-  // One pool for every phase of this pair. When the caller already supplied
-  // a pool (corpus driver) or everything is serial, construct none. A phase
-  // whose num_threads resolves to 1 keeps its serial reference path (the
-  // pool is not installed on it); phases that asked for parallelism share
-  // one pool sized by the larger request.
+  // One pool for every phase of this pair: the caller's (the corpus driver
+  // installs its run's pool in both), or one owned here when the phases ask
+  // for more than one thread outside a chunk (PoolRef). Every caller asks
+  // both phases for the same thread count.
   JoinOptions local = options;
-  std::optional<ThreadPool> shared;
-  if (local.discovery.pool == nullptr && local.match_options.pool == nullptr &&
-      !InParallelFor()) {
-    const int discovery_threads = ResolveNumThreads(local.discovery.num_threads);
-    const int match_threads = ResolveNumThreads(local.match_options.num_threads);
-    if (std::max(discovery_threads, match_threads) > 1) {
-      shared.emplace(std::max(discovery_threads, match_threads));
-      if (discovery_threads > 1) local.discovery.pool = &*shared;
-      if (match_threads > 1) local.match_options.pool = &*shared;
-    }
+  const PoolRef pool(local.discovery.pool, local.discovery.num_threads);
+  local.discovery.pool = pool.get();
+  if (local.match_options.pool == nullptr) {
+    local.match_options.pool = pool.get();
   }
 
   // Step 1: candidate row pairs for learning.

@@ -1,7 +1,6 @@
 #include "match/row_matcher.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -78,24 +77,12 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
                                  const RowMatchOptions& options) {
   RowMatchResult result;
 
-  // One pool serves the target index build and the source probe. Serial
-  // when a shared pool was not given and num_threads resolves to 1, or when
-  // this call itself runs inside a ParallelFor chunk (corpus pair-level
-  // fan-out).
-  const int threads = options.pool != nullptr
-                          ? options.pool->size()
-                          : ResolveNumThreads(options.num_threads);
-  // Either column large enough to shard justifies the pool: a one-row
-  // source column must not serialize the target's index build.
-  const bool parallel = threads > 1 &&
-                        (source.size() >= 2 || target.size() >= 2) &&
-                        !InParallelFor();
-  std::optional<PoolRef> pool_ref;
-  ThreadPool* pool = nullptr;
-  if (parallel) {
-    pool_ref.emplace(options.pool, threads);
-    pool = &pool_ref->get();
-  }
+  // One pool serves the target index build and the source probe: the
+  // shared one, or one owned here of at most as many workers as the larger
+  // column has rows (PoolRef). Both phases run at one chunk without it.
+  const PoolRef pool_ref(options.pool, options.num_threads,
+                         std::max(source.size(), target.size()));
+  ThreadPool* pool = pool_ref.get();
 
   // Cross-pair memoization: with an engaged key the target index comes
   // from (or lands in) options.index_cache — shared across every pair and
@@ -109,22 +96,12 @@ RowMatchResult FindJoinablePairs(const Column& source, const Column& target,
   // Pass 1: probe every source gram against the target index. The probe is
   // embarrassingly parallel over rows; each chunk of rows fills its own
   // flat buffer, read back below in chunk (= row) order.
-  const bool parallel_probe = parallel && source.size() >= 2;
-  const size_t num_chunks =
-      parallel_probe
-          ? std::min(source.size(), static_cast<size_t>(pool->size()) * 4)
-          : 1;
+  const size_t num_chunks = ChunkCount(pool, source.size(), 4);
   std::vector<ChunkHits> chunks(num_chunks);
-  if (parallel_probe) {
-    pool->ParallelFor(source.size(), num_chunks,
-                      [&](int /*worker*/, size_t chunk, size_t begin,
-                          size_t end) {
-                        ProbeRows(source, begin, end, target_index,
-                                  &chunks[chunk]);
-                      });
-  } else {
-    ProbeRows(source, 0, source.size(), target_index, &chunks[0]);
-  }
+  ParallelFor(pool, source.size(), num_chunks,
+              [&](int /*worker*/, size_t chunk, size_t begin, size_t end) {
+                ProbeRows(source, begin, end, target_index, &chunks[chunk]);
+              });
 
   // Source row frequency df_s of every hit gram: the number of distinct
   // source rows holding it, counted through a row-stamped table (stamps

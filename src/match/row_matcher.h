@@ -30,8 +30,8 @@ struct RowMatchOptions {
 
   /// Optional externally-owned pool shared by the index build and the probe
   /// (and across pairs at corpus scale). Overrides num_threads when set; a
-  /// call already running inside a chunk of this pool falls back to the
-  /// serial probe with identical results.
+  /// call already running inside a chunk of this pool runs both at one
+  /// chunk, with identical results.
   ThreadPool* pool = nullptr;
 
   /// Optional externally-owned cross-pair index cache (index/index_cache.h).

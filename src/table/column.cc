@@ -1,5 +1,6 @@
 #include "table/column.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -360,6 +361,17 @@ double Column::AverageLength() const {
   if (slots_.empty()) return 0.0;
   return static_cast<double>(CellBytes()) /
          static_cast<double>(slots_.size());
+}
+
+std::pair<uint32_t, uint32_t> Column::LengthRange() const {
+  if (slots_.empty()) return {0, 0};
+  uint32_t shortest = slots_[0].length;
+  uint32_t longest = slots_[0].length;
+  for (const Slot& s : slots_) {
+    shortest = std::min(shortest, s.length);
+    longest = std::max(longest, s.length);
+  }
+  return {shortest, longest};
 }
 
 size_t Column::CellBytes() const {

@@ -262,6 +262,10 @@ class Column {
   /// uses this to pick the more descriptive column as the source (§4.2.1).
   double AverageLength() const;
 
+  /// Shortest and longest cell length in bytes; {0, 0} for an empty column.
+  /// Like AverageLength, it reads only the slot table, never cell bytes.
+  std::pair<uint32_t, uint32_t> LengthRange() const;
+
   /// Live cell bytes (sum of slot lengths) — the logical payload size.
   size_t CellBytes() const;
   /// Arena buffer bytes actually held, dead space from Set growth included.

@@ -1,7 +1,8 @@
 // Robustness tests for the signature cache and the CSV ingestion path that
 // feeds the catalog: malformed, truncated or v1-era cache files, and dumps
 // edited to hold numbers or field combinations no sketch computes, must
-// fail closed (error out and install nothing — the caller rescans); v2
+// fail closed (error out and install nothing — the caller rescans), and so
+// must lengths that are not the column's own; v2
 // entries self-invalidate via per-table content fingerprints; quoted table
 // and column names round-trip through the shared EscapeForDisplay decoder;
 // and AddCsvDirectory survives the awkward corners of real CSV files.
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -72,8 +75,19 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
   catalog.ComputeSignatures();
   const std::string dump = catalog.SerializeSignatures();
   const uint64_t rows = std::stoull(dump.substr(dump.find("rows=") + 5));
+  const uint64_t minlen =
+      std::stoull(dump.substr(dump.find("minlen=") + 7));
   const uint64_t maxlen =
       std::stoull(dump.substr(dump.find("maxlen=") + 7));
+  const double meanlen =
+      std::strtod(dump.c_str() + dump.find("meanlen=") + 8, nullptr);
+  ASSERT_LT(minlen, maxlen);
+  // A mean inside [minlen, maxlen] that is not the column's own.
+  const double other_mean =
+      meanlen == static_cast<double>(maxlen) ? static_cast<double>(minlen)
+                                             : static_cast<double>(maxlen);
+  char other_mean_hex[64];
+  std::snprintf(other_mean_hex, sizeof(other_mean_hex), "%a", other_mean);
   ASSERT_GT(std::stoull(dump.substr(dump.find("distinct=") + 9)), 0u);
   const uint64_t charset =
       std::stoull(dump.substr(dump.find("charset=") + 8));
@@ -117,6 +131,11 @@ TEST(SignatureCache, MalformedDumpsFailClosed) {
       EditFirst(dump, "minlen=", std::to_string(maxlen + 1)),
       EditFirst(dump, "meanlen=", "0x1p+40"),
       EditFirst(dump, "meanlen=", "0x0p+0"),
+      // Lengths that keep minlen <= meanlen <= maxlen and the distinct=
+      // bound but are not the column's own: the pruner orients pairs by the
+      // mean, so an edited one flipped source and target.
+      EditFirst(dump, "meanlen=", other_mean_hex),
+      EditFirst(dump, "maxlen=", std::to_string(maxlen + 1)),
       // Minhash slots that contradict distinct=: grams counted but a slot
       // left empty, or no grams counted but slots set (the first column
       // sketched grams, so its slots are all set). Either would let the
