@@ -146,9 +146,10 @@ void ParallelFor(ThreadPool* pool, size_t total, size_t num_chunks,
   }
 }
 
-/// Concatenates per-chunk outputs in chunk order; one chunk is moved.
+/// Concatenates per-chunk outputs in chunk order; one chunk is moved. Takes
+/// the chunks by value, so their buffers are freed before the caller goes on.
 template <typename T>
-std::vector<T> ConcatChunks(std::vector<std::vector<T>>&& chunks) {
+std::vector<T> ConcatChunks(std::vector<std::vector<T>> chunks) {
   if (chunks.size() == 1) return std::move(chunks[0]);
   size_t size = 0;
   for (const std::vector<T>& chunk : chunks) size += chunk.size();

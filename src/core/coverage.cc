@@ -645,41 +645,45 @@ CoverageIndex ComputeCoverage(TransformationStore& store,
   // is worker-scoped (it is large) and reset per row, so dynamic
   // chunk-to-worker assignment cannot change any result or counter; a
   // one-chunk run allocates one. When no shared pool is supplied, never
-  // spawn more workers (threads + per-worker caches) than rows.
-  const PoolRef pool_ref(options.pool, options.num_threads, rows.size());
-  ThreadPool* pool = pool_ref.get();
-  const size_t num_chunks = ChunkCount(pool, rows.size(), 4);
-  const size_t num_workers =
-      num_chunks == 1 ? 1 : static_cast<size_t>(pool->size());
-  std::vector<std::unique_ptr<RowUnitCache>> caches(num_workers);
-  for (auto& cache : caches) {
-    cache = std::make_unique<RowUnitCache>(interner.size(),
-                                           options.enable_neg_cache);
+  // spawn more workers (threads + per-worker caches) than rows. The pool
+  // and the caches are released before the CSR build below allocates.
+  std::vector<CoveringPair> covering;
+  {
+    const PoolRef pool_ref(options.pool, options.num_threads, rows.size());
+    ThreadPool* pool = pool_ref.get();
+    const size_t num_chunks = ChunkCount(pool, rows.size(), 4);
+    const size_t num_workers =
+        num_chunks == 1 ? 1 : static_cast<size_t>(pool->size());
+    std::vector<std::unique_ptr<RowUnitCache>> caches(num_workers);
+    for (auto& cache : caches) {
+      cache = std::make_unique<RowUnitCache>(interner.size(),
+                                             options.enable_neg_cache);
+    }
+    // Covering pairs are collected row by row and counting-sorted into CSR
+    // by transformation below.
+    std::vector<std::vector<CoveringPair>> chunk_covering(num_chunks);
+    std::vector<DiscoveryStats> worker_stats(num_workers);
+    ParallelFor(pool, rows.size(), num_chunks,
+                [&](int worker, size_t chunk, size_t begin, size_t end) {
+                  RowUnitCache* cache = caches[worker].get();
+                  DiscoveryStats* ws = &worker_stats[worker];
+                  ScopedTimer cpu_timer(&ws->cpu_apply);
+                  if (trie) {
+                    WalkRowRange(*trie, num_t, interner, rows, begin, end,
+                                 cache, &chunk_covering[chunk], ws);
+                  } else {
+                    EvaluateRowRange(store, interner, rows, begin, end,
+                                     options, cache, &chunk_covering[chunk],
+                                     ws);
+                  }
+                });
+    covering = ConcatChunks(std::move(chunk_covering));
+    // Full element-wise merge so counters added to the range evaluators
+    // later keep aggregating too. Worker wall-time fields are zero (the
+    // phase is wall-timed once by the enclosing ScopedTimer); cpu_apply
+    // adds each worker's seconds to the build's.
+    for (const DiscoveryStats& ws : worker_stats) *stats += ws;
   }
-  // Covering pairs are collected row by row and counting-sorted into CSR by
-  // transformation below.
-  std::vector<std::vector<CoveringPair>> chunk_covering(num_chunks);
-  std::vector<DiscoveryStats> worker_stats(num_workers);
-  ParallelFor(pool, rows.size(), num_chunks,
-              [&](int worker, size_t chunk, size_t begin, size_t end) {
-                RowUnitCache* cache = caches[worker].get();
-                DiscoveryStats* ws = &worker_stats[worker];
-                ScopedTimer cpu_timer(&ws->cpu_apply);
-                if (trie) {
-                  WalkRowRange(*trie, num_t, interner, rows, begin, end,
-                               cache, &chunk_covering[chunk], ws);
-                } else {
-                  EvaluateRowRange(store, interner, rows, begin, end, options,
-                                   cache, &chunk_covering[chunk], ws);
-                }
-              });
-  const std::vector<CoveringPair> covering =
-      ConcatChunks(std::move(chunk_covering));
-  // Full element-wise merge so counters added to the range evaluators
-  // later keep aggregating too. Worker wall-time fields are zero (the phase
-  // is wall-timed once by the enclosing ScopedTimer); cpu_apply adds each
-  // worker's seconds to the build's.
-  for (const DiscoveryStats& ws : worker_stats) *stats += ws;
 
   // Counting sort into CSR. Rows ascend within each transformation because
   // rows are evaluated in ascending order; the order of transformations

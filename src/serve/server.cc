@@ -376,8 +376,9 @@ Result<CorpusDiscoveryOptions> CorpusServer::RequestOptions(
     }
     options.join.min_join_support = support->AsNumber();
   }
-  // With no pool, EvaluateCandidate builds one of this size per pair; one
-  // thread spawns no workers and runs every phase inline. Indexes are built
+  // With no pool, EvaluateCandidate builds one of this size per pair when it
+  // is more than one (PoolRef); one thread builds none and runs every phase
+  // at one chunk, inline on the handler thread. Indexes are built
   // per pair: a shared cache grows with every column concurrent queries
   // touch in an epoch.
   options.num_threads = 1;

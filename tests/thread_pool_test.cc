@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -251,8 +252,9 @@ TEST(ThreadPool, ConcatChunksMovesOneChunkAndAppendsSeveralInOrder) {
   const int* data = one[0].data();
   const std::vector<int> moved = ConcatChunks(std::move(one));
   EXPECT_EQ(moved.data(), data);
-  EXPECT_EQ(ConcatChunks(std::vector<std::vector<int>>{{1}, {}, {2, 3}}),
-            (std::vector<int>{1, 2, 3}));
+  std::vector<std::vector<int>> several = {{1}, {}, {2, 3}};
+  EXPECT_EQ(ConcatChunks(std::move(several)), (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(several.empty());  // the chunk buffers went with the call
 }
 
 TEST(ThreadPool, PoolRefOwnsAPoolOnlyForSeveralThreadsOutsideAChunk) {
